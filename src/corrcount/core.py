@@ -23,6 +23,7 @@ from dataclasses import dataclass
 __all__ = [
     "ADMISSIBILITY_TOL",
     "TABLE_TOL",
+    "MAX_JOINT_EVENTS",
     "KIND_PROBABILITY",
     "KIND_CORRELATION",
     "CorrcountError",
@@ -53,6 +54,8 @@ __all__ = [
 ADMISSIBILITY_TOL = 1e-9
 # Normalization slack for probability tables and joints.
 TABLE_TOL = 1e-12
+# Largest joint size n for which every C(n, m) converts to a float.
+MAX_JOINT_EVENTS = 1029
 
 KIND_PROBABILITY = "probability"
 KIND_CORRELATION = "correlation"
@@ -291,6 +294,11 @@ class ExchangeableJoint:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise BadShapeError(f"n must be a positive integer, got {self.n!r}")
+        if self.n > MAX_JOINT_EVENTS:
+            raise OutOfRangeError(
+                f"joint of n = {self.n} events exceeds the supported ceiling "
+                f"{MAX_JOINT_EVENTS}"
+            )
         object.__setattr__(
             self, "pattern_weight", tuple(float(x) for x in self.pattern_weight)
         )

@@ -142,6 +142,32 @@ def _kahan_add(acc: np.ndarray, comp: np.ndarray, offset: int, term: np.ndarray)
     acc[sl] = t
 
 
+def _exp_series_at(coeffs, n_events: int) -> float:
+    """N! [x^N] exp(sum_j coeffs[j-1] x^j) by the rescaled scalar recurrence.
+
+    h_n = sum_j j * coeffs[j-1] * h_{n-j} * (n-1)!/(n-j)! with h_0 = 1
+    absorbs the N! prefactor step by step.  O(N * len(coeffs)).
+    """
+    l_max = len(coeffs)
+    window: deque[float] = deque([1.0], maxlen=l_max)
+    for n in range(1, n_events + 1):
+        terms = [
+            j * coeffs[j - 1] * window[-j] * _rising(n, j)
+            for j in range(1, min(n, l_max) + 1)
+        ]
+        window.append(math.fsum(terms))
+    return window[-1]
+
+
+def _require_event_count(model: CorrelationModel) -> CorrelationModel:
+    model = _require_finite_model(model)
+    if model.n > MAX_EVENT_COUNT:
+        raise SeriesOverflowError(
+            f"N = {model.n} exceeds the supported ceiling {MAX_EVENT_COUNT}"
+        )
+    return model
+
+
 def finite_count_pmf(model: CorrelationModel) -> Pmf:
     """Exact count pmf of a truncated coefficient model at finite N.
 
@@ -149,28 +175,22 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
     H_n = sum_j j * A_j(y) * H_{n-j} * (n-1)!/(n-j)! and returns H_N, whose
     entries are p_N(0..N).  The sum over s is 1 and the mean is C_1 for any
     real coefficient vector; entries may be negative for inadmissible
-    vectors, which the returned flag records.  ``error_estimate`` carries
-    the absolute-value shadow of the recurrence times machine epsilon, a
-    proxy for accumulated cancellation.
+    vectors, which the returned flag records.  ``error_estimate`` is
+    eps * N! [x^N] exp(sum_j R_j x^j) with R_j = sum_t |a_{j,t}|, the
+    total of the same recurrence run on absolute values, a proxy for
+    accumulated cancellation.
     """
-    model = _require_finite_model(model)
+    model = _require_event_count(model)
     n_events = model.n
-    if n_events > MAX_EVENT_COUNT:
-        raise SeriesOverflowError(
-            f"N = {n_events} exceeds the supported ceiling {MAX_EVENT_COUNT}"
-        )
     exponent = build_exponent(model)
     l_max = exponent.degree
 
     window: deque[np.ndarray] = deque([np.array([1.0])], maxlen=l_max)
-    abs_window: deque[np.ndarray] = deque([np.array([1.0])], maxlen=l_max)
     for n in range(1, n_events + 1):
         acc = np.zeros(n + 1)
         comp = np.zeros(n + 1)
-        abs_acc = np.zeros(n + 1)
         for j in range(1, min(n, l_max) + 1):
             prev = window[-j]
-            abs_prev = abs_window[-j]
             ratio = _rising(n, j)
             row = exponent.rows[j - 1]
             for t in range(j + 1):
@@ -178,13 +198,11 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
                 if w == 0.0:
                     continue
                 _kahan_add(acc, comp, t, w * prev)
-                abs_acc[t : t + abs_prev.size] += abs(w) * abs_prev
         window.append(acc)
-        abs_window.append(abs_acc)
 
-    values = window[-1]
-    error_estimate = float(abs_window[-1].sum()) * _EPS
-    return Pmf.from_values(values, tail_bound=0.0, error_estimate=error_estimate)
+    magnitudes = [math.fsum(abs(a) for a in row) for row in exponent.rows]
+    error_estimate = _exp_series_at(magnitudes, n_events) * _EPS
+    return Pmf.from_values(window[-1], tail_bound=0.0, error_estimate=error_estimate)
 
 
 def p_full_count(model: CorrelationModel) -> float:
@@ -194,22 +212,9 @@ def p_full_count(model: CorrelationModel) -> float:
     factors can contribute at s = N, so p_N(N) = N! [x^N] exp(B(x)) with
     B(x) = sum_l C_l x^l / (N^l l!).  Cross-checks the bivariate route.
     """
-    model = _require_finite_model(model)
-    n_events = model.n
-    if n_events > MAX_EVENT_COUNT:
-        raise SeriesOverflowError(
-            f"N = {n_events} exceeds the supported ceiling {MAX_EVENT_COUNT}"
-        )
+    model = _require_event_count(model)
     b = [
-        model.coefficient(l) / (float(n_events) ** l * math.factorial(l))
+        model.coefficient(l) / (float(model.n) ** l * math.factorial(l))
         for l in range(1, model.l_max + 1)
     ]
-    l_max = model.l_max
-    window: deque[float] = deque([1.0], maxlen=l_max)
-    for n in range(1, n_events + 1):
-        terms = [
-            j * b[j - 1] * window[-j] * _rising(n, j)
-            for j in range(1, min(n, l_max) + 1)
-        ]
-        window.append(math.fsum(terms))
-    return window[-1]
+    return _exp_series_at(b, model.n)

@@ -37,6 +37,7 @@ __all__ = [
     "exponent_polynomial",
     "char_fn",
     "limit_pmf",
+    "factorial_cumulants",
     "factorial_cumulants_from_pmf",
 ]
 
@@ -161,13 +162,38 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
     return Pmf.from_values(p, tail_bound=tail)
 
 
+def factorial_cumulants(weights, l_max: int, total: float = 1.0) -> tuple[float, ...]:
+    """First l_max factorial cumulants of masses on the counts 0, 1, 2, ...
+
+    ``weights[s]`` is the mass at count s: a pmf, or a histogram of
+    ``total`` observations.  Factorial moments
+    f_r = sum_s s(s-1)...(s-r+1) weights[s] / total feed the standard
+    moment-to-cumulant recursion
+    c_r = f_r - sum_{j<r} binom(r-1, j-1) c_j f_{r-j}.
+    """
+    weights = np.asarray(weights, dtype=float)
+    support = np.arange(weights.size, dtype=float)
+
+    falling = np.ones_like(weights)
+    moments = [1.0]
+    for r in range(1, l_max + 1):
+        falling = falling * (support - (r - 1))
+        moments.append(float(np.dot(falling, weights)) / total)
+
+    cumulants: list[float] = []
+    for r in range(1, l_max + 1):
+        acc = moments[r]
+        for j in range(1, r):
+            acc -= math.comb(r - 1, j - 1) * cumulants[j - 1] * moments[r - j]
+        cumulants.append(acc)
+    return tuple(cumulants)
+
+
 def factorial_cumulants_from_pmf(pmf: Pmf, l_max: int) -> tuple[float, ...]:
     """First l_max factorial cumulants of a count pmf.
 
-    Factorial moments f_r = sum_s s(s-1)...(s-r+1) p(s) feed the standard
-    moment-to-cumulant recursion
-    c_r = f_r - sum_{j<r} binom(r-1, j-1) c_j f_{r-j}.  For the limiting
-    law these cumulants equal the model coefficients.
+    See :func:`factorial_cumulants`.  For the limiting law these cumulants
+    equal the model coefficients.
 
     Raises:
         OutOfRangeError: l_max outside 1..MAX_CUMULANT_ORDER.
@@ -181,19 +207,4 @@ def factorial_cumulants_from_pmf(pmf: Pmf, l_max: int) -> tuple[float, ...]:
         raise TailTooHeavyError(
             f"tail bound {pmf.tail_bound!r} too large for cumulants of order {l_max}"
         )
-    values = np.asarray(pmf.values)
-    support = np.arange(values.size, dtype=float)
-
-    falling = np.ones_like(values)
-    moments = [1.0]
-    for r in range(1, l_max + 1):
-        falling = falling * (support - (r - 1))
-        moments.append(float(np.dot(falling, values)))
-
-    cumulants: list[float] = []
-    for r in range(1, l_max + 1):
-        acc = moments[r]
-        for j in range(1, r):
-            acc -= math.comb(r - 1, j - 1) * cumulants[j - 1] * moments[r - j]
-        cumulants.append(acc)
-    return tuple(cumulants)
+    return factorial_cumulants(pmf.values, l_max)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_JOINT_EVENTS,
     BadSpecError,
     ExchangeableJoint,
     InadmissiblePmfError,
@@ -24,6 +25,7 @@ from .core import (
     Pmf,
     TooFewSamplesError,
 )
+from .limit import factorial_cumulants
 
 __all__ = [
     "DEFAULT_BOOTSTRAP",
@@ -91,6 +93,10 @@ def build_mixture_joint(spec: MixtureSpec, n: int) -> ExchangeableJoint:
     """
     if not isinstance(n, int) or n < 1:
         raise BadSpecError(f"event count must be a positive integer, got {n!r}")
+    if n > MAX_JOINT_EVENTS:
+        raise OutOfRangeError(
+            f"joint of n = {n} events exceeds the supported ceiling {MAX_JOINT_EVENTS}"
+        )
     weights = [
         math.fsum(w * p ** m * (1.0 - p) ** (n - m) for p, w in spec.atoms)
         for m in range(n + 1)
@@ -118,26 +124,6 @@ def sample_counts(pmf: Pmf, n_samples: int, seed: int) -> np.ndarray:
     u = rng.random(n_samples)
     counts = np.searchsorted(cdf, u, side="right")
     return np.minimum(counts, len(pmf.values) - 1).astype(np.int64)
-
-
-def _factorial_moments(histogram: np.ndarray, n_total: int, l_max: int) -> list[float]:
-    support = np.arange(histogram.size, dtype=float)
-    falling = np.ones_like(support)
-    moments = [1.0]
-    for r in range(1, l_max + 1):
-        falling = falling * (support - (r - 1))
-        moments.append(float(np.dot(falling, histogram)) / n_total)
-    return moments
-
-
-def _cumulants(moments: list[float]) -> tuple[float, ...]:
-    out: list[float] = []
-    for r in range(1, len(moments)):
-        acc = moments[r]
-        for j in range(1, r):
-            acc -= math.comb(r - 1, j - 1) * out[j - 1] * moments[r - j]
-        out.append(acc)
-    return tuple(out)
 
 
 def estimate_coefficients(
@@ -178,14 +164,14 @@ def estimate_coefficients(
         )
 
     histogram = np.bincount(data).astype(float)
-    c_hat = _cumulants(_factorial_moments(histogram, n_total, l_max))
+    c_hat = factorial_cumulants(histogram, l_max, total=n_total)
 
     replicates = np.empty((n_bootstrap, l_max))
     for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_bootstrap)):
         rng = np.random.Generator(np.random.PCG64(child))
         resampled = data[rng.integers(0, n_total, size=n_total)]
         hist_b = np.bincount(resampled, minlength=histogram.size).astype(float)
-        replicates[b] = _cumulants(_factorial_moments(hist_b, n_total, l_max))
+        replicates[b] = factorial_cumulants(hist_b, l_max, total=n_total)
     std_err = tuple(float(x) for x in replicates.std(axis=0, ddof=1))
 
     return EstimateReport(

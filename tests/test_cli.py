@@ -131,6 +131,34 @@ class TestSampleAndEstimate:
         assert code == 0
         assert json.loads(out)["c_hat"] == [2.0]
 
+    def test_estimate_headerless_csv_input(self, capsys, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("\n".join(f"{i},4" for i in range(120)) + "\n")
+        code, out, _ = run_cli(
+            capsys, "estimate", "--input", str(path), "--lmax", "1", "--seed", "7"
+        )
+        assert code == 0
+        assert json.loads(out)["c_hat"] == [4.0]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["sample_index,count", "0,2", "1,x", "2,2"],
+            ["0,2", "1", "2,2"],
+            ["2", "2,5", "2"],
+            ["2", "two", "2"],
+        ],
+    )
+    def test_estimate_malformed_row_exit_3(self, capsys, tmp_path, rows):
+        path = tmp_path / "counts.txt"
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(path), "--lmax", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert "bad counts file" in err
+
     def test_estimate_pipeline_recovers_coefficients(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "sample", "--c", "2.0,0.5", "--count", "20000", "--seed", "9"
@@ -177,6 +205,14 @@ class TestBadInput:
     def test_bad_grid(self, capsys):
         code, _, _ = run_cli(capsys, "cf", "--c", "1.0", "--u", "0-1-2")
         assert code == 3
+
+    def test_oracle_joint_above_ceiling(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle-pmf", "--n", "2000", "--mixture", "0.3:1"
+        )
+        assert code == 3
+        assert out == ""
+        assert "ceiling 1029" in err
 
     def test_n_below_l_max(self, capsys):
         code, _, _ = run_cli(capsys, "finite-pmf", "--n", "1", "--c", "1.0,0.5")

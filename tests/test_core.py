@@ -26,6 +26,7 @@ from corrcount import (
     reduced_correlation,
     validate_model,
 )
+from corrcount.core import MAX_JOINT_EVENTS
 
 
 class TestValidateModel:
@@ -216,6 +217,15 @@ class TestJointAndPmf:
             ExchangeableJoint(2, (0.5, 0.5))
         with pytest.raises(NonFiniteError):
             ExchangeableJoint(1, (float("nan"), 0.5))
+
+    def test_joint_size_ceiling(self):
+        # the largest n whose binomials C(n, m) all convert to a float
+        n = MAX_JOINT_EVENTS
+        assert all(math.isfinite(float(math.comb(n, m))) for m in range(n + 1))
+        with pytest.raises(OverflowError):
+            float(math.comb(n + 1, (n + 1) // 2))
+        with pytest.raises(OutOfRangeError):
+            ExchangeableJoint(n + 1, (0.0,) * (n + 1) + (1.0,))
 
     def test_pmf_helpers(self):
         pmf = Pmf.from_values([0.25, 0.5, 0.25])

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +124,21 @@ class TestFiniteCountPmf:
         wild = finite_count_pmf(CorrelationModel.from_coefficients([1.0, 40.0], n=50))
         assert wild.error_estimate > benign.error_estimate
 
+    def test_error_estimate_matches_array_shadow(self, rng):
+        models = [
+            CorrelationModel.from_coefficients([1.0, 40.0], n=50),
+            CorrelationModel.from_coefficients([0.1, -5.0], n=20),
+        ]
+        for i in range(16):
+            l_max = int(rng.integers(1, 5))
+            c = rng.uniform(-5, 5, size=l_max).tolist()
+            n = (4, 17, 60, 200)[i % 4]
+            models.append(CorrelationModel.from_coefficients(c, n=n))
+        for model in models:
+            want = array_shadow_error_estimate(model)
+            got = finite_count_pmf(model).error_estimate
+            assert abs(got - want) <= 1e-12 * want
+
     def test_event_count_ceiling(self):
         with pytest.raises(SeriesOverflowError):
             finite_count_pmf(CorrelationModel.from_coefficients([1.0], n=100_001))
@@ -162,6 +178,26 @@ class TestFiniteCountPmf:
             pmf = finite_count_pmf(model)
             assert abs(pmf.total_mass() - 1.0) <= 1e-9
             assert abs(pmf.mean() - c[0]) <= 1e-9 * max(1.0, abs(c[0]))
+
+
+def array_shadow_error_estimate(model):
+    """eps times the summed absolute-value shadow of the pmf recurrence.
+
+    The literal array form: every y-polynomial H_n of the recurrence is
+    rebuilt from |j * a_{j,t} * (n-1)!/(n-j)!| times the shadow of
+    H_{n-j}, and the entries of the shadow of H_N are summed.
+    """
+    rows = build_exponent(model).rows
+    window = [np.array([1.0])]
+    for n in range(1, model.n + 1):
+        acc = np.zeros(n + 1)
+        for j in range(1, min(n, len(rows)) + 1):
+            prev = window[-j]
+            ratio = float(math.perm(n - 1, j - 1))
+            for t, a in enumerate(rows[j - 1]):
+                acc[t : t + prev.size] += abs(j * a * ratio) * prev
+        window.append(acc)
+    return float(window[-1].sum()) * float(np.finfo(float).eps)
 
 
 def iter_multiplicity_vectors(n, l_max):

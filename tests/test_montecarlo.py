@@ -19,6 +19,7 @@ from corrcount import (
     marginalize,
     sample_counts,
 )
+from corrcount.core import MAX_JOINT_EVENTS
 from corrcount.verify import measure_coefficients
 
 from conftest import make_random_mixture
@@ -74,6 +75,12 @@ class TestBuildMixtureJoint:
     def test_bad_event_count(self):
         with pytest.raises(BadSpecError):
             build_mixture_joint(MixtureSpec(((0.5, 1.0),)), 0)
+
+    def test_event_count_ceiling(self):
+        spec = MixtureSpec(((0.3, 1.0),))
+        assert build_mixture_joint(spec, MAX_JOINT_EVENTS).n == MAX_JOINT_EVENTS
+        with pytest.raises(OutOfRangeError):
+            build_mixture_joint(spec, MAX_JOINT_EVENTS + 1)
 
 
 class TestSampleCounts:
