@@ -180,6 +180,14 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _is_number(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_counts(path: str) -> list[int]:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -188,10 +196,11 @@ def _read_counts(path: str) -> list[int]:
         raise _UsageError(f"cannot read counts file {path}: {exc}") from exc
     if not lines:
         raise _UsageError(f"counts file {path} is empty")
-    # CSV is detected from the first line; a non-numeric first field there
-    # marks a header row ("sample_index,count"), which is dropped.
+    # CSV is detected from the first line; a first field there that does not
+    # parse as a number marks a header row ("sample_index,count"), which is
+    # dropped.
     csv = "," in lines[0]
-    if csv and not lines[0].split(",")[0].strip().isdigit():
+    if csv and not _is_number(lines[0].split(",")[0]):
         lines = lines[1:]
     try:
         return [int(line.split(",")[1]) if csv else int(line) for line in lines]

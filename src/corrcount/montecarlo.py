@@ -166,10 +166,14 @@ def estimate_coefficients(
     histogram = np.bincount(data).astype(float)
     c_hat = factorial_cumulants(histogram, l_max, total=n_total)
 
+    # Gather from the narrowest unsigned copy (1 byte per count when all
+    # counts are below 256) so the table stays in cache; the draws and the
+    # bincounts are the same as from the int64 array.
+    table = data.astype(np.min_scalar_type(int(data.max())))
     replicates = np.empty((n_bootstrap, l_max))
     for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_bootstrap)):
         rng = np.random.Generator(np.random.PCG64(child))
-        resampled = data[rng.integers(0, n_total, size=n_total)]
+        resampled = table[rng.integers(0, n_total, size=n_total)]
         hist_b = np.bincount(resampled, minlength=histogram.size).astype(float)
         replicates[b] = factorial_cumulants(hist_b, l_max, total=n_total)
     std_err = tuple(float(x) for x in replicates.std(axis=0, ddof=1))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from corrcount.cli import main
+from corrcount.cli import _read_counts, main
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +139,40 @@ class TestSampleAndEstimate:
         )
         assert code == 0
         assert json.loads(out)["c_hat"] == [4.0]
+
+    @pytest.mark.parametrize(
+        "text, counts",
+        [
+            ("-1,5\n0,3\n", [5, 3]),
+            ("0.0,3\n1,4\n", [3, 4]),
+            ("sample_index,count\n0,3\n1,4\n", [3, 4]),
+            ("index,count\n-1,5\n0,3\n", [5, 3]),
+        ],
+    )
+    def test_csv_header_only_when_first_field_is_not_a_number(
+        self, tmp_path, text, counts
+    ):
+        path = tmp_path / "counts.csv"
+        path.write_text(text)
+        assert _read_counts(str(path)) == counts
+
+    def test_estimate_keeps_first_row_with_signed_index(self, capsys, tmp_path):
+        counts = [7] + [i % 5 for i in range(149)]
+        plain = tmp_path / "counts.txt"
+        plain.write_text("\n".join(map(str, counts)) + "\n")
+        signed = tmp_path / "counts.csv"
+        signed.write_text(
+            "\n".join(f"{i - 1},{c}" for i, c in enumerate(counts)) + "\n"
+        )
+        outs = []
+        for path in (plain, signed):
+            code, out, _ = run_cli(
+                capsys, "estimate", "--input", str(path), "--lmax", "1", "--seed", "7"
+            )
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[1])["n_samples"] == 150
 
     @pytest.mark.parametrize(
         "rows",

@@ -139,6 +139,33 @@ class TestFiniteCountPmf:
             got = finite_count_pmf(model).error_estimate
             assert abs(got - want) <= 1e-12 * want
 
+    def test_entries_match_full_range_loop_bit_for_bit(self, rng):
+        models = [CorrelationModel.from_coefficients([2.0, -3.0, 4.0], n=3000)]
+        for i in range(30):
+            l_max = 1 + i % 5
+            scale = (0.5, 3.0, 20.0)[i % 3]
+            c = rng.uniform(-scale, scale, size=l_max)
+            if i % 2:
+                c[0] = abs(c[0]) + 0.1
+            if c[-1] == 0.0:
+                c[-1] = 1.0
+            n = (l_max, 9, 60, 300, 1000)[i % 5]
+            models.append(CorrelationModel.from_coefficients(c.tolist(), n=n))
+        for model in models:
+            values = np.asarray(finite_count_pmf(model).values)
+            want = full_range_count_pmf(model)
+            assert values.tobytes() == want.tobytes()
+            support = np.flatnonzero(values)[-1] + 1
+            assert not np.signbit(values[support:]).any()
+
+    def test_large_n_mass_and_mean(self):
+        pmf = finite_count_pmf(
+            CorrelationModel.from_coefficients([2.0, 0.5, 0.1], n=20_000)
+        )
+        assert len(pmf.values) == 20_001
+        assert abs(pmf.total_mass() - 1.0) <= 1e-10
+        assert abs(pmf.mean() - 2.0) <= 1e-10
+
     def test_event_count_ceiling(self):
         with pytest.raises(SeriesOverflowError):
             finite_count_pmf(CorrelationModel.from_coefficients([1.0], n=100_001))
@@ -258,3 +285,32 @@ class TestPFullCount:
             assert p_full_count(model) == pytest.approx(
                 p_full_by_enumeration(model), abs=1e-13
             )
+
+
+def full_range_count_pmf(model):
+    """The pmf recurrence with every H_n kept over its full range 0..n.
+
+    Each (j, t) term w * H_{n-j} is added to H_n[t : t + n - j + 1] with a
+    compensated (Kahan) sum, in the package's order of j and t.  The ratio
+    (n-1)!/(n-j)! is exact in a double for the N <= 3000, l_max <= 5 used
+    here, so it rounds the same as the package's running product.
+    """
+    rows = build_exponent(model).rows
+    window = [np.array([1.0])]
+    for n in range(1, model.n + 1):
+        acc = np.zeros(n + 1)
+        comp = np.zeros(n + 1)
+        for j in range(1, min(n, len(rows)) + 1):
+            prev = window[-j]
+            ratio = float(math.perm(n - 1, j - 1))
+            for t, a in enumerate(rows[j - 1]):
+                w = j * a * ratio
+                if w == 0.0:
+                    continue
+                sl = slice(t, t + prev.size)
+                y = w * prev - comp[sl]
+                s = acc[sl] + y
+                comp[sl] = (s - acc[sl]) - y
+                acc[sl] = s
+        window.append(acc)
+    return window[-1]

@@ -8,7 +8,8 @@ the affected digests and say why in CHANGES.md.
 
 ``{plain}``, ``{csv}`` and ``{bare_csv}`` in an argv stand for counts files
 the test writes: plain lines, CSV with a ``sample_index,count`` header,
-and CSV without one, all holding the same 2000 counts.
+and CSV without one, all holding the same 2000 counts.  ``{wide}`` is a
+plain file of 2000 counts up to 300, above the one-byte range.
 """
 
 import hashlib
@@ -70,6 +71,14 @@ CASES = {
         ["estimate", "--input", "{bare_csv}", "--lmax", "2", "--bootstrap", "30", "--seed", "1"],
         0, "ea734953443a32fe219bfe72d7cd28c7430738df3e3bae0641047e684966598f",
     ),
+    "finite-pmf-underflow": (
+        ["finite-pmf", "--n", "2000", "--c", "2.0,0.5,0.1"],
+        0, "8e5c1ef29fe5842326a798027e035447d9bcbdc9c0b3abcf56ddb979d747703b",
+    ),
+    "estimate-wide": (
+        ["estimate", "--input", "{wide}", "--lmax", "2", "--bootstrap", "40", "--seed", "5"],
+        0, "a3d184d1f4bbf926321256095440722ce7dbd9adf580da995d383032f508c817",
+    ),
     "verify": (
         ["verify", "--trials", "20"],
         0, "9c390e056a716e3ac3d8e79b65f57e4c0c00d71ad356be153ddd92e471c1d858",
@@ -87,6 +96,7 @@ def counts_files(tmp_path_factory):
             ["sample_index,count"] + [f"{i},{c}" for i, c in enumerate(counts)]
         ),
         "bare_csv": "\n".join(f"{i},{c}" for i, c in enumerate(counts)),
+        "wide": "\n".join(str((i * 37) % 301) for i in range(2000)),
     }
     paths = {}
     for name, text in files.items():

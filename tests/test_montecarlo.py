@@ -6,6 +6,7 @@ import pytest
 from corrcount import (
     BadSpecError,
     CorrelationModel,
+    EstimateReport,
     InadmissiblePmfError,
     MixtureSpec,
     OutOfRangeError,
@@ -20,6 +21,7 @@ from corrcount import (
     sample_counts,
 )
 from corrcount.core import MAX_JOINT_EVENTS
+from corrcount.limit import factorial_cumulants
 from corrcount.verify import measure_coefficients
 
 from conftest import make_random_mixture
@@ -156,6 +158,13 @@ class TestEstimateCoefficients:
             assert spread[10 ** 5][order] < spread[10 ** 4][order]
             assert spread[10 ** 6][order] < spread[10 ** 5][order]
 
+    @pytest.mark.parametrize("top", [255, 256, 65535, 65536])
+    def test_bootstrap_matches_int64_gather(self, rng, top):
+        counts = rng.integers(0, 40, size=1500)
+        counts[700] = top
+        got = estimate_coefficients(counts, l_max=2, n_bootstrap=25, seed=top)
+        assert got == int64_gather_estimate(counts, l_max=2, n_bootstrap=25, seed=top)
+
     def test_report_json_schema(self):
         import json
 
@@ -164,3 +173,23 @@ class TestEstimateCoefficients:
         assert set(data) == {"c_hat", "std_err", "n_samples", "n_bootstrap"}
         assert data["n_samples"] == 150
         assert len(data["c_hat"]) == len(data["std_err"]) == 1
+
+
+def int64_gather_estimate(counts, l_max, n_bootstrap, seed):
+    """Plug-in estimate whose bootstrap resamples gather from int64 counts."""
+    data = np.asarray(counts).astype(np.int64)
+    n_total = int(data.size)
+    histogram = np.bincount(data).astype(float)
+    c_hat = factorial_cumulants(histogram, l_max, total=n_total)
+    replicates = np.empty((n_bootstrap, l_max))
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_bootstrap)):
+        rng = np.random.Generator(np.random.PCG64(child))
+        resampled = data[rng.integers(0, n_total, size=n_total)]
+        hist_b = np.bincount(resampled, minlength=histogram.size).astype(float)
+        replicates[b] = factorial_cumulants(hist_b, l_max, total=n_total)
+    return EstimateReport(
+        c_hat=c_hat,
+        std_err=tuple(float(x) for x in replicates.std(axis=0, ddof=1)),
+        n_samples=n_total,
+        n_bootstrap=n_bootstrap,
+    )
