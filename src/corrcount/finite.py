@@ -30,6 +30,7 @@ from .core import (
     CorrelationModel,
     ExchangeableJoint,
     IdentityCheckError,
+    NonFiniteError,
     OutOfRangeError,
     Pmf,
     SeriesOverflowError,
@@ -117,7 +118,8 @@ def build_exponent(model: CorrelationModel) -> BivariatePolynomial:
                 f"x-degree {l} row of A does not telescope to zero"
             )
         rows.append(row)
-    if abs(math.fsum(rows[0]) - 1.0) > 1e-14:
+    magnitude = max(1.0, math.fsum(abs(x) for x in rows[0]))
+    if abs(math.fsum(rows[0]) - 1.0) > 1e-14 * magnitude:
         raise IdentityCheckError("x-degree 1 row of A does not sum to one")
     return BivariatePolynomial(tuple(rows))
 
@@ -160,6 +162,7 @@ def _require_event_count(model: CorrelationModel) -> CorrelationModel:
     return model
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def finite_count_pmf(model: CorrelationModel) -> Pmf:
     """Exact count pmf of a truncated coefficient model at finite N.
 
@@ -181,6 +184,11 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
     (j, t) term keeps the full-range slice, clipped to [0, size), and the
     same compensated-add operations in the same order, so every entry is
     bit-identical to the full-range loop and the cost is O(N * S * l_max).
+
+    Raises:
+        SeriesOverflowError: N above MAX_EVENT_COUNT.
+        NonFiniteError: an entry overflowed to inf or nan (coefficients too
+            large for double precision).
     """
     model = _require_event_count(model)
     n_events = model.n
@@ -228,6 +236,13 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
 
     values = np.zeros(n_events + 1)
     values[:size] = ring[n_events % slots, :size]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        s = int(bad[0])
+        raise NonFiniteError(
+            f"p_N({s}) = {float(values[s])!r} is not finite: the recurrence "
+            "overflowed double precision"
+        )
     magnitudes = [math.fsum(abs(a) for a in row) for row in exponent.rows]
     error_estimate = _exp_series_at(magnitudes, n_events) * _EPS
     return Pmf.from_values(values, tail_bound=0.0, error_estimate=error_estimate)

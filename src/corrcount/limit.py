@@ -15,6 +15,7 @@ extractor recovers them from any sufficiently tail-light pmf.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ __all__ = [
 
 # Adaptive support search refuses past this many pmf entries.
 SUPPORT_CAP = 10 ** 6
+# exp(q) is a nonzero finite double only for _LOG_MIN < q < _LOG_MAX; below
+# _LOG_MIN it rounds to 0, under half the smallest subnormal 2^-1074.
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_MIN = -1075 * math.log(2.0)
 # Moment-to-cumulant combinatorics beyond this order only amplifies tail noise.
 MAX_CUMULANT_ORDER = 6
 
@@ -118,8 +123,10 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
     ``mass_tolerance``, which is recorded as the tail bound.
 
     Raises:
-        OutOfRangeError: mass_tolerance outside (0, 1e-6].
-        NonConvergentError: support would exceed SUPPORT_CAP entries.
+        OutOfRangeError: mass_tolerance outside (0, 1e-6], or exp(q_0)
+            overflows or underflows to 0 in double precision.
+        NonConvergentError: support would exceed SUPPORT_CAP entries
+            (checked before the underflow).
     """
     if not 0.0 < mass_tolerance <= 1e-6:
         raise OutOfRangeError(
@@ -134,7 +141,13 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
     s_max = math.ceil(c1 + 10.0 * math.sqrt(max(c1 + c2, 1.0)))
     s_max = max(s_max, l_max, 1)
 
-    p = [math.exp(q[0])]
+    try:
+        p = [math.exp(q[0])]
+    except OverflowError:
+        raise OutOfRangeError(
+            f"p(0) = exp(q_0) overflows: q_0 = {q[0]!r} is above {_LOG_MAX:.2f}, "
+            "the double-precision limit"
+        ) from None
 
     def extend_to(limit: int) -> None:
         for n in range(len(p), limit + 1):
@@ -149,6 +162,12 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
                 f"needed support beyond {SUPPORT_CAP} entries before reaching "
                 f"mass tolerance {mass_tolerance}; coefficients are far from "
                 "admissible"
+            )
+        if p[0] == 0.0:
+            # Every entry is a multiple of p(0), so all of them would be 0.0.
+            raise OutOfRangeError(
+                f"p(0) = exp(q_0) underflows to 0: q_0 = {q[0]!r} is below "
+                f"{_LOG_MIN:.2f}, the double-precision limit"
             )
         extend_to(s_max)
         missing = abs(1.0 - math.fsum(p))

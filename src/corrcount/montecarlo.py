@@ -6,8 +6,10 @@ inverse-CDF driven by a frozen generator: NumPy's PCG64 bit stream seeded
 with the user integer, one uniform double per sample, so identical inputs
 give identical output sequences.  Coefficient estimation is a plug-in
 through empirical factorial moments and the moment-to-cumulant map, with
-bootstrap standard errors drawn from a seed stream derived from the user
-seed.
+bootstrap standard errors: each replicate histogram is one multinomial
+draw on the observed histogram, from a generator seeded with the first
+child of the user seed's SeedSequence, so it never replays the sampler's
+PCG64(seed) stream.
 """
 
 import json
@@ -25,7 +27,7 @@ from .core import (
     Pmf,
     TooFewSamplesError,
 )
-from .limit import factorial_cumulants
+from .limit import SUPPORT_CAP, factorial_cumulants
 
 __all__ = [
     "DEFAULT_BOOTSTRAP",
@@ -135,11 +137,15 @@ def estimate_coefficients(
     """Estimate (C_1, ..., C_l_max) from observed counts.
 
     The point estimate is the empirical factorial cumulants; standard
-    errors come from ``n_bootstrap`` resamples with replacement, each drawn
-    from its own child of np.random.SeedSequence(seed).
+    errors come from ``n_bootstrap`` resamples with replacement.  The
+    histogram of a resample of all n counts is a Multinomial(n, histogram
+    / n) draw (Efron & Tibshirani, 1993), so each replicate costs
+    O(support), not O(n).  All replicates come from one generator seeded
+    with the first child of np.random.SeedSequence(seed).
 
     Raises:
-        OutOfRangeError: l_max outside 1..MAX_ESTIMATE_ORDER or n_bootstrap < 2.
+        OutOfRangeError: l_max outside 1..MAX_ESTIMATE_ORDER, n_bootstrap < 2,
+            or a count that is negative, above SUPPORT_CAP or not an integer.
         TooFewSamplesError: fewer than 10^l_max observations.
     """
     if not isinstance(l_max, int) or not 1 <= l_max <= MAX_ESTIMATE_ORDER:
@@ -151,11 +157,15 @@ def estimate_coefficients(
     raw = np.asarray(counts)
     if raw.ndim != 1 or raw.size == 0:
         raise OutOfRangeError("counts must be a nonempty 1-d sequence")
+    if raw.min() < 0:
+        raise OutOfRangeError(f"negative count {raw.min()} in input")
+    if raw.max() > SUPPORT_CAP:
+        raise OutOfRangeError(
+            f"count {raw.max()} exceeds the supported ceiling {SUPPORT_CAP}"
+        )
     data = raw.astype(np.int64)
     if raw.dtype.kind == "f" and not np.array_equal(raw, data):
         raise OutOfRangeError("counts must be integers")
-    if data.min() < 0:
-        raise OutOfRangeError(f"negative count {int(data.min())} in input")
     n_total = int(data.size)
     floor = 10 ** l_max
     if n_total < floor:
@@ -166,17 +176,15 @@ def estimate_coefficients(
     histogram = np.bincount(data).astype(float)
     c_hat = factorial_cumulants(histogram, l_max, total=n_total)
 
-    # Gather from the narrowest unsigned copy (1 byte per count when all
-    # counts are below 256) so the table stays in cache; the draws and the
-    # bincounts are the same as from the int64 array.
-    table = data.astype(np.min_scalar_type(int(data.max())))
-    replicates = np.empty((n_bootstrap, l_max))
-    for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_bootstrap)):
-        rng = np.random.Generator(np.random.PCG64(child))
-        resampled = table[rng.integers(0, n_total, size=n_total)]
-        hist_b = np.bincount(resampled, minlength=histogram.size).astype(float)
-        replicates[b] = factorial_cumulants(hist_b, l_max, total=n_total)
-    std_err = tuple(float(x) for x in replicates.std(axis=0, ddof=1))
+    # The histogram of n counts resampled with replacement is one
+    # Multinomial(n, histogram / n) draw.
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    pvals = histogram / n_total
+    replicates = [
+        factorial_cumulants(rng.multinomial(n_total, pvals), l_max, total=n_total)
+        for _ in range(n_bootstrap)
+    ]
+    std_err = tuple(float(x) for x in np.std(replicates, axis=0, ddof=1))
 
     return EstimateReport(
         c_hat=c_hat,

@@ -248,6 +248,33 @@ class TestBadInput:
         assert out == ""
         assert "ceiling 1029" in err
 
+    @pytest.mark.parametrize(
+        "c, cause", [("800", "underflows"), ("1,0,0,1e5", "overflows")]
+    )
+    def test_limit_p0_out_of_double_range_exit_3(self, capsys, c, cause):
+        code, out, err = run_cli(capsys, "limit-pmf", "--c", c)
+        assert code == 3
+        assert out == ""
+        assert f"p(0) = exp(q_0) {cause}" in err
+
+    @pytest.mark.parametrize("c", ["1e20", "1.0,1e40"])
+    def test_finite_overflow_exit_3(self, capsys, c):
+        code, out, err = run_cli(capsys, "finite-pmf", "--n", "100", "--c", c)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: p_N(0) = ")
+        assert "is not finite" in err
+
+    def test_estimate_count_above_ceiling_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text("\n".join(["3"] * 150 + [str(10 ** 12)]) + "\n")
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(path), "--lmax", "1"
+        )
+        assert code == 3
+        assert out == ""
+        assert "count 1000000000000 exceeds the supported ceiling 1000000" in err
+
     def test_n_below_l_max(self, capsys):
         code, _, _ = run_cli(capsys, "finite-pmf", "--n", "1", "--c", "1.0,0.5")
         assert code == 3

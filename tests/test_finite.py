@@ -10,6 +10,7 @@ from corrcount import (
     BadShapeError,
     CorrelationModel,
     MixtureSpec,
+    NonFiniteError,
     SeriesOverflowError,
     TrailingZeroWarning,
     build_exponent,
@@ -65,6 +66,11 @@ class TestBuildExponent:
     def test_requires_event_count(self):
         with pytest.raises(BadShapeError):
             build_exponent(CorrelationModel.from_coefficients([1.0, 0.5]))
+
+    def test_huge_first_coefficient_row_sums_to_one(self):
+        # (1 - 1e18, 1e18): the sum is exact only relative to the magnitude.
+        poly = build_exponent(CorrelationModel.from_coefficients([1e20], n=100))
+        assert poly.rows[0] == (1.0 - 1e18, 1e18)
 
 
 class TestFiniteCountPmf:
@@ -165,6 +171,14 @@ class TestFiniteCountPmf:
         assert len(pmf.values) == 20_001
         assert abs(pmf.total_mass() - 1.0) <= 1e-10
         assert abs(pmf.mean() - 2.0) <= 1e-10
+
+    @pytest.mark.parametrize("c", [[1e20], [1.0, 1e40]])
+    def test_overflowing_entries_raise_non_finite(self, c):
+        model = CorrelationModel.from_coefficients(c, n=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError, match=r"p_N\(0\) = (inf|nan) "):
+                finite_count_pmf(model)
 
     def test_event_count_ceiling(self):
         with pytest.raises(SeriesOverflowError):

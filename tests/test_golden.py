@@ -6,6 +6,10 @@ refactor of the numerical code, so a refactor that changes a single output
 byte or exit code fails here.  A deliberate output change must re-record
 the affected digests and say why in CHANGES.md.
 
+The ``estimate-*`` digests were re-recorded when the bootstrap switched
+to multinomial histogram draws, which changes ``std_err`` but not
+``c_hat``; ``C_HAT`` pins the ``c_hat`` bytes recorded before that switch.
+
 ``{plain}``, ``{csv}`` and ``{bare_csv}`` in an argv stand for counts files
 the test writes: plain lines, CSV with a ``sample_index,count`` header,
 and CSV without one, all holding the same 2000 counts.  ``{wide}`` is a
@@ -61,15 +65,15 @@ CASES = {
     ),
     "estimate-plain": (
         ["estimate", "--input", "{plain}", "--lmax", "3", "--bootstrap", "50", "--seed", "7"],
-        0, "d880ce4aee8214c3bdac1419dc6008d36bd79377501842a164815e797ddbceb6",
+        0, "9fa62762b7eb65440fddb1af2139d25cb443b1d1e032676ce9f30099ff979f50",
     ),
     "estimate-csv": (
         ["estimate", "--input", "{csv}", "--lmax", "2", "--bootstrap", "30", "--seed", "1"],
-        0, "ea734953443a32fe219bfe72d7cd28c7430738df3e3bae0641047e684966598f",
+        0, "00932d09fe9c2038dbb88ff6e78571ffbab4089dedca97b0b347f3480f9f5293",
     ),
     "estimate-bare-csv": (
         ["estimate", "--input", "{bare_csv}", "--lmax", "2", "--bootstrap", "30", "--seed", "1"],
-        0, "ea734953443a32fe219bfe72d7cd28c7430738df3e3bae0641047e684966598f",
+        0, "00932d09fe9c2038dbb88ff6e78571ffbab4089dedca97b0b347f3480f9f5293",
     ),
     "finite-pmf-underflow": (
         ["finite-pmf", "--n", "2000", "--c", "2.0,0.5,0.1"],
@@ -77,12 +81,21 @@ CASES = {
     ),
     "estimate-wide": (
         ["estimate", "--input", "{wide}", "--lmax", "2", "--bootstrap", "40", "--seed", "5"],
-        0, "a3d184d1f4bbf926321256095440722ce7dbd9adf580da995d383032f508c817",
+        0, "3f77fbfc4a36a8d7dfea15caf1db7668ef63403a21ad78bc62129c96005e09ba",
     ),
     "verify": (
         ["verify", "--trials", "20"],
         0, "9c390e056a716e3ac3d8e79b65f57e4c0c00d71ad356be153ddd92e471c1d858",
     ),
+}
+
+# Leading bytes of each estimate stdout, recorded before the bootstrap
+# switched to multinomial draws.
+C_HAT = {
+    "estimate-plain": '{"c_hat": [2.998, 1.0019959999999983, -11.135988015999994], ',
+    "estimate-csv": '{"c_hat": [2.998, 1.0019959999999983], ',
+    "estimate-bare-csv": '{"c_hat": [2.998, 1.0019959999999983], ',
+    "estimate-wide": '{"c_hat": [149.936, 7398.395903999997], ',
 }
 
 
@@ -112,3 +125,10 @@ def test_cli_output_is_byte_identical(name, counts_files, capsys):
     code = main([arg.format(**counts_files) for arg in argv])
     digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
     assert (code, digest) == (want_code, want_digest)
+
+
+@pytest.mark.parametrize("name", sorted(C_HAT))
+def test_estimate_point_estimate_is_unchanged(name, counts_files, capsys):
+    argv, _, _ = CASES[name]
+    assert main([arg.format(**counts_files) for arg in argv]) == 0
+    assert capsys.readouterr().out.startswith(C_HAT[name])

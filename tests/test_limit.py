@@ -164,6 +164,24 @@ class TestLimitPmf:
         with pytest.raises(NonConvergentError):
             limit_pmf(CorrelationModel.from_coefficients([5e6]))
 
+    @pytest.mark.parametrize("c", [[800.0], [5000.0, 200.0], [1e4, 500.0, 10.0, 0.5]])
+    def test_p0_underflow_refused_at_once(self, c):
+        # p(0) = exp(q_0) is 0.0, so every entry of the recurrence would be.
+        with pytest.raises(OutOfRangeError, match=r"underflows .* -745\.13"):
+            limit_pmf(CorrelationModel.from_coefficients(c))
+
+    @pytest.mark.parametrize("c", [[1.0, 0.0, 0.0, 1e5], [1.0, 1e300]])
+    def test_p0_overflow_refused(self, c):
+        with pytest.raises(OutOfRangeError, match=r"overflows: q_0 = .* 709\.78"):
+            limit_pmf(CorrelationModel.from_coefficients(c))
+
+    def test_large_mean_near_underflow_still_computed(self):
+        # C_1 = 700 starts the recurrence at p(0) = exp(-700), about 1e-304.
+        pmf = limit_pmf(CorrelationModel.from_coefficients([700.0]))
+        assert pmf.values[0] == math.exp(-700.0)
+        assert abs(pmf.mean() - 700.0) <= 1e-8
+        assert pmf.admissible
+
     def test_normalization_contract(self, rng):
         for _ in range(10):
             model = random_admissible_model(rng)
