@@ -158,6 +158,32 @@ class TestEstimateCoefficients:
             assert spread[10 ** 5][order] < spread[10 ** 4][order]
             assert spread[10 ** 6][order] < spread[10 ** 5][order]
 
+    @pytest.mark.parametrize("top", [255, 256, 65535, 65536])
+    def test_bootstrap_matches_int64_gather(self, rng, top):
+        # Each multinomial replicate histogram, expanded back into an int64
+        # sample and re-binned, must give the same estimate: the histogram
+        # path agrees with an int64 sample at every narrow-dtype boundary.
+        counts = rng.integers(0, 40, size=1500)
+        counts[700] = top
+        got = estimate_coefficients(counts, l_max=2, n_bootstrap=25, seed=top)
+        data = counts.astype(np.int64)
+        histogram = np.bincount(data)
+        values = np.arange(histogram.size, dtype=np.int64)
+        child = np.random.default_rng(np.random.SeedSequence(top).spawn(1)[0])
+        replicates = []
+        for _ in range(25):
+            hist_b = child.multinomial(data.size, histogram / data.size)
+            assert hist_b.sum() == data.size
+            assert not np.any(hist_b[histogram == 0])
+            sample_b = np.repeat(values, hist_b)
+            replicates.append(factorial_cumulants(
+                np.bincount(sample_b, minlength=histogram.size), 2, total=data.size
+            ))
+        assert got.c_hat == factorial_cumulants(histogram.astype(float), 2, total=data.size)
+        assert got.std_err == tuple(
+            float(x) for x in np.std(replicates, axis=0, ddof=1)
+        )
+
     def test_bootstrap_matches_index_resampling_in_distribution(self):
         # Multinomial histograms and index resamples are the same law, so
         # at B = 2000 the two std_err values differ by bootstrap noise alone
