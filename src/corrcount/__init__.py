@@ -6,112 +6,35 @@ distribution of the number of events that occur: exactly at finite N, and
 in the N -> infinity limit through the closed-form generating-function
 exponent.  Brute-force oracles, samplers, and coefficient estimators close
 the loop for end-to-end verification.
+
+The package root exports the entry points; everything else is imported
+from its submodule (``corrcount.core``, ``corrcount.ursell``, ...).
 """
 
-from .core import (
-    ADMISSIBILITY_TOL,
-    BadShapeError,
-    BadSpecError,
-    CfGrid,
-    CorrcountError,
-    CorrelationModel,
-    ExchangeableJoint,
-    IdentityCheckError,
-    InadmissiblePmfError,
-    InvalidDistributionError,
-    NonConvergentError,
-    NonFiniteError,
-    OutOfRangeError,
-    Pmf,
-    SeriesOverflowError,
-    SymmetricTable,
-    TailTooHeavyError,
-    TooFewSamplesError,
-    TrailingZeroWarning,
-    correlation_coefficient,
-    m_factor,
-    reduced_correlation,
-    validate_model,
-)
-from .finite import (
-    BivariatePolynomial,
-    build_exponent,
-    count_pmf_from_joint,
-    finite_count_pmf,
-    p_full_count,
-)
-from .limit import (
-    ExponentPolynomial,
-    char_fn,
-    exponent_polynomial,
-    factorial_cumulants_from_pmf,
-    limit_pmf,
-)
+from .core import CorrcountError, CorrelationModel, Pmf
+from .finite import count_pmf_from_joint, finite_count_pmf
+from .limit import char_fn, limit_pmf
 from .montecarlo import (
-    EstimateReport,
     MixtureSpec,
     build_mixture_joint,
     estimate_coefficients,
     sample_counts,
-)
-from .ursell import (
-    SetPartition,
-    correlation_partition,
-    correlation_recursive,
-    correlation_recursive_expanded,
-    enumerate_set_partitions,
-    marginalize,
-    probability_from_correlations,
 )
 from .verify import run_identity_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ADMISSIBILITY_TOL",
-    "BadShapeError",
-    "BadSpecError",
-    "BivariatePolynomial",
-    "CfGrid",
-    "CorrcountError",
     "CorrelationModel",
-    "EstimateReport",
-    "ExchangeableJoint",
-    "ExponentPolynomial",
-    "IdentityCheckError",
-    "InadmissiblePmfError",
-    "InvalidDistributionError",
-    "MixtureSpec",
-    "NonConvergentError",
-    "NonFiniteError",
-    "OutOfRangeError",
     "Pmf",
-    "SeriesOverflowError",
-    "SetPartition",
-    "SymmetricTable",
-    "TailTooHeavyError",
-    "TooFewSamplesError",
-    "TrailingZeroWarning",
-    "build_exponent",
+    "CorrcountError",
+    "MixtureSpec",
+    "limit_pmf",
+    "finite_count_pmf",
+    "count_pmf_from_joint",
     "build_mixture_joint",
     "char_fn",
-    "correlation_coefficient",
-    "correlation_partition",
-    "correlation_recursive",
-    "correlation_recursive_expanded",
-    "count_pmf_from_joint",
-    "enumerate_set_partitions",
-    "estimate_coefficients",
-    "exponent_polynomial",
-    "factorial_cumulants_from_pmf",
-    "finite_count_pmf",
-    "limit_pmf",
-    "m_factor",
-    "marginalize",
-    "p_full_count",
-    "probability_from_correlations",
-    "reduced_correlation",
-    "run_identity_suite",
     "sample_counts",
-    "validate_model",
+    "estimate_coefficients",
+    "run_identity_suite",
 ]

@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from .core import (
+    MAX_POINTS,
     CorrcountError,
     CorrelationModel,
     IdentityCheckError,
@@ -77,8 +78,8 @@ def _parse_ugrid(text: str) -> np.ndarray:
         start, stop, count = float(start_s), float(stop_s), int(count_s)
     except ValueError as exc:
         raise _UsageError(f"bad u grid {text!r}; expected start:stop:count") from exc
-    if count < 1:
-        raise _UsageError(f"u grid count must be >= 1, got {count}")
+    if not 1 <= count <= MAX_POINTS:
+        raise _UsageError(f"u grid count must lie in 1..{MAX_POINTS}, got {count}")
     return np.linspace(start, stop, count)
 
 
@@ -188,23 +189,25 @@ def _is_number(field: str) -> bool:
     return True
 
 
-def _read_counts(path: str) -> list[int]:
+def _read_counts(path: str) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
+            rows = ((i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip())
+            skip, first = next(rows, (0, ""))
+            # CSV is detected from the first line; a first field there that
+            # does not parse as a number marks a header row
+            # ("sample_index,count"), which is skipped.
+            csv = "," in first
+            header = csv and not _is_number(first.split(",")[0])
+            if not first or (header and next(rows, None) is None):
+                raise _UsageError(f"counts file {path} is empty")
+        return np.loadtxt(
+            path, dtype=np.int64, comments=None, delimiter=",", ndmin=1,
+            skiprows=skip if header else 0, usecols=1 if csv else None, encoding="utf-8",
+        )
     except OSError as exc:
         raise _UsageError(f"cannot read counts file {path}: {exc}") from exc
-    if not lines:
-        raise _UsageError(f"counts file {path} is empty")
-    # CSV is detected from the first line; a first field there that does not
-    # parse as a number marks a header row ("sample_index,count"), which is
-    # dropped.
-    csv = "," in lines[0]
-    if csv and not _is_number(lines[0].split(",")[0]):
-        lines = lines[1:]
-    try:
-        return [int(line.split(",")[1]) if csv else int(line) for line in lines]
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise _UsageError(f"bad counts file {path}: {exc}") from exc
 
 

@@ -24,6 +24,7 @@ __all__ = [
     "ADMISSIBILITY_TOL",
     "TABLE_TOL",
     "MAX_JOINT_EVENTS",
+    "MAX_POINTS",
     "KIND_PROBABILITY",
     "KIND_CORRELATION",
     "CorrcountError",
@@ -45,9 +46,7 @@ __all__ = [
     "Pmf",
     "CfGrid",
     "validate_model",
-    "reduced_correlation",
     "correlation_coefficient",
-    "m_factor",
 ]
 
 # A pmf entry below -ADMISSIBILITY_TOL marks the producing model inadmissible.
@@ -56,6 +55,9 @@ ADMISSIBILITY_TOL = 1e-9
 TABLE_TOL = 1e-12
 # Largest joint size n for which every C(n, m) converts to a float.
 MAX_JOINT_EVENTS = 1029
+# Largest sample count or characteristic-function grid; beyond it the
+# arrays alone would take gigabytes.
+MAX_POINTS = 10 ** 7
 
 KIND_PROBABILITY = "probability"
 KIND_CORRELATION = "correlation"
@@ -340,15 +342,16 @@ class Pmf:
 
     @classmethod
     def from_values(cls, values, tail_bound=0.0, error_estimate=0.0) -> "Pmf":
-        values = tuple(float(x) for x in values)
-        finite = all(math.isfinite(v) for v in values)
-        admissible = finite and min(values) >= -ADMISSIBILITY_TOL
-        return cls(
+        pmf = cls(
             values=values,
             tail_bound=float(tail_bound),
-            admissible=admissible,
             error_estimate=float(error_estimate),
         )
+        # __post_init__ has converted the values; flag them without a copy.
+        finite = all(math.isfinite(v) for v in pmf.values)
+        admissible = finite and min(pmf.values) >= -ADMISSIBILITY_TOL
+        object.__setattr__(pmf, "admissible", admissible)
+        return pmf
 
     @property
     def s_max(self) -> int:
@@ -382,23 +385,6 @@ class CfGrid:
             )
 
 
-def reduced_correlation(model: CorrelationModel, k: int, q: int) -> float:
-    """Correlation-function value of order k with q zero arguments.
-
-    For exchangeable events the order-k correlation function is determined
-    by its all-ones value: flipping any argument to zero flips the sign, so
-    the value at q zeros is (-1)^q * C_k / N^k.  Only k >= 2 is handled
-    here; at order one the two values are C_1/N and 1 - C_1/N.
-    """
-    if model.n is None:
-        raise BadShapeError("reduced_correlation requires a model with n")
-    if not 2 <= k <= model.l_max:
-        raise OutOfRangeError(f"order k = {k} outside 2..{model.l_max}")
-    if not 0 <= q <= k:
-        raise OutOfRangeError(f"zero count q = {q} outside 0..{k}")
-    return (-1) ** q * model.coefficient(k) / float(model.n) ** k
-
-
 def correlation_coefficient(table: SymmetricTable, n: int) -> float:
     """Scaled all-ones entry N^k * G_k(1, ..., 1) of a correlation table."""
     if not isinstance(n, int) or n < 1:
@@ -406,22 +392,3 @@ def correlation_coefficient(table: SymmetricTable, n: int) -> float:
     if table.order > n:
         raise OutOfRangeError(f"table order {table.order} exceeds n = {n}")
     return float(n) ** table.order * table.values[table.order]
-
-
-def m_factor(n_l: int, l: int, k_l: int) -> int:
-    """Number of ways to choose l ordered k_l-plets from n_l elements.
-
-    Exact integer value n_l! / (n_l - l*k_l)! / k_l!; arbitrary size.
-    """
-    for name, value in (("n_l", n_l), ("l", l), ("k_l", k_l)):
-        if not isinstance(value, int):
-            raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
-    if l < 1 or k_l < 0:
-        raise OutOfRangeError(f"need l >= 1 and k_l >= 0, got l={l}, k_l={k_l}")
-    if n_l < l * k_l:
-        raise OutOfRangeError(f"n_l = {n_l} below l*k_l = {l * k_l}")
-    return (
-        math.factorial(n_l)
-        // math.factorial(n_l - l * k_l)
-        // math.factorial(k_l)
-    )

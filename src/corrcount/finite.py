@@ -31,7 +31,6 @@ from .core import (
     ExchangeableJoint,
     IdentityCheckError,
     NonFiniteError,
-    OutOfRangeError,
     Pmf,
     SeriesOverflowError,
     validate_model,
@@ -43,7 +42,6 @@ __all__ = [
     "count_pmf_from_joint",
     "build_exponent",
     "finite_count_pmf",
-    "p_full_count",
 ]
 
 # The recurrence is O(N * S * l_max), S the pmf's underflow index (a few
@@ -70,13 +68,6 @@ class BivariatePolynomial:
     def degree(self) -> int:
         return len(self.rows)
 
-    def coefficient(self, d: int, t: int) -> float:
-        if not 1 <= d <= self.degree:
-            raise OutOfRangeError(f"x-degree {d} outside 1..{self.degree}")
-        if not 0 <= t <= d:
-            raise OutOfRangeError(f"y-degree {t} outside 0..{d}")
-        return self.rows[d - 1][t]
-
 
 def count_pmf_from_joint(joint: ExchangeableJoint) -> Pmf:
     """Exact count pmf of a joint: p(s) = C(N, s) * pattern_weight[s]."""
@@ -84,13 +75,6 @@ def count_pmf_from_joint(joint: ExchangeableJoint) -> Pmf:
         math.comb(joint.n, s) * joint.pattern_weight[s] for s in range(joint.n + 1)
     ]
     return Pmf.from_values(values, tail_bound=0.0)
-
-
-def _require_finite_model(model: CorrelationModel) -> CorrelationModel:
-    model = validate_model(model)
-    if model.n is None:
-        raise BadShapeError("finite-N computation requires a model with n")
-    return model
 
 
 def build_exponent(model: CorrelationModel) -> BivariatePolynomial:
@@ -102,8 +86,10 @@ def build_exponent(model: CorrelationModel) -> BivariatePolynomial:
     A(x, 1) = x; both facts are asserted here because downstream
     normalization rests on them.
     """
-    model = _require_finite_model(model)
+    model = validate_model(model)
     n = model.n
+    if n is None:
+        raise BadShapeError("finite-N computation requires a model with n")
     c1 = model.coefficient(1)
     rows = [(1.0 - c1 / n, c1 / n)]
     for l in range(2, model.l_max + 1):
@@ -153,15 +139,6 @@ def _exp_series_at(coeffs, n_events: int) -> float:
     return window[-1]
 
 
-def _require_event_count(model: CorrelationModel) -> CorrelationModel:
-    model = _require_finite_model(model)
-    if model.n > MAX_EVENT_COUNT:
-        raise SeriesOverflowError(
-            f"N = {model.n} exceeds the supported ceiling {MAX_EVENT_COUNT}"
-        )
-    return model
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def finite_count_pmf(model: CorrelationModel) -> Pmf:
     """Exact count pmf of a truncated coefficient model at finite N.
@@ -190,9 +167,12 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
         NonFiniteError: an entry overflowed to inf or nan (coefficients too
             large for double precision).
     """
-    model = _require_event_count(model)
-    n_events = model.n
     exponent = build_exponent(model)
+    n_events = model.n
+    if n_events > MAX_EVENT_COUNT:
+        raise SeriesOverflowError(
+            f"N = {n_events} exceeds the supported ceiling {MAX_EVENT_COUNT}"
+        )
     l_max = exponent.degree
 
     # Slot n % slots holds H_n, zero-padded to width N+1; lengths[slot] is
@@ -246,18 +226,3 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
     magnitudes = [math.fsum(abs(a) for a in row) for row in exponent.rows]
     error_estimate = _exp_series_at(magnitudes, n_events) * _EPS
     return Pmf.from_values(values, tail_bound=0.0, error_estimate=error_estimate)
-
-
-def p_full_count(model: CorrelationModel) -> float:
-    """Probability that all N events occur.
-
-    Independent single-variable specialization: only all-ones connected
-    factors can contribute at s = N, so p_N(N) = N! [x^N] exp(B(x)) with
-    B(x) = sum_l C_l x^l / (N^l l!).  Cross-checks the bivariate route.
-    """
-    model = _require_event_count(model)
-    b = [
-        model.coefficient(l) / (float(model.n) ** l * math.factorial(l))
-        for l in range(1, model.l_max + 1)
-    ]
-    return _exp_series_at(b, model.n)

@@ -16,11 +16,11 @@ extractor recovers them from any sufficiently tail-light pmf.
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    MAX_POINTS,
     CfGrid,
     CorrelationModel,
     IdentityCheckError,
@@ -34,7 +34,6 @@ from .core import (
 __all__ = [
     "SUPPORT_CAP",
     "MAX_CUMULANT_ORDER",
-    "ExponentPolynomial",
     "exponent_polynomial",
     "char_fn",
     "limit_pmf",
@@ -52,29 +51,10 @@ _LOG_MIN = -1075 * math.log(2.0)
 MAX_CUMULANT_ORDER = 6
 
 
-@dataclass(frozen=True)
-class ExponentPolynomial:
-    """Coefficients of Q(z) = sum_t q_coeffs[t] z^t; Q(1) = 0."""
+def exponent_polynomial(model: CorrelationModel) -> tuple[float, ...]:
+    """Coefficients (q_0, ..., q_l_max) of Q(z) = sum_t q_t z^t; Q(1) = 0.
 
-    q_coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "q_coeffs", tuple(float(x) for x in self.q_coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.q_coeffs) - 1
-
-    def __call__(self, z: complex) -> complex:
-        out: complex = 0.0
-        for coeff in reversed(self.q_coeffs):
-            out = out * z + coeff
-        return out
-
-
-def exponent_polynomial(model: CorrelationModel) -> ExponentPolynomial:
-    """Exponent Q of the limiting generating function exp(Q(z)).
-
+    Q is the exponent of the limiting generating function exp(Q(z)).
     Computed twice: literally as the occupancy double sum
     q[t] = sum_l (-1)^(l-t) C_l binom(l, t) / l!, and independently by
     accumulating C_l (z-1)^l / l! through repeated polynomial
@@ -103,14 +83,18 @@ def exponent_polynomial(model: CorrelationModel) -> ExponentPolynomial:
     )
     if max(abs(q[t] - alt[t]) for t in range(l_max + 1)) > 1e-14 * scale:
         raise IdentityCheckError("double-sum and binomial forms of Q disagree")
-    return ExponentPolynomial(tuple(q))
+    return tuple(q)
 
 
 def char_fn(model: CorrelationModel, u_grid) -> CfGrid:
     """Characteristic function chi(u) = exp(Q(e^{iu})) on a grid."""
     q = exponent_polynomial(model)
     u = np.asarray(list(u_grid), dtype=float)
-    chi = np.exp(np.polyval(list(reversed(q.q_coeffs)), np.exp(1j * u)))
+    if u.size > MAX_POINTS:
+        raise OutOfRangeError(
+            f"grid of {u.size} points exceeds the supported ceiling {MAX_POINTS}"
+        )
+    chi = np.exp(np.polyval(q[::-1], np.exp(1j * u)))
     return CfGrid(tuple(u.tolist()), tuple(chi.tolist()))
 
 
@@ -123,8 +107,10 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
     ``mass_tolerance``, which is recorded as the tail bound.
 
     Raises:
-        OutOfRangeError: mass_tolerance outside (0, 1e-6], or exp(q_0)
-            overflows or underflows to 0 in double precision.
+        OutOfRangeError: mass_tolerance outside (0, 1e-6]; exp(q_0)
+            overflows or underflows to 0 in double precision; or exp(q_0)
+            is subnormal and a doubling round does not reduce the missing
+            mass (what rounding loses in the subnormal range is in no tail).
         NonConvergentError: support would exceed SUPPORT_CAP entries
             (checked before the underflow).
     """
@@ -132,9 +118,8 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
         raise OutOfRangeError(
             f"mass_tolerance must lie in (0, 1e-6], got {mass_tolerance!r}"
         )
-    q_poly = exponent_polynomial(model)
-    q = q_poly.q_coeffs
-    l_max = q_poly.degree
+    q = exponent_polynomial(model)
+    l_max = len(q) - 1
 
     c1 = model.coefficient(1)
     c2 = model.coefficient(2) if model.l_max >= 2 else 0.0
@@ -156,6 +141,7 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
             )
             p.append(terms / n)
 
+    previous = math.inf
     while True:
         if s_max > SUPPORT_CAP:
             raise NonConvergentError(
@@ -173,6 +159,13 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
         missing = abs(1.0 - math.fsum(p))
         if missing <= mass_tolerance:
             break
+        if p[0] < sys.float_info.min and missing >= previous:
+            raise OutOfRangeError(
+                f"p(0) = exp(q_0) = {p[0]!r} is subnormal (q_0 = {q[0]!r}): "
+                f"rounding loses {missing:.3e} of the mass (tolerance "
+                f"{mass_tolerance}), which no larger support recovers"
+            )
+        previous = missing
         s_max *= 2
 
     while len(p) > 1 and p[-1] == 0.0:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     MAX_JOINT_EVENTS,
+    MAX_POINTS,
     BadSpecError,
     ExchangeableJoint,
     InadmissiblePmfError,
@@ -114,8 +115,10 @@ def sample_counts(pmf: Pmf, n_samples: int, seed: int) -> np.ndarray:
     the cumulative masses (entries clipped at zero; the at-most-tail_bound
     sliver of uniforms beyond the last cumulative value lands on s_max).
     """
-    if not isinstance(n_samples, int) or n_samples < 1:
-        raise OutOfRangeError(f"n_samples must be a positive integer, got {n_samples!r}")
+    if not isinstance(n_samples, int) or not 1 <= n_samples <= MAX_POINTS:
+        raise OutOfRangeError(
+            f"n_samples must be an integer in 1..{MAX_POINTS}, got {n_samples!r}"
+        )
     if not pmf.admissible:
         s, value = pmf.most_negative()
         raise InadmissiblePmfError(

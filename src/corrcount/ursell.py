@@ -13,7 +13,6 @@ import itertools
 import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 from .core import (
     KIND_CORRELATION,
@@ -27,7 +26,6 @@ from .core import (
 __all__ = [
     "PARTITION_MAX_ORDER",
     "RECURSION_MAX_ORDER",
-    "SetPartition",
     "enumerate_set_partitions",
     "marginalize",
     "correlation_recursive",
@@ -42,39 +40,14 @@ PARTITION_MAX_ORDER = 12
 RECURSION_MAX_ORDER = 10
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """Disjoint nonempty blocks covering {1, ..., k}.
-
-    Canonical form: elements ascend within each block and blocks are
-    ordered by their smallest element.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def is_canonical(self) -> bool:
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block or list(block) != sorted(block):
-                return False
-            if seen & set(block):
-                return False
-            seen |= set(block)
-        mins = [b[0] for b in self.blocks]
-        return mins == sorted(mins) and seen == set(range(1, self.order + 1))
-
-
-def enumerate_set_partitions(k: int) -> Iterator[SetPartition]:
-    """Yield every set partition of {1, ..., k} exactly once.
+def enumerate_set_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Yield every set partition of {1, ..., k} exactly once, as its blocks.
 
     Partitions appear in the lexicographic order of their restricted-growth
     strings (element i joins an existing block, in block-creation order,
     before opening a new one), which makes every yielded partition
-    canonical.  The stream length is the Bell number of k.
+    canonical: elements ascend within each block and blocks are ordered by
+    their smallest element.  The stream length is the Bell number of k.
     """
     if not isinstance(k, int) or not 1 <= k <= PARTITION_MAX_ORDER:
         raise OutOfRangeError(
@@ -83,9 +56,9 @@ def enumerate_set_partitions(k: int) -> Iterator[SetPartition]:
 
     blocks: list[list[int]] = [[1]]
 
-    def extend(element: int) -> Iterator[SetPartition]:
+    def extend(element: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if element > k:
-            yield SetPartition(tuple(tuple(b) for b in blocks))
+            yield tuple(tuple(b) for b in blocks)
             return
         for block in blocks:
             block.append(element)
@@ -195,11 +168,11 @@ def correlation_partition(p_tables: Sequence[SymmetricTable]) -> SymmetricTable:
     g: dict[int, list[float]] = {1: list(p_tables[0].values)}
     for j in range(2, k + 1):
         disconnected = [0.0] * (j + 1)
-        for part in enumerate_set_partitions(j):
-            if len(part.blocks) == 1:
+        for blocks in enumerate_set_partitions(j):
+            if len(blocks) == 1:
                 continue
             for m in range(j + 1):
-                disconnected[m] += _block_product(g, part.blocks, m)
+                disconnected[m] += _block_product(g, blocks, m)
         p_j = p_tables[j - 1].values
         g[j] = [p_j[m] - disconnected[m] for m in range(j + 1)]
     return SymmetricTable.correlation(g[k])
@@ -217,7 +190,7 @@ def probability_from_correlations(g_tables: Sequence[SymmetricTable]) -> Symmetr
         raise OutOfRangeError(f"partition route supports k <= {PARTITION_MAX_ORDER}")
     g = {j: list(g_tables[j - 1].values) for j in range(1, k + 1)}
     values = [0.0] * (k + 1)
-    for part in enumerate_set_partitions(k):
+    for blocks in enumerate_set_partitions(k):
         for m in range(k + 1):
-            values[m] += _block_product(g, part.blocks, m)
+            values[m] += _block_product(g, blocks, m)
     return SymmetricTable(order=k, kind=KIND_PROBABILITY, values=tuple(values))

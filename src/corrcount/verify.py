@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import (
     CorrelationModel,
+    OutOfRangeError,
     TrailingZeroWarning,
     correlation_coefficient,
 )
@@ -21,6 +22,7 @@ from .finite import count_pmf_from_joint, finite_count_pmf
 from .limit import char_fn, limit_pmf
 from .montecarlo import MixtureSpec, build_mixture_joint
 from .ursell import (
+    PARTITION_MAX_ORDER,
     correlation_partition,
     correlation_recursive_expanded,
     marginalize,
@@ -127,7 +129,17 @@ def _expanded_orders(joint, k_cap):
 
 
 def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[IdentityCheck]:
-    """Run every cross-module identity; deterministic in the seed."""
+    """Run every cross-module identity; deterministic in the seed.
+
+    Raises:
+        OutOfRangeError: n above PARTITION_MAX_ORDER, the largest joint the
+            partition route can measure at every order.
+    """
+    if n > PARTITION_MAX_ORDER:
+        raise OutOfRangeError(
+            f"verify supports joint sizes n <= {PARTITION_MAX_ORDER} (the "
+            f"partition route's order ceiling), got {n}"
+        )
     rng = np.random.default_rng(seed)
     joints = [random_joint(rng, n_max=max(2, n)) for _ in range(trials)]
     checks: list[IdentityCheck] = []

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from corrcount import MixtureSpec, build_mixture_joint
+from corrcount.core import OutOfRangeError
 
 
 @pytest.fixture
@@ -24,3 +27,23 @@ def make_random_joint(rng, n):
 
 
 ALL_OR_NOTHING_3 = build_mixture_joint(MixtureSpec(((0.0, 0.5), (1.0, 0.5))), 3)
+
+
+def m_factor(n_l: int, l: int, k_l: int) -> int:
+    """Number of ways to choose l ordered k_l-plets from n_l elements.
+
+    Exact integer value n_l! / (n_l - l*k_l)! / k_l!; arbitrary size.  An
+    oracle for the paper's arrangement counts.
+    """
+    for name, value in (("n_l", n_l), ("l", l), ("k_l", k_l)):
+        if not isinstance(value, int):
+            raise OutOfRangeError(f"{name} must be an integer, got {value!r}")
+    if l < 1 or k_l < 0:
+        raise OutOfRangeError(f"need l >= 1 and k_l >= 0, got l={l}, k_l={k_l}")
+    if n_l < l * k_l:
+        raise OutOfRangeError(f"n_l = {n_l} below l*k_l = {l * k_l}")
+    return (
+        math.factorial(n_l)
+        // math.factorial(n_l - l * k_l)
+        // math.factorial(k_l)
+    )

@@ -18,21 +18,23 @@ import pytest
 from corrcount import (
     CorrelationModel,
     MixtureSpec,
-    TrailingZeroWarning,
     build_mixture_joint,
     char_fn,
-    correlation_partition,
-    correlation_recursive_expanded,
     count_pmf_from_joint,
     estimate_coefficients,
-    factorial_cumulants_from_pmf,
     finite_count_pmf,
     limit_pmf,
-    marginalize,
-    probability_from_correlations,
     sample_counts,
 )
 from corrcount.cli import main
+from corrcount.core import TrailingZeroWarning
+from corrcount.limit import factorial_cumulants_from_pmf
+from corrcount.ursell import (
+    correlation_partition,
+    correlation_recursive_expanded,
+    marginalize,
+    probability_from_correlations,
+)
 from corrcount.verify import (
     measure_coefficients,
     random_admissible_model,

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -154,7 +155,7 @@ class TestSampleAndEstimate:
     ):
         path = tmp_path / "counts.csv"
         path.write_text(text)
-        assert _read_counts(str(path)) == counts
+        assert _read_counts(str(path)).tolist() == counts
 
     def test_estimate_keeps_first_row_with_signed_index(self, capsys, tmp_path):
         counts = [7] + [i % 5 for i in range(149)]
@@ -217,6 +218,14 @@ class TestVerifyCommand:
         assert len(lines) >= 7
         assert all(line.startswith("PASS") for line in lines)
 
+    def test_n_above_partition_ceiling_exit_3_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--n", "13", "--trials", "3")
+        assert time.perf_counter() - start < 5.0
+        assert code == 3
+        assert out == ""
+        assert "n <= 12" in err
+
 
 class TestBadInput:
     def test_unknown_command(self, capsys):
@@ -274,6 +283,25 @@ class TestBadInput:
         assert code == 3
         assert out == ""
         assert "count 1000000000000 exceeds the supported ceiling 1000000" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--c", "2", "--count", "10000000000000"],
+            ["cf", "--c", "2", "--u", "0:1:10000000000000"],
+        ],
+    )
+    def test_points_above_ceiling_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "1..10000000, got 10000000000000" in err
+
+    def test_limit_subnormal_p0_exit_3(self, capsys):
+        code, out, err = run_cli(capsys, "limit-pmf", "--c", "740")
+        assert code == 3
+        assert out == ""
+        assert "is subnormal" in err and "far from admissible" not in err
 
     def test_n_below_l_max(self, capsys):
         code, _, _ = run_cli(capsys, "finite-pmf", "--n", "1", "--c", "1.0,0.5")

@@ -6,27 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcount import (
+from corrcount import CorrelationModel, MixtureSpec, Pmf, build_mixture_joint
+from corrcount.core import (
+    MAX_JOINT_EVENTS,
     BadShapeError,
     CfGrid,
-    CorrelationModel,
     ExchangeableJoint,
     InvalidDistributionError,
     NonFiniteError,
     OutOfRangeError,
-    Pmf,
     SymmetricTable,
     TrailingZeroWarning,
-    MixtureSpec,
-    build_mixture_joint,
     correlation_coefficient,
-    correlation_recursive,
-    m_factor,
-    marginalize,
-    reduced_correlation,
     validate_model,
 )
-from corrcount.core import MAX_JOINT_EVENTS
+from corrcount.ursell import correlation_recursive, marginalize
+
+from conftest import m_factor
 
 
 class TestValidateModel:
@@ -61,6 +57,23 @@ class TestValidateModel:
         assert back == model
         raw = json.loads(model.to_json())
         assert raw == {"l_max": 2, "c": [1.0, -0.25], "n": 12}
+
+
+def reduced_correlation(model: CorrelationModel, k: int, q: int) -> float:
+    """Correlation-function value of order k with q zero arguments.
+
+    For exchangeable events the order-k correlation function is determined
+    by its all-ones value: flipping any argument to zero flips the sign, so
+    the value at q zeros is (-1)^q * C_k / N^k.  Only k >= 2 is handled
+    here; at order one the two values are C_1/N and 1 - C_1/N.
+    """
+    if model.n is None:
+        raise BadShapeError("reduced_correlation requires a model with n")
+    if not 2 <= k <= model.l_max:
+        raise OutOfRangeError(f"order k = {k} outside 2..{model.l_max}")
+    if not 0 <= q <= k:
+        raise OutOfRangeError(f"zero count q = {q} outside 0..{k}")
+    return (-1) ** q * model.coefficient(k) / float(model.n) ** k
 
 
 class TestReducedCorrelation:

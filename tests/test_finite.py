@@ -7,23 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrcount import (
-    BadShapeError,
     CorrelationModel,
     MixtureSpec,
-    NonFiniteError,
-    SeriesOverflowError,
-    TrailingZeroWarning,
-    build_exponent,
     build_mixture_joint,
     count_pmf_from_joint,
     finite_count_pmf,
     limit_pmf,
-    m_factor,
-    p_full_count,
 )
+from corrcount.core import (
+    BadShapeError,
+    NonFiniteError,
+    SeriesOverflowError,
+    TrailingZeroWarning,
+)
+from corrcount.finite import _exp_series_at, build_exponent
 from corrcount.verify import measure_coefficients
 
-from conftest import ALL_OR_NOTHING_3, make_random_joint
+from conftest import ALL_OR_NOTHING_3, m_factor, make_random_joint
 
 
 class TestCountPmfFromJoint:
@@ -86,6 +86,13 @@ class TestFiniteCountPmf:
         assert measured[2] == pytest.approx(0.0, abs=1e-13)
         pmf = finite_count_pmf(CorrelationModel.from_coefficients([1.5, 2.25], n=3))
         assert pmf.values == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-14)
+
+    def test_model_is_validated_once(self):
+        model = CorrelationModel.from_coefficients([1.0, 0.0], n=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            finite_count_pmf(model)
+        assert [w.category for w in caught] == [TrailingZeroWarning]
 
     def test_truncation_consistency(self):
         # a joint correlation-free beyond l_max is reproduced by truncation
@@ -273,6 +280,20 @@ def p_full_by_enumeration(model):
             remaining -= l * k_l
         total += term
     return total
+
+
+def p_full_count(model):
+    """Probability that all N events occur.
+
+    Independent single-variable specialization: only all-ones connected
+    factors can contribute at s = N, so p_N(N) = N! [x^N] exp(B(x)) with
+    B(x) = sum_l C_l x^l / (N^l l!).  Cross-checks the bivariate route.
+    """
+    b = [
+        model.coefficient(l) / (float(model.n) ** l * math.factorial(l))
+        for l in range(1, model.l_max + 1)
+    ]
+    return _exp_series_at(b, model.n)
 
 
 class TestPFullCount:

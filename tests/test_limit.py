@@ -1,50 +1,43 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcount import (
-    CorrelationModel,
-    NonConvergentError,
-    OutOfRangeError,
-    Pmf,
-    TailTooHeavyError,
-    char_fn,
-    exponent_polynomial,
-    factorial_cumulants_from_pmf,
-    limit_pmf,
-)
+from corrcount import CorrelationModel, Pmf, char_fn, limit_pmf
+from corrcount.core import NonConvergentError, OutOfRangeError, TailTooHeavyError
+from corrcount.limit import exponent_polynomial, factorial_cumulants_from_pmf
 from corrcount.verify import random_admissible_model
 
 
 class TestExponentPolynomial:
     def test_two_order_example(self):
         poly = exponent_polynomial(CorrelationModel.from_coefficients([2.0, 0.5]))
-        assert poly.q_coeffs == pytest.approx((-1.75, 1.5, 0.25), abs=1e-16)
+        assert poly == pytest.approx((-1.75, 1.5, 0.25), abs=1e-16)
 
     def test_poisson_exponent(self):
         poly = exponent_polynomial(CorrelationModel.from_coefficients([3.0]))
-        assert poly.q_coeffs == (-3.0, 3.0)
+        assert poly == (-3.0, 3.0)
 
     def test_pure_second_order(self):
         import warnings
 
-        from corrcount import TrailingZeroWarning
+        from corrcount.core import TrailingZeroWarning
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TrailingZeroWarning)
             poly = exponent_polynomial(CorrelationModel.from_coefficients([0.0, 1.0]))
-        assert poly.q_coeffs == pytest.approx((0.5, -1.0, 0.5), abs=1e-16)
+        assert poly == pytest.approx((0.5, -1.0, 0.5), abs=1e-16)
 
     def test_q_at_one_vanishes(self, rng):
         for _ in range(1000):
             l_max = int(rng.integers(1, 7))
             c = rng.uniform(-10, 10, size=l_max).tolist()
             poly = exponent_polynomial(CorrelationModel.from_coefficients(c))
-            assert abs(math.fsum(poly.q_coeffs)) <= 1e-14
+            assert abs(math.fsum(poly)) <= 1e-14
 
     def test_double_sum_matches_binomial_form(self, rng):
         # the in-library check would raise; recompute the reference here
@@ -52,18 +45,13 @@ class TestExponentPolynomial:
             l_max = int(rng.integers(1, 7))
             c = rng.uniform(-10, 10, size=l_max).tolist()
             model = CorrelationModel.from_coefficients(c)
-            q = exponent_polynomial(model).q_coeffs
+            q = exponent_polynomial(model)
             alt = np.zeros(l_max + 1)
             power = np.array([1.0])
             for l in range(1, l_max + 1):
                 power = np.convolve(power, [-1.0, 1.0])
                 alt[: l + 1] += model.coefficient(l) / math.factorial(l) * power
             assert max(abs(a - b) for a, b in zip(q, alt)) <= 1e-14
-
-    def test_polynomial_evaluation(self):
-        poly = exponent_polynomial(CorrelationModel.from_coefficients([2.0]))
-        assert poly(1.0) == pytest.approx(0.0, abs=1e-16)
-        assert poly(0.0) == pytest.approx(-2.0, abs=1e-16)
 
 
 class TestCharFn:
@@ -77,6 +65,13 @@ class TestCharFn:
         grid = char_fn(CorrelationModel.from_coefficients([1.0]), [math.pi])
         assert grid.chi[0].real == pytest.approx(math.exp(-2.0), abs=1e-15)
         assert abs(grid.chi[0].imag) < 1e-15
+
+    def test_grid_ceiling(self, monkeypatch):
+        monkeypatch.setattr("corrcount.limit.MAX_POINTS", 3)
+        model = CorrelationModel.from_coefficients([1.0])
+        assert len(char_fn(model, [0.0, 1.0, 2.0]).chi) == 3
+        with pytest.raises(OutOfRangeError, match="ceiling 3"):
+            char_fn(model, [0.0, 1.0, 2.0, 3.0])
 
     def test_modulus_bounded_for_admissible_models(self, rng):
         for _ in range(5):
@@ -146,7 +141,7 @@ class TestLimitPmf:
             assert abs(pmf.values[s] - folded[s]) < 1e-10
 
     def test_degenerate_point_mass(self):
-        from corrcount import TrailingZeroWarning
+        from corrcount.core import TrailingZeroWarning
 
         with pytest.warns(TrailingZeroWarning):
             pmf = limit_pmf(CorrelationModel.from_coefficients([0.0]))
@@ -181,6 +176,23 @@ class TestLimitPmf:
         assert pmf.values[0] == math.exp(-700.0)
         assert abs(pmf.mean() - 700.0) <= 1e-8
         assert pmf.admissible
+
+    def test_subnormal_p0_still_computed_when_mass_is_kept(self):
+        # p(0) = exp(-716) is subnormal, yet the missing mass is 2e-13.
+        pmf = limit_pmf(CorrelationModel.from_coefficients([716.0]))
+        assert pmf.values[0] < sys.float_info.min
+        poisson = [
+            math.exp(s * math.log(716.0) - 716.0 - math.lgamma(s + 1))
+            for s in range(len(pmf.values))
+        ]
+        assert max(abs(a - b) for a, b in zip(pmf.values, poisson)) <= 1e-13
+
+    @pytest.mark.parametrize("c1", [718.0, 740.0])
+    def test_subnormal_p0_mass_loss_refused(self, c1):
+        # The mass rounded away in the subnormal range stays missing however
+        # far the support doubles, so the search stops after one doubling.
+        with pytest.raises(OutOfRangeError, match=r"is subnormal \(q_0 = -7"):
+            limit_pmf(CorrelationModel.from_coefficients([c1]))
 
     def test_normalization_contract(self, rng):
         for _ in range(10):
@@ -269,6 +281,6 @@ def test_exponent_forms_agree_property(c):
         c[-1] = 1.0
     model = CorrelationModel.from_coefficients(c)
     poly = exponent_polynomial(model)  # raises IdentityCheckError on mismatch
-    assert abs(math.fsum(poly.q_coeffs)) <= 1e-13 * max(
-        1.0, max(abs(x) for x in poly.q_coeffs)
+    assert abs(math.fsum(poly)) <= 1e-13 * max(
+        1.0, max(abs(x) for x in poly)
     )

@@ -4,24 +4,26 @@ import numpy as np
 import pytest
 
 from corrcount import (
-    BadSpecError,
     CorrelationModel,
-    EstimateReport,
-    InadmissiblePmfError,
     MixtureSpec,
-    OutOfRangeError,
     Pmf,
-    TooFewSamplesError,
     build_mixture_joint,
-    correlation_coefficient,
-    correlation_partition,
     estimate_coefficients,
     limit_pmf,
-    marginalize,
     sample_counts,
 )
-from corrcount.core import MAX_JOINT_EVENTS
+from corrcount.core import (
+    MAX_JOINT_EVENTS,
+    MAX_POINTS,
+    BadSpecError,
+    InadmissiblePmfError,
+    OutOfRangeError,
+    TooFewSamplesError,
+    correlation_coefficient,
+)
 from corrcount.limit import SUPPORT_CAP, factorial_cumulants
+from corrcount.montecarlo import EstimateReport
+from corrcount.ursell import correlation_partition, marginalize
 from corrcount.verify import measure_coefficients
 
 from conftest import make_random_mixture
@@ -114,6 +116,12 @@ class TestSampleCounts:
         pmf = Pmf.from_values([1.0])
         with pytest.raises(OutOfRangeError):
             sample_counts(pmf, 0, seed=0)
+
+    def test_sample_count_ceiling(self):
+        # refused before any draw is allocated
+        pmf = Pmf.from_values([1.0])
+        with pytest.raises(OutOfRangeError, match="1..10000000"):
+            sample_counts(pmf, MAX_POINTS + 1, seed=0)
 
 
 class TestEstimateCoefficients:
