@@ -241,12 +241,11 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, with_model=True, with_tol=True):
+    def add_common(p, with_tol=True):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if with_model:
-            p.add_argument("--c", help="coefficients C_1,C_2,... as a comma list")
-            p.add_argument("--model", help="JSON model file")
-            p.add_argument("--n", type=int, help="event count N")
+        p.add_argument("--c", help="coefficients C_1,C_2,... as a comma list")
+        p.add_argument("--model", help="JSON model file")
+        p.add_argument("--n", type=int, help="event count N")
         if with_tol:
             p.add_argument(
                 "--tol",

@@ -7,13 +7,12 @@ The limiting probability generating function is exp(Q(z)) with
 a polynomial of degree l_max; the characteristic function is
 exp(Q(e^{iu})).  Pmf values are the power-series coefficients of exp(Q),
 generated by the standard recurrence for the exponential of a polynomial
-(exp(Q) is entire, so the coefficient series always converges absolutely
-to 1, even for coefficient vectors that are not admissible).  log of the
-generating function at z = 1 + w is sum_l C_l w^l / l!, so the factorial
-cumulants of the limiting law are exactly the C_l; the moment-side
-extractor recovers them from any sufficiently tail-light pmf.
+(exp(Q) is entire, so Cauchy's estimate bounds the omitted tail, even for
+coefficient vectors that are not admissible).  log of the generating
+function at z = 1 + w is sum_l C_l w^l / l!, so the factorial cumulants
+of the limiting law are exactly the C_l; the moment-side extractor
+recovers them from any sufficiently tail-light pmf.
 """
-
 import math
 import sys
 
@@ -43,10 +42,10 @@ __all__ = [
 
 # Adaptive support search refuses past this many pmf entries.
 SUPPORT_CAP = 10 ** 6
-# exp(q) is a nonzero finite double only for _LOG_MIN < q < _LOG_MAX; below
-# _LOG_MIN it rounds to 0, under half the smallest subnormal 2^-1074.
+# exp(q) overflows above _LOG_MAX.
 _LOG_MAX = math.log(sys.float_info.max)
-_LOG_MIN = -1075 * math.log(2.0)
+# ln 2 split so that e * _LN2_HI is exact for |e| < 2^21 (Cody & Waite).
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 # Moment-to-cumulant combinatorics beyond this order only amplifies tail noise.
 MAX_CUMULANT_ORDER = 6
 
@@ -98,21 +97,43 @@ def char_fn(model: CorrelationModel, u_grid) -> CfGrid:
     return CfGrid(tuple(u.tolist()), tuple(chi.tolist()))
 
 
+def _tail_bound(q: tuple[float, ...], support: int) -> float:
+    """Cauchy bound on sum_{n > support} |p(n)|, p the coefficients of exp(Q).
+
+    For real q and r = e^t > 1, |p(n)| <= exp(q_0 + sum_j |q_j| r^j) r^-n,
+    so the tail is at most that times r^-(support+1) / (1 - 1/r), convex in
+    t with slope sum_j j |q_j| e^{jt} - (support+1) - 1/(e^t - 1).  Any t
+    gives a valid bound; bisection on the slope over (0, _LOG_MAX] picks one.
+    """
+    logs = [(j, math.log(abs(x))) for j, x in enumerate(q) if j and x]
+    if not logs:  # Q is constant
+        return 0.0
+    lo, hi = 0.0, _LOG_MAX
+    for _ in range(64):
+        t = 0.5 * (lo + hi)
+        # Terms clip to exp(_LOG_MAX) only where the slope is positive.
+        rate = math.fsum(j * math.exp(min(a + j * t, _LOG_MAX)) for j, a in logs)
+        lo, hi = (t, hi) if rate < support + 1 + 1.0 / math.expm1(t) else (lo, t)
+    log_bound = q[0] + math.fsum(math.exp(min(a + j * hi, _LOG_MAX)) for j, a in logs)
+    log_bound -= (support + 1) * hi + math.log(-math.expm1(-hi))
+    return math.exp(log_bound) if log_bound < _LOG_MAX else math.inf
+
+
 def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
     """Limiting count pmf as power-series coefficients of exp(Q(z)).
 
-    p(0) = exp(q_0) and n p(n) = sum_j j q_j p(n-j).  The support grows
-    adaptively (starting near the mean plus ten standard deviations,
-    doubling) until the missing mass |1 - sum p| is within
-    ``mass_tolerance``, which is recorded as the tail bound.
+    n p(n) = sum_j j q_j p(n-j).  The support S starts at the mean plus ten
+    standard deviations and doubles until the Cauchy bound on the omitted
+    mass (``tail_bound``) is within ``mass_tolerance``.  The recurrence then
+    runs once on p(n) 2^-e, seeded with exp(q_0 - e ln 2), e = 0 whenever
+    exp(q_0) is a normal double; 2^500 moves into e whenever an entry passes
+    2^500 (exact).  The drift |1 - sum p| is the ``error_estimate``.
 
     Raises:
-        OutOfRangeError: mass_tolerance outside (0, 1e-6]; exp(q_0)
-            overflows or underflows to 0 in double precision; or exp(q_0)
-            is subnormal and a doubling round does not reduce the missing
-            mass (what rounding loses in the subnormal range is in no tail).
-        NonConvergentError: support would exceed SUPPORT_CAP entries
-            (checked before the underflow).
+        OutOfRangeError: mass_tolerance outside (0, 1e-6] or exp(q_0) overflows.
+        NonConvergentError: the tail bound needs more than SUPPORT_CAP
+            entries, or the drift exceeds mass_tolerance plus one rounding
+            per entry (cancellation swamps the series).
     """
     if not 0.0 < mass_tolerance <= 1e-6:
         raise OutOfRangeError(
@@ -120,58 +141,47 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
         )
     q = exponent_polynomial(model)
     l_max = len(q) - 1
+    if q[0] > _LOG_MAX:
+        raise OutOfRangeError(
+            f"p(0) = exp(q_0) overflows: q_0 = {q[0]!r} is above {_LOG_MAX:.2f}, "
+            "the double-precision limit"
+        )
 
     c1 = model.coefficient(1)
     c2 = model.coefficient(2) if model.l_max >= 2 else 0.0
     s_max = math.ceil(c1 + 10.0 * math.sqrt(max(c1 + c2, 1.0)))
     s_max = max(s_max, l_max, 1)
-
-    try:
-        p = [math.exp(q[0])]
-    except OverflowError:
-        raise OutOfRangeError(
-            f"p(0) = exp(q_0) overflows: q_0 = {q[0]!r} is above {_LOG_MAX:.2f}, "
-            "the double-precision limit"
-        ) from None
-
-    def extend_to(limit: int) -> None:
-        for n in range(len(p), limit + 1):
-            terms = math.fsum(
-                j * q[j] * p[n - j] for j in range(1, min(n, l_max) + 1)
-            )
-            p.append(terms / n)
-
-    previous = math.inf
-    while True:
-        if s_max > SUPPORT_CAP:
-            raise NonConvergentError(
-                f"needed support beyond {SUPPORT_CAP} entries before reaching "
-                f"mass tolerance {mass_tolerance}; coefficients are far from "
-                "admissible"
-            )
-        if p[0] == 0.0:
-            # Every entry is a multiple of p(0), so all of them would be 0.0.
-            raise OutOfRangeError(
-                f"p(0) = exp(q_0) underflows to 0: q_0 = {q[0]!r} is below "
-                f"{_LOG_MIN:.2f}, the double-precision limit"
-            )
-        extend_to(s_max)
-        missing = abs(1.0 - math.fsum(p))
-        if missing <= mass_tolerance:
-            break
-        if p[0] < sys.float_info.min and missing >= previous:
-            raise OutOfRangeError(
-                f"p(0) = exp(q_0) = {p[0]!r} is subnormal (q_0 = {q[0]!r}): "
-                f"rounding loses {missing:.3e} of the mass (tolerance "
-                f"{mass_tolerance}), which no larger support recovers"
-            )
-        previous = missing
+    while s_max <= SUPPORT_CAP and (tail := _tail_bound(q, s_max)) > mass_tolerance:
         s_max *= 2
+    if s_max > SUPPORT_CAP:
+        raise NonConvergentError(
+            f"needed support beyond the cap of {SUPPORT_CAP} entries: the "
+            f"tail bound there is {_tail_bound(q, SUPPORT_CAP):.3e}, above "
+            f"the mass tolerance {mass_tolerance}"
+        )
 
+    e = 0 if math.exp(q[0]) >= sys.float_info.min else math.floor(q[0] / _LN2_HI)
+    p = [math.exp(q[0] - e * _LN2_HI - e * _LN2_LO)]
+    for n in range(1, s_max + 1):
+        if abs(p[-1]) > 2.0 ** 500:
+            p = [math.ldexp(x, -500) for x in p]
+            e += 500
+        p.append(math.fsum(
+            j * q[j] * p[n - j] for j in range(1, min(n, l_max) + 1)
+        ) / n)
+    try:
+        p = [math.ldexp(x, e) for x in p]
+        drift = abs(1.0 - math.fsum(p))
+    except OverflowError:  # entries of a far-from-admissible vector
+        drift = math.inf
     while len(p) > 1 and p[-1] == 0.0:
         p.pop()
-    tail = abs(1.0 - math.fsum(p))
-    return Pmf.from_values(p, tail_bound=tail)
+    if not drift <= mass_tolerance + len(p) * sys.float_info.epsilon:
+        raise NonConvergentError(
+            f"pmf mass drifts from 1 by {drift:.3e}, above tolerance {mass_tolerance} "
+            "plus rounding: cancellation swamps coefficients far from admissible"
+        )
+    return Pmf.from_values(p, tail_bound=tail, error_estimate=drift)
 
 
 def factorial_cumulants(weights, l_max: int, total: float = 1.0) -> tuple[float, ...]:

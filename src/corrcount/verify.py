@@ -49,8 +49,8 @@ class IdentityCheck:
     detail: str = ""
 
 
-def random_mixture_spec(rng: np.random.Generator, max_atoms: int = 3) -> MixtureSpec:
-    n_atoms = int(rng.integers(1, max_atoms + 1))
+def random_mixture_spec(rng: np.random.Generator) -> MixtureSpec:
+    n_atoms = int(rng.integers(1, 4))
     ps = rng.uniform(0.0, 1.0, size=n_atoms)
     ws = rng.uniform(0.1, 1.0, size=n_atoms)
     ws = ws / ws.sum()
@@ -59,33 +59,24 @@ def random_mixture_spec(rng: np.random.Generator, max_atoms: int = 3) -> Mixture
     return MixtureSpec(tuple(zip(ps.tolist(), ws.tolist())))
 
 
-def random_joint(rng: np.random.Generator, n_max: int = 6, n_min: int = 2):
-    n = int(rng.integers(n_min, n_max + 1))
+def random_joint(rng: np.random.Generator, n_max: int = 6):
+    n = int(rng.integers(2, n_max + 1))
     return build_mixture_joint(random_mixture_spec(rng), n)
 
 
-def random_model(
-    rng: np.random.Generator,
-    l_max_cap: int = 4,
-    c_scale: float = 5.0,
-    n: int | None = None,
-) -> CorrelationModel:
-    """Arbitrary real coefficients; admissibility is not enforced."""
-    l_max = int(rng.integers(1, l_max_cap + 1))
-    c = rng.uniform(-c_scale, c_scale, size=l_max)
+def random_model(rng: np.random.Generator, n: int | None = None) -> CorrelationModel:
+    """Arbitrary real coefficients in [-5, 5], l_max <= 4; not always admissible."""
+    l_max = int(rng.integers(1, 5))
+    c = rng.uniform(-5.0, 5.0, size=l_max)
     if c[-1] == 0.0:
-        c[-1] = c_scale / 2.0
+        c[-1] = 2.5
     return CorrelationModel(l_max=l_max, c=tuple(c.tolist()), n=n)
 
 
-def random_admissible_model(
-    rng: np.random.Generator,
-    l_max_cap: int = 4,
-    max_tries: int = 500,
-) -> CorrelationModel:
-    """Rejection-sample a coefficient vector whose limiting pmf is admissible."""
-    for _ in range(max_tries):
-        l_max = int(rng.integers(1, l_max_cap + 1))
+def random_admissible_model(rng: np.random.Generator) -> CorrelationModel:
+    """Rejection-sample (500 tries) an l_max <= 4 vector with admissible limit pmf."""
+    for _ in range(500):
+        l_max = int(rng.integers(1, 5))
         c = [float(rng.uniform(0.5, 4.0))]
         for l in range(2, l_max + 1):
             c.append(float(rng.uniform(-0.6, 0.9)) / math.factorial(l - 1))
@@ -94,7 +85,7 @@ def random_admissible_model(
         model = CorrelationModel(l_max=l_max, c=tuple(c))
         if limit_pmf(model, mass_tolerance=1e-12).admissible:
             return model
-    raise RuntimeError(f"no admissible model found in {max_tries} tries")
+    raise RuntimeError("no admissible model found in 500 tries")
 
 
 def measure_coefficients(joint, k_max: int | None = None) -> tuple[float, ...]:

@@ -1,10 +1,28 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from corrcount import MixtureSpec, build_mixture_joint
 from corrcount.core import OutOfRangeError
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def subprocess_env():
+    """The environment with this checkout's src first on PYTHONPATH.
+
+    Child processes (``python -m corrcount``, the scripts) then import the
+    package under test, installed or not.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 @pytest.fixture

@@ -31,6 +31,23 @@ class TestPmfCommands:
         assert pmf[0] == pytest.approx(math.exp(-1.0), abs=1e-15)
         assert pmf[1] == pytest.approx(math.exp(-1.0), abs=1e-15)
 
+    @pytest.mark.parametrize("c1", [740, 800])
+    def test_limit_pmf_large_mean_matches_poisson(self, capsys, c1):
+        # p(0) = exp(-c1) is subnormal (740) or 0.0 (800) in doubles.
+        code, out, _ = run_cli(capsys, "limit-pmf", "--c", str(c1))
+        assert code == 0
+        for s, p in parse_pmf_csv(out).items():
+            poisson = math.exp(s * math.log(c1) - c1 - math.lgamma(s + 1))
+            assert abs(p - poisson) <= 1e-12
+
+    def test_sample_large_mean(self, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--c", "800", "--count", "10000")
+        assert code == 0
+        counts = [int(line) for line in out.split()]
+        assert len(counts) == 10000
+        std_err = math.sqrt(800.0 / len(counts))
+        assert abs(sum(counts) / len(counts) - 800.0) <= 5.0 * std_err
+
     def test_finite_pmf_exact_small_case(self, capsys):
         code, out, _ = run_cli(capsys, "finite-pmf", "--n", "3", "--c", "1.5,2.25")
         assert code == 0
@@ -257,9 +274,7 @@ class TestBadInput:
         assert out == ""
         assert "ceiling 1029" in err
 
-    @pytest.mark.parametrize(
-        "c, cause", [("800", "underflows"), ("1,0,0,1e5", "overflows")]
-    )
+    @pytest.mark.parametrize("c, cause", [("1,0,0,1e5", "overflows")])
     def test_limit_p0_out_of_double_range_exit_3(self, capsys, c, cause):
         code, out, err = run_cli(capsys, "limit-pmf", "--c", c)
         assert code == 3
@@ -297,11 +312,13 @@ class TestBadInput:
         assert out == ""
         assert "1..10000000, got 10000000000000" in err
 
-    def test_limit_subnormal_p0_exit_3(self, capsys):
-        code, out, err = run_cli(capsys, "limit-pmf", "--c", "740")
+    def test_limit_drift_refused_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "limit-pmf", "--c", "1.0,40.0")
+        assert time.perf_counter() - start < 1.0
         assert code == 3
         assert out == ""
-        assert "is subnormal" in err and "far from admissible" not in err
+        assert "mass drifts from 1 by 1.410e+17" in err
 
     def test_n_below_l_max(self, capsys):
         code, _, _ = run_cli(capsys, "finite-pmf", "--n", "1", "--c", "1.0,0.5")

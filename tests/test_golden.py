@@ -9,6 +9,10 @@ the affected digests and say why in CHANGES.md.
 The ``estimate-*`` digests were re-recorded when the bootstrap switched
 to multinomial histogram draws, which changes ``std_err`` but not
 ``c_hat``; ``C_HAT`` pins the ``c_hat`` bytes recorded before that switch.
+The ``limit-pmf-json`` and ``verify`` digests were re-recorded when the
+limit law switched to a Cauchy tail bound, which changes ``tail_bound``
+and the ``cf-pmf-duality`` worst value; ``LIMIT_P`` pins the ``p`` and
+``admissible`` bytes recorded before that switch.
 
 ``{plain}``, ``{csv}`` and ``{bare_csv}`` in an argv stand for counts files
 the test writes: plain lines, CSV with a ``sample_index,count`` header,
@@ -41,7 +45,7 @@ CASES = {
     ),
     "limit-pmf-json": (
         ["limit-pmf", "--c", "3.0,1.0,0.2", "--format", "json"],
-        0, "509743592d9232e0ccbe2f6e3316d3225b5f967088cb110ef1e88f34a405ef5e",
+        0, "c3517623c3075783a58361b24bcc45d6c53408fe18e0af30068071a9b365c0a0",
     ),
     "cf-csv": (
         ["cf", "--c", "2.0,0.5", "--u", "0:6.2832:16"],
@@ -85,7 +89,7 @@ CASES = {
     ),
     "verify": (
         ["verify", "--trials", "20"],
-        0, "9c390e056a716e3ac3d8e79b65f57e4c0c00d71ad356be153ddd92e471c1d858",
+        0, "bf51a3ffa9c8be883000ad89621114bced130ebf84389b21793861cd9f5f8343",
     ),
 }
 
@@ -97,6 +101,10 @@ C_HAT = {
     "estimate-bare-csv": '{"c_hat": [2.998, 1.0019959999999983], ',
     "estimate-wide": '{"c_hat": [149.936, 7398.395903999997], ',
 }
+
+# sha256 of the limit-pmf-json stdout up to its "tail_bound" key, recorded
+# before the Cauchy tail bound: the admissible flag and every p entry.
+LIMIT_P = "71fd2cfb5504203262aa61447309bb5afab10cd072af6292fe360065c13af817"
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +140,11 @@ def test_estimate_point_estimate_is_unchanged(name, counts_files, capsys):
     argv, _, _ = CASES[name]
     assert main([arg.format(**counts_files) for arg in argv]) == 0
     assert capsys.readouterr().out.startswith(C_HAT[name])
+
+
+def test_limit_pmf_entries_are_unchanged(capsys):
+    argv, _, _ = CASES["limit-pmf-json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    prefix = out[: out.index(', "tail_bound"')]
+    assert hashlib.sha256(prefix.encode("utf-8")).hexdigest() == LIMIT_P

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from corrcount import CorrelationModel, Pmf, char_fn, limit_pmf
 from corrcount.core import NonConvergentError, OutOfRangeError, TailTooHeavyError
 from corrcount.limit import exponent_polynomial, factorial_cumulants_from_pmf
-from corrcount.verify import random_admissible_model
+from corrcount.verify import random_admissible_model, random_model
 
 
 class TestExponentPolynomial:
@@ -94,6 +94,30 @@ def poisson_pmf(lam, s):
     return math.exp(-lam) * lam ** s / math.factorial(s)
 
 
+def log_space_poisson(lam, s):
+    return math.exp(s * math.log(lam) - lam - math.lgamma(s + 1))
+
+
+def unscaled_limit_pmf(model, mass_tolerance=1e-12, cap=1 << 13):
+    """The recurrence seeded with p(0) = exp(q_0), unscaled, stopped by the
+    mass rule |1 - sum p| <= tol over doubling supports; None past ``cap``."""
+    q = exponent_polynomial(model)
+    c1 = model.coefficient(1)
+    c2 = model.coefficient(2) if model.l_max >= 2 else 0.0
+    s_max = max(math.ceil(c1 + 10.0 * math.sqrt(max(c1 + c2, 1.0))), len(q) - 1, 1)
+    p = [math.exp(q[0])]
+    while s_max <= cap:
+        for n in range(len(p), s_max + 1):
+            terms = (j * q[j] * p[n - j] for j in range(1, min(n, len(q) - 1) + 1))
+            p.append(math.fsum(terms) / n)
+        if abs(1.0 - math.fsum(p)) <= mass_tolerance:
+            while len(p) > 1 and p[-1] == 0.0:
+                p.pop()
+            return tuple(p)
+        s_max *= 2
+    return None
+
+
 def invert_cf_by_dft(model, n_grid=4096, keep=64):
     """Independent inversion: sample chi on a uniform grid and alias-fold.
 
@@ -159,11 +183,41 @@ class TestLimitPmf:
         with pytest.raises(NonConvergentError):
             limit_pmf(CorrelationModel.from_coefficients([5e6]))
 
-    @pytest.mark.parametrize("c", [[800.0], [5000.0, 200.0], [1e4, 500.0, 10.0, 0.5]])
-    def test_p0_underflow_refused_at_once(self, c):
-        # p(0) = exp(q_0) is 0.0, so every entry of the recurrence would be.
-        with pytest.raises(OutOfRangeError, match=r"underflows .* -745\.13"):
+    def test_refusal_messages_name_their_cause(self):
+        # An admissible Poisson law beyond the support cap is not blamed on
+        # admissibility; only the drift of a signed vector is.
+        with pytest.raises(NonConvergentError) as cap:
+            limit_pmf(CorrelationModel.from_coefficients([5e6]))
+        assert "cap of 1000000 entries: the tail bound there is" in str(cap.value)
+        assert "admissib" not in str(cap.value)
+        with pytest.raises(NonConvergentError) as drift:
+            limit_pmf(CorrelationModel.from_coefficients([1.0, 40.0]))
+        assert "mass drifts from 1 by 1.41" in str(drift.value)
+        assert "far from admissible" in str(drift.value)
+
+    @pytest.mark.parametrize("c", [[1.0, 1000.0], [1.0, 1400.0]])
+    def test_entries_beyond_double_range_refused(self, c):
+        # p(0) = exp(C_2 / 2 - C_1) is above 1e216 and later entries pass the
+        # double range: a drift of inf, not a raw OverflowError or ValueError.
+        with pytest.raises(NonConvergentError, match="drifts from 1 by inf"):
             limit_pmf(CorrelationModel.from_coefficients(c))
+
+    @pytest.mark.parametrize(
+        "c",
+        [[5000.0, 200.0], [1e4, 500.0, 10.0, 0.5]],
+        ids=["5000,200", "1e4,500,10,0.5"],
+    )
+    def test_large_mean_matches_dft_inversion(self, c):
+        # p(0) underflows to 0.0 here; the scaled recurrence keeps the rest.
+        model = CorrelationModel.from_coefficients(c)
+        pmf = limit_pmf(model)
+        size = len(pmf.values)
+        assert pmf.values[0] == 0.0 and pmf.admissible
+        assert pmf.tail_bound <= 1e-12
+        assert abs(pmf.total_mass() - 1.0) <= 1e-12 + size * sys.float_info.epsilon
+        assert abs(pmf.mean() - c[0]) <= 1e-10 * c[0]
+        folded = invert_cf_by_dft(model, n_grid=16384, keep=size)
+        assert max(abs(a - b) for a, b in zip(pmf.values, folded)) <= 1e-10
 
     @pytest.mark.parametrize("c", [[1.0, 0.0, 0.0, 1e5], [1.0, 1e300]])
     def test_p0_overflow_refused(self, c):
@@ -187,12 +241,32 @@ class TestLimitPmf:
         ]
         assert max(abs(a - b) for a, b in zip(pmf.values, poisson)) <= 1e-13
 
-    @pytest.mark.parametrize("c1", [718.0, 740.0])
-    def test_subnormal_p0_mass_loss_refused(self, c1):
-        # The mass rounded away in the subnormal range stays missing however
-        # far the support doubles, so the search stops after one doubling.
-        with pytest.raises(OutOfRangeError, match=r"is subnormal \(q_0 = -7"):
-            limit_pmf(CorrelationModel.from_coefficients([c1]))
+    @pytest.mark.parametrize("c1", [718.0, 740.0, 800.0, 5000.0, 10000.0])
+    def test_large_mean_matches_poisson(self, c1):
+        # p(0) = exp(-c1) is subnormal or 0.0 in doubles.
+        pmf = limit_pmf(CorrelationModel.from_coefficients([c1]))
+        assert pmf.values[0] < sys.float_info.min
+        assert pmf.tail_bound <= 1e-12
+        poisson = [log_space_poisson(c1, s) for s in range(len(pmf.values))]
+        assert max(abs(a - b) for a, b in zip(pmf.values, poisson)) <= 1e-12
+        assert abs(pmf.mean() - c1) <= 1e-10 * c1
+
+    def test_normal_seed_entries_bit_identical_to_unscaled_recurrence(self, rng):
+        compared = 0
+        for i in range(120):
+            if i % 3 == 0:  # large means, p(0) still normal
+                c1 = float(rng.uniform(50, 700))
+                model = CorrelationModel.from_coefficients([c1])
+            else:  # signed vectors included
+                model = random_model(rng) if i % 2 else random_admissible_model(rng)
+            reference = unscaled_limit_pmf(model)
+            if reference is None:  # the mass rule never met: no reference
+                continue
+            values = limit_pmf(model).values
+            assert len(values) >= len(reference)
+            assert values[: len(reference)] == reference
+            compared += 1
+        assert compared >= 100
 
     def test_normalization_contract(self, rng):
         for _ in range(10):
@@ -284,3 +358,34 @@ def test_exponent_forms_agree_property(c):
     assert abs(math.fsum(poly)) <= 1e-13 * max(
         1.0, max(abs(x) for x in poly)
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    q=st.integers(1, 4).flatmap(
+        lambda top: st.tuples(
+            *(st.floats(0.0, 1e4 / (j * top)) for j in range(1, top + 1))
+        )
+    )
+)
+def test_limit_law_across_the_domain_property(q):
+    # Q(z) = sum_t q_t (z^t - 1) with q_t >= 0 is a compound Poisson law of
+    # mean sum_t t q_t <= 1e4; C_l = l! sum_{t >= l} binom(t, l) q_t.
+    import warnings
+
+    from corrcount.core import TrailingZeroWarning
+
+    top = len(q)
+    c = [
+        math.factorial(l)
+        * math.fsum(math.comb(t, l) * q[t - 1] for t in range(l, top + 1))
+        for l in range(1, top + 1)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TrailingZeroWarning)
+        pmf = limit_pmf(CorrelationModel.from_coefficients(c))
+    assert pmf.admissible
+    rounding = len(pmf.values) * sys.float_info.epsilon
+    assert abs(pmf.total_mass() - 1.0) <= 1e-12 + rounding
+    assert abs(pmf.mean() - c[0]) <= 1e-8 * max(c[0], 1.0)
+    assert pmf.tail_bound <= 1e-12

@@ -1,13 +1,11 @@
 """Smoke tests: the experiment scripts in scripts/ run to completion."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, subprocess_env
 
 
 @pytest.mark.parametrize(
@@ -18,15 +16,11 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     result = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=subprocess_env(),
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
