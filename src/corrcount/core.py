@@ -17,6 +17,7 @@ so everything here is safe for unrestricted concurrent use.
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ __all__ = [
     "Pmf",
     "CfGrid",
     "validate_model",
+    "validate_seed",
     "correlation_coefficient",
 ]
 
@@ -200,6 +202,19 @@ def validate_model(model: CorrelationModel) -> CorrelationModel:
             stacklevel=2,
         )
     return model
+
+
+def validate_seed(seed: int) -> None:
+    """Check that a generator seed is a non-negative integer.
+
+    NumPy refuses negative seeds with a bare ValueError; this names the
+    seed as an input error instead.
+
+    Raises:
+        OutOfRangeError: the seed is not an integer or is negative.
+    """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise OutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .core import (
     OutOfRangeError,
     Pmf,
     TooFewSamplesError,
+    validate_seed,
 )
 from .limit import SUPPORT_CAP, factorial_cumulants
 
@@ -119,6 +120,7 @@ def sample_counts(pmf: Pmf, n_samples: int, seed: int) -> np.ndarray:
         raise OutOfRangeError(
             f"n_samples must be an integer in 1..{MAX_POINTS}, got {n_samples!r}"
         )
+    validate_seed(seed)
     if not pmf.admissible:
         s, value = pmf.most_negative()
         raise InadmissiblePmfError(
@@ -148,7 +150,8 @@ def estimate_coefficients(
 
     Raises:
         OutOfRangeError: l_max outside 1..MAX_ESTIMATE_ORDER, n_bootstrap < 2,
-            or a count that is negative, above SUPPORT_CAP or not an integer.
+            a negative seed, or a count that is negative, above SUPPORT_CAP
+            or not an integer.
         TooFewSamplesError: fewer than 10^l_max observations.
     """
     if not isinstance(l_max, int) or not 1 <= l_max <= MAX_ESTIMATE_ORDER:
@@ -157,6 +160,7 @@ def estimate_coefficients(
         )
     if not isinstance(n_bootstrap, int) or n_bootstrap < 2:
         raise OutOfRangeError(f"n_bootstrap must be >= 2, got {n_bootstrap!r}")
+    validate_seed(seed)
     raw = np.asarray(counts)
     if raw.ndim != 1 or raw.size == 0:
         raise OutOfRangeError("counts must be a nonempty 1-d sequence")

@@ -5,14 +5,20 @@ factorized lower-order contribution gives the connected correlation tables
 G_k.  Two equivalent routes are implemented: the literal recursion over
 argument permutations (kept on the expanded per-pattern view, so symmetry
 and sign identities can be tested from first principles) and the
-set-partition sum used as the production path.  The inverse reconstruction
-P-from-G and the partition enumerator they share live here too.
+set-partition sum used as the production path.  The recursion computes
+every one of the 2^k patterns and never uses symmetry, but it runs one
+order on all patterns at once: (k-1)! * (k-1) vector steps, one per
+permutation and split, over arrays of 2^k entries.  The inverse
+reconstruction P-from-G and the partition enumerator they share live here
+too.
 """
 
 import itertools
 import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
+
+import numpy as np
 
 from .core import (
     KIND_CORRELATION,
@@ -36,7 +42,8 @@ __all__ = [
 
 # Bell(12) = 4,213,597 terms is the enumeration ceiling; refuse beyond.
 PARTITION_MAX_ORDER = 12
-# The literal recursion costs ~ (k-1)! * k * 2^k.
+# The literal recursion's top order takes (k-1)! * (k-1) vector steps over
+# 2^k patterns: about 0.5 s at k = 8, 7 s at k = 9 and 85 s at k = 10.
 RECURSION_MAX_ORDER = 10
 
 
@@ -101,6 +108,17 @@ def _check_tables(tables: Sequence[SymmetricTable], kind: str) -> int:
     return len(tables)
 
 
+def _pattern_index(pattern: tuple[int, ...]) -> int:
+    return sum(r << i for i, r in enumerate(pattern))
+
+
+def _pattern_vector(table: SymmetricTable) -> np.ndarray:
+    vec = np.empty(2 ** table.order)
+    for pattern, value in table.expanded().items():
+        vec[_pattern_index(pattern)] = value
+    return vec
+
+
 def correlation_recursive_expanded(
     p_tables: Sequence[SymmetricTable],
 ) -> dict[tuple[int, ...], float]:
@@ -119,24 +137,33 @@ def correlation_recursive_expanded(
             f"literal recursion supports k <= {RECURSION_MAX_ORDER}; "
             "use correlation_partition beyond"
         )
-    p_exp = {j: p_tables[j - 1].expanded() for j in range(1, k + 1)}
-    g_exp: dict[int, dict[tuple[int, ...], float]] = {1: dict(p_exp[1])}
+    # Each order works on all 2^j argument patterns at once, as arrays
+    # indexed by b = sum_i r_i * 2^i.  Every pattern gets the float
+    # operations of the per-pattern sum in its (sigma, l) order, so the
+    # values are bit-identical to a loop over patterns (tests/test_ursell.py
+    # keeps that loop as the reference).
+    p_vec = {j: _pattern_vector(p_tables[j - 1]) for j in range(1, k + 1)}
+    g_vec = {1: p_vec[1]}
     for j in range(2, k + 1):
         weight = {
             l: 1.0 / (math.factorial(l - 1) * math.factorial(j - l))
             for l in range(1, j)
         }
-        current: dict[tuple[int, ...], float] = {}
-        for r in itertools.product((0, 1), repeat=j):
-            acc = 0.0
-            for sigma in itertools.permutations(range(1, j)):
-                for l in range(1, j):
-                    g_args = (r[0],) + tuple(r[i] for i in sigma[: l - 1])
-                    p_args = tuple(r[i] for i in sigma[l - 1 :])
-                    acc += weight[l] * g_exp[l][g_args] * p_exp[j - l][p_args]
-            current[r] = p_exp[j][r] - acc
-        g_exp[j] = current
-    return g_exp[k]
+        patterns = np.arange(2 ** j)
+        bit = [(patterns >> i) & 1 for i in range(j)]
+        acc = np.zeros(2 ** j)
+        for sigma in itertools.permutations(range(1, j)):
+            # bit t of q is r[sigma[t]]: the trailing slots read in sigma order
+            q = sum(bit[s] << t for t, s in enumerate(sigma))
+            for l in range(1, j):
+                g_args = bit[0] | ((q & ((1 << (l - 1)) - 1)) << 1)
+                p_args = q >> (l - 1)
+                acc += weight[l] * g_vec[l][g_args] * p_vec[j - l][p_args]
+        g_vec[j] = p_vec[j] - acc
+    values = g_vec[k].tolist()
+    return {
+        r: values[_pattern_index(r)] for r in itertools.product((0, 1), repeat=k)
+    }
 
 
 def correlation_recursive(p_tables: Sequence[SymmetricTable]) -> SymmetricTable:

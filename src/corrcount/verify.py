@@ -17,6 +17,7 @@ from .core import (
     OutOfRangeError,
     TrailingZeroWarning,
     correlation_coefficient,
+    validate_seed,
 )
 from .finite import count_pmf_from_joint, finite_count_pmf
 from .limit import char_fn, limit_pmf
@@ -123,16 +124,20 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
     """Run every cross-module identity; deterministic in the seed.
 
     Raises:
-        OutOfRangeError: n above PARTITION_MAX_ORDER, the largest joint the
-            partition route can measure at every order.
+        OutOfRangeError: n outside 2..PARTITION_MAX_ORDER (the largest
+            joint the partition route can measure at every order), trials
+            below 1, or a negative seed; refused before any work.
     """
-    if n > PARTITION_MAX_ORDER:
+    if not 2 <= n <= PARTITION_MAX_ORDER:
         raise OutOfRangeError(
-            f"verify supports joint sizes n <= {PARTITION_MAX_ORDER} (the "
-            f"partition route's order ceiling), got {n}"
+            f"verify supports joint sizes 2 <= n <= {PARTITION_MAX_ORDER} (the "
+            f"partition route's order ceiling), got {n!r}"
         )
+    if trials < 1:
+        raise OutOfRangeError(f"verify needs trials >= 1, got {trials!r}")
+    validate_seed(seed)
     rng = np.random.default_rng(seed)
-    joints = [random_joint(rng, n_max=max(2, n)) for _ in range(trials)]
+    joints = [random_joint(rng, n_max=n) for _ in range(trials)]
     checks: list[IdentityCheck] = []
 
     # Correlation tables: recursion vs partition sum, symmetry, sign flip,
@@ -173,7 +178,7 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
     worst_iid = 0.0
     for _ in range(max(3, trials // 10)):
         p = int(rng.integers(4, 61)) / 64.0
-        joint = build_mixture_joint(MixtureSpec(((p, 1.0),)), max(2, n))
+        joint = build_mixture_joint(MixtureSpec(((p, 1.0),)), n)
         coeffs = measure_coefficients(joint)
         worst_iid = max(worst_iid, max(abs(c) for c in coeffs[1:]))
     checks.append(_check("iid-correlation-free", 1e-10, worst_iid))

@@ -243,6 +243,24 @@ class TestVerifyCommand:
         assert out == ""
         assert "n <= 12" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--trials", "0"], "trials >= 1, got 0"),
+            (["--trials", "-1"], "trials >= 1, got -1"),
+            (["--n", "1"], "2 <= n <= 12 (the partition route's order ceiling), got 1"),
+            (["--n", "0"], "2 <= n <= 12 (the partition route's order ceiling), got 0"),
+            (["--n", "-3"], "2 <= n <= 12 (the partition route's order ceiling), got -3"),
+        ],
+    )
+    def test_vacuous_run_exit_3_at_once(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert message in err
+
 
 class TestBadInput:
     def test_unknown_command(self, capsys):
@@ -320,6 +338,20 @@ class TestBadInput:
         assert out == ""
         assert "mass drifts from 1 by 1.410e+17" in err
 
+    @pytest.mark.parametrize("command", ["sample", "estimate", "verify"])
+    def test_negative_seed_exit_3(self, capsys, tmp_path, command):
+        path = tmp_path / "counts.txt"
+        path.write_text("1\n" * 20)
+        flags = {
+            "sample": ["--c", "2.0", "--count", "10"],
+            "estimate": ["--input", str(path), "--lmax", "1"],
+            "verify": [],
+        }[command]
+        code, out, err = run_cli(capsys, command, *flags, "--seed", "-1")
+        assert code == 3
+        assert out == ""
+        assert "seed must be a non-negative integer, got -1" in err
+
     def test_n_below_l_max(self, capsys):
         code, _, _ = run_cli(capsys, "finite-pmf", "--n", "1", "--c", "1.0,0.5")
         assert code == 3
@@ -373,6 +405,15 @@ class TestConfigFile:
         )
         assert code == 0
         assert from_config == from_flags
+
+    def test_negative_seed_in_config_exit_3(self, capsys, tmp_path):
+        config = {"command": "sample", "c": "2.0", "count": 10, "seed": -5}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert "seed must be a non-negative integer, got -5" in err
 
     def test_bad_config(self, capsys, tmp_path):
         path = tmp_path / "job.json"

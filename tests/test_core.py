@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrcount import CorrelationModel, MixtureSpec, Pmf, build_mixture_joint
+from corrcount import (
+    CorrelationModel,
+    MixtureSpec,
+    Pmf,
+    build_mixture_joint,
+    estimate_coefficients,
+    run_identity_suite,
+    sample_counts,
+)
 from corrcount.core import (
     MAX_JOINT_EVENTS,
     BadShapeError,
@@ -19,6 +27,7 @@ from corrcount.core import (
     TrailingZeroWarning,
     correlation_coefficient,
     validate_model,
+    validate_seed,
 )
 from corrcount.ursell import correlation_recursive, marginalize
 
@@ -74,6 +83,25 @@ def reduced_correlation(model: CorrelationModel, k: int, q: int) -> float:
     if not 0 <= q <= k:
         raise OutOfRangeError(f"zero count q = {q} outside 0..{k}")
     return (-1) ** q * model.coefficient(k) / float(model.n) ** k
+
+
+class TestValidateSeed:
+    def test_non_negative_integers_accepted(self):
+        validate_seed(0)
+        validate_seed(np.int64(7))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda seed: sample_counts(Pmf.from_values([0.5, 0.5]), 10, seed),
+            lambda seed: estimate_coefficients([1] * 10, l_max=1, seed=seed),
+            lambda seed: run_identity_suite(trials=1, seed=seed),
+        ],
+        ids=["sample_counts", "estimate_coefficients", "run_identity_suite"],
+    )
+    def test_callers_refuse_negative_seed(self, call):
+        with pytest.raises(OutOfRangeError, match="non-negative integer, got -1"):
+            call(-1)
 
 
 class TestReducedCorrelation:

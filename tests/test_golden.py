@@ -14,6 +14,10 @@ limit law switched to a Cauchy tail bound, which changes ``tail_bound``
 and the ``cf-pmf-duality`` worst value; ``LIMIT_P`` pins the ``p`` and
 ``admissible`` bytes recorded before that switch.
 
+``verify-default`` is the argv of the benchmark's ``verify`` job (its
+defaults, 50 trials); its digest was recorded before the literal Ursell
+recursion was vectorized over argument patterns.
+
 ``{plain}``, ``{csv}`` and ``{bare_csv}`` in an argv stand for counts files
 the test writes: plain lines, CSV with a ``sample_index,count`` header,
 and CSV without one, all holding the same 2000 counts.  ``{wide}`` is a
@@ -90,6 +94,10 @@ CASES = {
     "verify": (
         ["verify", "--trials", "20"],
         0, "bf51a3ffa9c8be883000ad89621114bced130ebf84389b21793861cd9f5f8343",
+    ),
+    "verify-default": (
+        ["verify"],
+        0, "aff917a7b53a614ffd02d4c511bffc73fcb57a8a85b9638c27db8bacdefd28cb",
     ),
 }
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -218,13 +219,59 @@ class TestCorrelationPartition:
 
 class TestRecursiveVsPartition:
     def test_agreement_on_random_joints(self, rng):
-        for _ in range(8):
-            joint = make_random_joint(rng, n=int(rng.integers(2, 8)))
-            p_tables = [marginalize(joint, k) for k in range(1, min(joint.n, 7) + 1)]
+        joints = [make_random_joint(rng, n=int(rng.integers(2, 8))) for _ in range(8)]
+        joints.append(make_random_joint(rng, n=8))
+        for joint in joints:
+            p_tables = [marginalize(joint, k) for k in range(1, joint.n + 1)]
             for k in range(2, len(p_tables) + 1):
                 a = correlation_recursive(p_tables[:k])
                 b = correlation_partition(p_tables[:k])
                 assert max(abs(x - y) for x, y in zip(a.values, b.values)) < 1e-12
+
+
+def recursion_loop(p_tables):
+    """The literal recursion as a per-pattern loop over dictionaries.
+
+    The reference for the vectorized correlation_recursive_expanded: the
+    same floating-point operations in the same order, one pattern at a time.
+    """
+    k = len(p_tables)
+    p_exp = {j: p_tables[j - 1].expanded() for j in range(1, k + 1)}
+    g_exp: dict[int, dict[tuple[int, ...], float]] = {1: dict(p_exp[1])}
+    for j in range(2, k + 1):
+        weight = {
+            l: 1.0 / (math.factorial(l - 1) * math.factorial(j - l))
+            for l in range(1, j)
+        }
+        current: dict[tuple[int, ...], float] = {}
+        for r in itertools.product((0, 1), repeat=j):
+            acc = 0.0
+            for sigma in itertools.permutations(range(1, j)):
+                for l in range(1, j):
+                    g_args = (r[0],) + tuple(r[i] for i in sigma[: l - 1])
+                    p_args = tuple(r[i] for i in sigma[l - 1 :])
+                    acc += weight[l] * g_exp[l][g_args] * p_exp[j - l][p_args]
+            current[r] = p_exp[j][r] - acc
+        g_exp[j] = current
+    return g_exp[k]
+
+
+def float_bytes(expanded):
+    return {r: struct.pack("<d", value) for r, value in expanded.items()}
+
+
+class TestRecursionBitIdentity:
+    def test_matches_the_loop_on_random_joints(self, rng):
+        joints = [make_random_joint(rng, n=int(rng.integers(2, 7))) for _ in range(30)]
+        joints.append(make_random_joint(rng, n=7))
+        for joint in joints:
+            p_tables = [marginalize(joint, k) for k in range(1, joint.n + 1)]
+            for k in range(2, joint.n + 1):
+                got = correlation_recursive_expanded(p_tables[:k])
+                want = recursion_loop(p_tables[:k])
+                assert list(got) == list(want)
+                assert all(type(value) is float for value in got.values())
+                assert float_bytes(got) == float_bytes(want)
 
 
 class TestExpandedIdentities:
