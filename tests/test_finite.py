@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,19 @@ from corrcount.finite import _exp_series_at, build_exponent
 from corrcount.verify import measure_coefficients
 
 from conftest import ALL_OR_NOTHING_3, m_factor, make_random_joint
+
+# (C, N) for the closed-form oracle: admissible and signed vectors, l_max
+# 1 to 5, N from 7 to 10^4.
+ORACLE_MODELS = [
+    ((2.0, 0.5, 0.1), 10_000),
+    ((1.0, 0.3), 2000),
+    ((2.0, 0.5, -0.1), 300),
+    ((1.0, 40.0), 30),
+    ((3.0,), 7),
+    ((1.5, -0.4, 0.3, -0.05), 60),
+    ((0.5, 2.0, -1.0), 1000),
+    ((4.0, 1.0, 0.2, 0.05, 0.01), 3000),
+]
 
 
 class TestCountPmfFromJoint:
@@ -152,7 +166,18 @@ class TestFiniteCountPmf:
             got = finite_count_pmf(model).error_estimate
             assert abs(got - want) <= 1e-12 * want
 
-    def test_entries_match_full_range_loop_bit_for_bit(self, rng):
+    @pytest.mark.parametrize("c, n", ORACLE_MODELS)
+    def test_entries_match_closed_form_oracle(self, c, n):
+        # The rows of A round C_l / N^l, which moves entries by about
+        # N * eps at N = 10^4; N * error_estimate bounds that and the
+        # recurrence's own rounding.
+        model = CorrelationModel.from_coefficients(list(c), n=n)
+        pmf = finite_count_pmf(model)
+        want = closed_form_count_pmf(model)
+        got = np.asarray(pmf.values)
+        assert np.max(np.abs(got - want)) <= n * pmf.error_estimate
+
+    def test_entries_match_full_range_loop(self, rng):
         models = [CorrelationModel.from_coefficients([2.0, -3.0, 4.0], n=3000)]
         for i in range(30):
             l_max = 1 + i % 5
@@ -165,9 +190,10 @@ class TestFiniteCountPmf:
             n = (l_max, 9, 60, 300, 1000)[i % 5]
             models.append(CorrelationModel.from_coefficients(c.tolist(), n=n))
         for model in models:
-            values = np.asarray(finite_count_pmf(model).values)
+            pmf = finite_count_pmf(model)
+            values = np.asarray(pmf.values)
             want = full_range_count_pmf(model)
-            assert values.tobytes() == want.tobytes()
+            assert np.max(np.abs(values - want)) <= model.n * pmf.error_estimate
             support = np.flatnonzero(values)[-1] + 1
             assert not np.signbit(values[support:]).any()
 
@@ -326,9 +352,9 @@ def full_range_count_pmf(model):
     """The pmf recurrence with every H_n kept over its full range 0..n.
 
     Each (j, t) term w * H_{n-j} is added to H_n[t : t + n - j + 1] with a
-    compensated (Kahan) sum, in the package's order of j and t.  The ratio
-    (n-1)!/(n-j)! is exact in a double for the N <= 3000, l_max <= 5 used
-    here, so it rounds the same as the package's running product.
+    compensated (Kahan) sum, in order of j and t: the package's kernel
+    before it switched to one plain fixed-order product per step, kept as
+    a reference for it.
     """
     rows = build_exponent(model).rows
     window = [np.array([1.0])]
@@ -349,3 +375,41 @@ def full_range_count_pmf(model):
                 acc[sl] = s
         window.append(acc)
     return window[-1]
+
+
+def closed_form_count_pmf(model, dps=60):
+    """p_N(0..N) from the finite-N factorial moments, in mpmath.
+
+    With F(u) = exp(sum_l C_l u^l / l!) = sum_k f_k u^k, the generating
+    function of p_N is H_N(1 + w) = sum_k f_k (N)_k / N^k w^k, so
+    p_N(s) = sum_{k >= s} (-1)^(k-s) C(k, s) f_k (N)_k / N^k.  The sum over
+    k stops once l_max consecutive terms b_k = f_k (N)_k / N^k have
+    |b_k| 2^k below 1e-40, or at k = N, past which (N)_k is zero.  Shares
+    nothing with the package's recurrence but the coefficient vector.
+    """
+    n, l_max = model.n, model.l_max
+    with mpmath.workdps(dps):
+        q = [mpmath.mpf(c) / math.factorial(l) for l, c in enumerate(model.c, start=1)]
+        f = [mpmath.mpf(1)]
+        b = [mpmath.mpf(1)]
+        falling = mpmath.mpf(1)
+        for k in range(1, n + 1):
+            f.append(
+                mpmath.fsum(l * q[l - 1] * f[k - l] for l in range(1, min(k, l_max) + 1))
+                / k
+            )
+            falling *= 1 - mpmath.mpf(k - 1) / n
+            b.append(f[k] * falling)
+            if k >= 2 * l_max and all(abs(x) * 2 ** k < 1e-40 for x in b[-l_max:]):
+                break
+        # The alternating sum cancels about log10(max |b_k| 2^k) digits.
+        assert max(abs(x) * 2 ** k for k, x in enumerate(b)) < mpmath.mpf(10) ** (dps - 30)
+        out = np.zeros(n + 1)
+        for s in range(len(b)):
+            binom = mpmath.mpf(1)
+            terms = []
+            for k in range(s, len(b)):
+                terms.append((-1) ** (k - s) * binom * b[k])
+                binom = binom * (k + 1) / (k + 1 - s)
+            out[s] = float(mpmath.fsum(terms))
+    return out
