@@ -20,6 +20,7 @@ the N! prefactor is absorbed step by step and nothing overflows.
 """
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -49,6 +50,10 @@ __all__ = [
 MAX_EVENT_COUNT = 100_000
 
 _EPS = float(np.finfo(float).eps)
+# Starting width of the ring's rows; it doubles as the support grows.
+_FIRST_WIDTH = 256
+# Steps whose weights are formed at a time from the ratio table.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -110,33 +115,51 @@ def build_exponent(model: CorrelationModel) -> BivariatePolynomial:
     return BivariatePolynomial(tuple(rows))
 
 
-def _rising(n: int, j: int) -> float:
-    """(n-1)! / (n-j)! as a float; log-gamma fallback for extreme orders."""
-    if j <= 1:
-        return 1.0
-    if (j - 1) * math.log10(n) < 300.0:
-        out = 1.0
-        for i in range(n - j + 1, n):
-            out *= i
-        return out
-    return math.exp(math.lgamma(n) - math.lgamma(n - j + 1))
+def _ratio_table(n_events: int, l_max: int) -> np.ndarray:
+    """ratio[n, i] = (n-1)!/(n-j)! with j = l_max - i, shape (N+1, l_max).
 
-
-def _exp_series_at(coeffs, n_events: int) -> float:
-    """N! [x^N] exp(sum_j coeffs[j-1] x^j) by the rescaled scalar recurrence.
-
-    h_n = sum_j j * coeffs[j-1] * h_{n-j} * (n-1)!/(n-j)! with h_0 = 1
-    absorbs the N! prefactor step by step.  O(N * len(coeffs)).
+    Columns run from j = l_max down to j = 1, the order of the ring block
+    in :func:`finite_count_pmf`.  Each column is the previous one times
+    n - j + 1, so an entry with j > n is zero.
     """
-    l_max = len(coeffs)
-    window: deque[float] = deque([1.0], maxlen=l_max)
-    for n in range(1, n_events + 1):
-        terms = [
-            j * coeffs[j - 1] * window[-j] * _rising(n, j)
-            for j in range(1, min(n, l_max) + 1)
-        ]
-        window.append(math.fsum(terms))
+    ratio = np.ones((n_events + 1, l_max))
+    steps = np.arange(n_events + 1.0)
+    for j in range(2, l_max + 1):
+        ratio[:, l_max - j] = ratio[:, l_max - j + 1] * (steps - (j - 1))
+    return ratio
+
+
+def _shadow_total(ratio: np.ndarray, magnitudes) -> float:
+    """N! [x^N] exp(sum_j R_j x^j) by the scalar recurrence on ``ratio``.
+
+    h_n = sum_j j * R_j * (n-1)!/(n-j)! * h_{n-j} with h_0 = 1, the ratio
+    table's rows taken a chunk at a time.  O(N * l_max).
+    """
+    l_max = len(magnitudes)
+    coeffs = np.array([(l_max - i) * magnitudes[l_max - i - 1] for i in range(l_max)])
+    window: deque[float] = deque([0.0] * (l_max - 1) + [1.0], maxlen=l_max)
+    for start in range(1, len(ratio), _CHUNK):
+        for row in (ratio[start : start + _CHUNK] * coeffs).tolist():
+            window.append(sum(map(operator.mul, row, window)))
     return window[-1]
+
+
+def _ring_views(ring: np.ndarray) -> tuple[list, list]:
+    """Step blocks and write-back views of a doubled shift-stack ring.
+
+    ``blocks[k]`` is slots k..k + l_max - 1 as one (l_max * (l_max + 1)) x
+    width matrix; ``diagonals[k]`` views slot k with row t starting at
+    column t, so one assignment stores an H with all its shifts.
+    """
+    slots, shifts, width = ring.shape
+    l_max = slots // 2
+    strides = (ring.strides[1] + ring.strides[2], ring.strides[2])
+    blocks = [ring[k : k + l_max].reshape(l_max * shifts, width) for k in range(l_max)]
+    diagonals = [
+        np.lib.stride_tricks.as_strided(slot, (shifts, width - l_max), strides)
+        for slot in ring
+    ]
+    return blocks, diagonals
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -152,15 +175,21 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
     total of the same recurrence run on absolute values, a proxy for
     accumulated cancellation.
 
+    Each step is one product.  H_{n-l_max}..H_{n-1} sit in a ring of
+    l_max slots, stored twice over so that the l_max slots step n reads
+    are contiguous, and each slot holds its H in l_max + 1 rows, row t
+    shifted right by t.  Step n's (j, t) terms are then the rows of one
+    (l_max * (l_max + 1)) x size block, and H_n is the vector of weights
+    j * a_{j,t} * (n-1)!/(n-j)! times that block: a plain sum in a fixed
+    order, with the ratios taken from a table built once per call.
+
     Each H_n is +0.0 past an underflow index S (about 320 for C = (2, 0.5,
     0.1) even at N = 10^5), so step n is computed only on [0, size) with
     size = min(n, max_j(len(H_{n-j}) - 1 + j)) + 1, len(H) the index of
     its last nonzero entry plus one.  This is exact, not a truncation:
-    past ``size`` every term of the full-range recurrence is a signed zero
-    added to acc = comp = +0.0, which leaves both at +0.0.  Inside it each
-    (j, t) term keeps the full-range slice, clipped to [0, size), and the
-    same compensated-add operations in the same order, so every entry is
-    bit-identical to the full-range loop and the cost is O(N * S * l_max).
+    past ``size`` every term is a product with zero.  The ring is as wide
+    as the largest size so far, so the cost is O(N * S * l_max^2) flops
+    in N products, and the memory O(S * l_max^2).
 
     Raises:
         SeriesOverflowError: N above MAX_EVENT_COUNT.
@@ -174,48 +203,43 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
             f"N = {n_events} exceeds the supported ceiling {MAX_EVENT_COUNT}"
         )
     l_max = exponent.degree
+    shifts = l_max + 1
+    ratio = _ratio_table(n_events, l_max)
+    # base[i, t] = j * a_{j,t} for j = l_max - i, zero for t > j.
+    base = np.zeros((l_max, shifts))
+    for j, row in enumerate(exponent.rows, start=1):
+        base[l_max - j, : j + 1] = [j * a for a in row]
 
-    # Slot n % slots holds H_n, zero-padded to width N+1; lengths[slot] is
-    # its nonzero length.  One slot more than the window, so H_n is built
-    # in place over H_{n-l_max-1}, which no later step reads.
-    slots = l_max + 1
-    ring = np.zeros((slots, n_events + 1))
-    ring[0, 0] = 1.0
-    lengths = [1] + [0] * l_max
-    comp = np.zeros(n_events + 1)
-    term = np.empty(n_events + 1)
-    total = np.empty(n_events + 1)
-    for n in range(1, n_events + 1):
-        steps = range(1, min(n, l_max) + 1)
-        size = min(n, max(lengths[(n - j) % slots] - 1 + j for j in steps)) + 1
-        slot = n % slots
-        acc = ring[slot]
-        acc[: lengths[slot]] = 0.0
-        comp[:size] = 0.0
-        for j in steps:
-            prev = ring[(n - j) % slots]
-            ratio = _rising(n, j)
-            row = exponent.rows[j - 1]
-            for t in range(j + 1):
-                w = j * row[t] * ratio
-                m = min(n - j + 1, size - t)
-                if w == 0.0 or m <= 0:
-                    continue
-                # Compensated acc[t:t+m] += w * prev[:m], without temporaries.
-                a, c, y, s = acc[t : t + m], comp[t : t + m], term[:m], total[:m]
-                np.multiply(prev[:m], w, y)
-                np.subtract(y, c, y)
-                np.add(a, y, s)
-                np.subtract(s, a, c)
-                np.subtract(c, y, c)
-                a[...] = s
-        length = size
-        while length and acc[length - 1] == 0.0:
-            length -= 1
-        lengths[slot] = length
+    # Slots k and k + l_max hold H_m for m = k mod l_max, so step n reads
+    # slots n % l_max onward, oldest first.  H_m for m < 0 is zero.
+    width = min(n_events + 1, _FIRST_WIDTH) + l_max
+    ring = np.zeros((2 * l_max, shifts, width))
+    blocks, diagonals = _ring_views(ring)
+    diagonals[0][:, 0] = diagonals[l_max][:, 0] = 1.0
+    # len(H_m) - 1 - m for the last l_max values of m
+    reach: deque[int] = deque([0], maxlen=l_max)
+    for start in range(1, n_events + 1, _CHUNK):
+        chunk = ratio[start : start + _CHUNK, :, None] * base
+        step_weights = chunk.reshape(-1, l_max * shifts)
+        for n, weights in enumerate(step_weights, start):
+            size = n + 1 + max(reach)
+            if size + l_max > width:
+                width = min(n_events + 1, max(2 * (width - l_max), size)) + l_max
+                wider = np.zeros((2 * l_max, shifts, width))
+                wider[:, :, : ring.shape[2]] = ring
+                ring = wider
+                blocks, diagonals = _ring_views(ring)
+            slot = n % l_max
+            h = weights @ blocks[slot][:, :size]
+            length = size
+            while length and h[length - 1] == 0.0:
+                length -= 1
+            reach.append(length - 1 - n)
+            diagonals[slot][:, :size] = h
+            diagonals[slot + l_max][:, :size] = h
 
     values = np.zeros(n_events + 1)
-    values[:size] = ring[n_events % slots, :size]
+    values[:length] = h[:length]
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         s = int(bad[0])
@@ -224,5 +248,5 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
             "overflowed double precision"
         )
     magnitudes = [math.fsum(abs(a) for a in row) for row in exponent.rows]
-    error_estimate = _exp_series_at(magnitudes, n_events) * _EPS
+    error_estimate = _shadow_total(ratio, magnitudes) * _EPS
     return Pmf.from_values(values, tail_bound=0.0, error_estimate=error_estimate)

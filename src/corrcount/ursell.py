@@ -119,17 +119,14 @@ def _pattern_vector(table: SymmetricTable) -> np.ndarray:
     return vec
 
 
-def correlation_recursive_expanded(
-    p_tables: Sequence[SymmetricTable],
-) -> dict[tuple[int, ...], float]:
-    """Expanded-view G_k via the literal recursion over argument permutations.
+def _recursive_orders(p_tables: Sequence[SymmetricTable]) -> list[np.ndarray]:
+    """G_1..G_k of the literal recursion, each over all 2^j patterns.
 
-    For each pattern, subtracts sum_sigma sum_l G_l(r_1, r_sigma(2..l)) *
-    P_{k-l}(r_sigma(l+1..k)) / ((l-1)! (k-l)!) with sigma running over all
-    permutations of the trailing k-1 argument slots.  Nothing assumes
-    symmetry of the inputs or intermediates, so the returned dictionary is
-    the right object for testing permutation invariance and the sign-flip
-    identity from scratch.
+    Entry b of order j is the pattern with r_i = (b >> i) & 1.  Each order
+    works on all 2^j argument patterns at once; every pattern gets the
+    float operations of the per-pattern sum in its (sigma, l) order, so
+    the values are bit-identical to a loop over patterns
+    (tests/test_ursell.py keeps that loop as the reference).
     """
     k = _check_tables(p_tables, KIND_PROBABILITY)
     if k > RECURSION_MAX_ORDER:
@@ -137,11 +134,6 @@ def correlation_recursive_expanded(
             f"literal recursion supports k <= {RECURSION_MAX_ORDER}; "
             "use correlation_partition beyond"
         )
-    # Each order works on all 2^j argument patterns at once, as arrays
-    # indexed by b = sum_i r_i * 2^i.  Every pattern gets the float
-    # operations of the per-pattern sum in its (sigma, l) order, so the
-    # values are bit-identical to a loop over patterns (tests/test_ursell.py
-    # keeps that loop as the reference).
     p_vec = {j: _pattern_vector(p_tables[j - 1]) for j in range(1, k + 1)}
     g_vec = {1: p_vec[1]}
     for j in range(2, k + 1):
@@ -160,10 +152,29 @@ def correlation_recursive_expanded(
                 p_args = q >> (l - 1)
                 acc += weight[l] * g_vec[l][g_args] * p_vec[j - l][p_args]
         g_vec[j] = p_vec[j] - acc
-    values = g_vec[k].tolist()
+    return [g_vec[j] for j in range(1, k + 1)]
+
+
+def _expanded(vec: np.ndarray, k: int) -> dict[tuple[int, ...], float]:
+    values = vec.tolist()
     return {
         r: values[_pattern_index(r)] for r in itertools.product((0, 1), repeat=k)
     }
+
+
+def correlation_recursive_expanded(
+    p_tables: Sequence[SymmetricTable],
+) -> dict[tuple[int, ...], float]:
+    """Expanded-view G_k via the literal recursion over argument permutations.
+
+    For each pattern, subtracts sum_sigma sum_l G_l(r_1, r_sigma(2..l)) *
+    P_{k-l}(r_sigma(l+1..k)) / ((l-1)! (k-l)!) with sigma running over all
+    permutations of the trailing k-1 argument slots.  Nothing assumes
+    symmetry of the inputs or intermediates, so the returned dictionary is
+    the right object for testing permutation invariance and the sign-flip
+    identity from scratch.
+    """
+    return _expanded(_recursive_orders(p_tables)[-1], len(p_tables))
 
 
 def correlation_recursive(p_tables: Sequence[SymmetricTable]) -> SymmetricTable:
@@ -182,13 +193,8 @@ def _block_product(g, blocks, m) -> float:
     return prod
 
 
-def correlation_partition(p_tables: Sequence[SymmetricTable]) -> SymmetricTable:
-    """Order-k correlation table via the set-partition sum, bottom-up.
-
-    G_k = P_k - sum over partitions of {1..k} with >= 2 blocks of the
-    product of lower-order G values on each block.  Agrees with the
-    literal recursion wherever both are defined.
-    """
+def _partition_orders(p_tables: Sequence[SymmetricTable]) -> list[SymmetricTable]:
+    """G_1..G_k by the set-partition sum, each order built once from below."""
     k = _check_tables(p_tables, KIND_PROBABILITY)
     if k > PARTITION_MAX_ORDER:
         raise OutOfRangeError(f"partition route supports k <= {PARTITION_MAX_ORDER}")
@@ -202,7 +208,17 @@ def correlation_partition(p_tables: Sequence[SymmetricTable]) -> SymmetricTable:
                 disconnected[m] += _block_product(g, blocks, m)
         p_j = p_tables[j - 1].values
         g[j] = [p_j[m] - disconnected[m] for m in range(j + 1)]
-    return SymmetricTable.correlation(g[k])
+    return [SymmetricTable.correlation(g[j]) for j in range(1, k + 1)]
+
+
+def correlation_partition(p_tables: Sequence[SymmetricTable]) -> SymmetricTable:
+    """Order-k correlation table via the set-partition sum, bottom-up.
+
+    G_k = P_k - sum over partitions of {1..k} with >= 2 blocks of the
+    product of lower-order G values on each block.  Agrees with the
+    literal recursion wherever both are defined.
+    """
+    return _partition_orders(p_tables)[-1]
 
 
 def probability_from_correlations(g_tables: Sequence[SymmetricTable]) -> SymmetricTable:

@@ -24,8 +24,9 @@ from .limit import char_fn, limit_pmf
 from .montecarlo import MixtureSpec, build_mixture_joint
 from .ursell import (
     PARTITION_MAX_ORDER,
-    correlation_partition,
-    correlation_recursive_expanded,
+    _expanded,
+    _partition_orders,
+    _recursive_orders,
     marginalize,
     probability_from_correlations,
 )
@@ -93,11 +94,7 @@ def measure_coefficients(joint, k_max: int | None = None) -> tuple[float, ...]:
     """Coefficients C_1..C_k of a joint, measured through the expansion chain."""
     k_max = joint.n if k_max is None else k_max
     p_tables = [marginalize(joint, k) for k in range(1, k_max + 1)]
-    out = []
-    for k in range(1, k_max + 1):
-        g = correlation_partition(p_tables[:k])
-        out.append(correlation_coefficient(g, joint.n))
-    return tuple(out)
+    return tuple(correlation_coefficient(g, joint.n) for g in _partition_orders(p_tables))
 
 
 def _check(name, tolerance, worst, detail="") -> IdentityCheck:
@@ -114,10 +111,8 @@ def _expanded_orders(joint, k_cap):
     """Literal-recursion expanded G_k for k = 2..min(N, k_cap)."""
     top = min(joint.n, k_cap)
     p_tables = [marginalize(joint, k) for k in range(1, top + 1)]
-    out = {}
-    for k in range(2, top + 1):
-        out[k] = correlation_recursive_expanded(p_tables[:k])
-    return p_tables, out
+    orders = _recursive_orders(p_tables)
+    return p_tables, {k: _expanded(orders[k - 1], k) for k in range(2, top + 1)}
 
 
 def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[IdentityCheck]:
@@ -145,8 +140,9 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
     worst_eq = worst_sym = worst_flip = worst_round = 0.0
     for joint in joints:
         p_tables, expanded = _expanded_orders(joint, k_cap=min(6, n))
+        g_tables = _partition_orders(p_tables)
         for k, exp_g in expanded.items():
-            part = correlation_partition(p_tables[:k])
+            part = g_tables[k - 1]
             rec_compressed = [
                 exp_g[(1,) * m + (0,) * (k - m)] for m in range(k + 1)
             ]
@@ -160,8 +156,6 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
                 if pattern[0] == 1:
                     flipped = (0,) + pattern[1:]
                     worst_flip = max(worst_flip, abs(value + exp_g[flipped]))
-        top = len(p_tables)
-        g_tables = [correlation_partition(p_tables[:k]) for k in range(1, top + 1)]
         rebuilt = probability_from_correlations(g_tables)
         worst_round = max(
             worst_round,

@@ -1,10 +1,14 @@
 import json
 import math
+import subprocess
+import sys
 import time
 
 import pytest
 
 from corrcount.cli import _read_counts, main
+
+from conftest import subprocess_env
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +88,24 @@ class TestPmfCommands:
         code, out, _ = run_cli(capsys, "finite-pmf", "--model", str(path))
         assert code == 0
         assert parse_pmf_csv(out) == {0: 0.25, 1: 0.5, 2: 0.25}
+
+    @pytest.mark.parametrize(
+        "n, c",
+        [
+            ("10000", "2.0,0.5,0.1"),
+            # support near 3000: each step's product has 12 x 3000 entries
+            ("5000", "1500.0,100.0,5.0"),
+        ],
+    )
+    def test_finite_pmf_bytes_do_not_depend_on_blas_threads(self, n, c):
+        cmd = [sys.executable, "-m", "corrcount", "finite-pmf", "--n", n, "--c", c]
+        outputs = []
+        for threads in ("1", "2"):
+            env = subprocess_env()
+            env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run(cmd, capture_output=True, check=True, env=env)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestCf:

@@ -21,7 +21,7 @@ from corrcount.core import (
     SeriesOverflowError,
     TrailingZeroWarning,
 )
-from corrcount.finite import _exp_series_at, build_exponent
+from corrcount.finite import build_exponent
 from corrcount.verify import measure_coefficients
 
 from conftest import ALL_OR_NOTHING_3, m_factor, make_random_joint
@@ -308,6 +308,23 @@ def p_full_by_enumeration(model):
     return total
 
 
+def exp_series_at(coeffs, n_events):
+    """N! [x^N] exp(sum_j coeffs[j-1] x^j) by the rescaled scalar recurrence.
+
+    h_n = sum_j j * coeffs[j-1] * h_{n-j} * (n-1)!/(n-j)! with h_0 = 1
+    absorbs the N! prefactor step by step.  O(N * len(coeffs)).
+    """
+    window = [1.0]
+    for n in range(1, n_events + 1):
+        window.append(
+            math.fsum(
+                j * coeffs[j - 1] * window[-j] * float(math.perm(n - 1, j - 1))
+                for j in range(1, min(n, len(coeffs)) + 1)
+            )
+        )
+    return window[-1]
+
+
 def p_full_count(model):
     """Probability that all N events occur.
 
@@ -319,7 +336,7 @@ def p_full_count(model):
         model.coefficient(l) / (float(model.n) ** l * math.factorial(l))
         for l in range(1, model.l_max + 1)
     ]
-    return _exp_series_at(b, model.n)
+    return exp_series_at(b, model.n)
 
 
 class TestPFullCount:

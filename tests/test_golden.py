@@ -18,6 +18,12 @@ and the ``cf-pmf-duality`` worst value; ``LIMIT_P`` pins the ``p`` and
 defaults, 50 trials); its digest was recorded before the literal Ursell
 recursion was vectorized over argument patterns.
 
+The four ``finite-pmf-*`` digests and both ``verify`` digests were
+re-recorded when the finite-N recurrence switched from compensated adds
+to one plain fixed-order product per step, after its entries were checked
+against the closed-form factorial-moment oracle in test_finite.py.  Only
+the finite-pmf lines of ``verify`` moved, and they still pass.
+
 ``{plain}``, ``{csv}`` and ``{bare_csv}`` in an argv stand for counts files
 the test writes: plain lines, CSV with a ``sample_index,count`` header,
 and CSV without one, all holding the same 2000 counts.  ``{wide}`` is a
@@ -33,15 +39,15 @@ from corrcount.cli import main
 CASES = {
     "finite-pmf-csv": (
         ["finite-pmf", "--n", "40", "--c", "1.0,0.3"],
-        0, "a35add6f1a7497d104f9689e58fd652ab813292710b963148ef98a4d29b8cda3",
+        0, "dde249823b76d92acf86710dfe5b2ad6ccef2b7933e93b45a52e2fc2b00b6413",
     ),
     "finite-pmf-json": (
         ["finite-pmf", "--n", "300", "--c", "2.0,0.5,-0.1", "--format", "json"],
-        0, "578dd18711113262d0515f749df3778dafe23d0515b6822f443608f0590a77f1",
+        0, "cf3157671d30ca1c92524bd84e41377608483d21c75551df6ec69b9560d38665",
     ),
     "finite-pmf-signed": (
         ["finite-pmf", "--n", "30", "--c", "1.0,40.0"],
-        2, "89a916c7fea22cdc456db851c52cbcc2e79ab3098647b20a68cf98cb200d6978",
+        2, "fa5037441f38a351567fa4dff89c05ad7a6ebc887a37ce5acf7c765f82f82b65",
     ),
     "limit-pmf-csv": (
         ["limit-pmf", "--c", "2.0,0.5"],
@@ -85,7 +91,7 @@ CASES = {
     ),
     "finite-pmf-underflow": (
         ["finite-pmf", "--n", "2000", "--c", "2.0,0.5,0.1"],
-        0, "8e5c1ef29fe5842326a798027e035447d9bcbdc9c0b3abcf56ddb979d747703b",
+        0, "f199d936d1aa66de7ae4053fe644d8977a8a49c2d0b107abe8ace85a77c639d2",
     ),
     "estimate-wide": (
         ["estimate", "--input", "{wide}", "--lmax", "2", "--bootstrap", "40", "--seed", "5"],
@@ -93,11 +99,11 @@ CASES = {
     ),
     "verify": (
         ["verify", "--trials", "20"],
-        0, "bf51a3ffa9c8be883000ad89621114bced130ebf84389b21793861cd9f5f8343",
+        0, "97c547e1dc4b33c04cf32401502d7f5d7de4503a45f7525bb29e353034dbc363",
     ),
     "verify-default": (
         ["verify"],
-        0, "aff917a7b53a614ffd02d4c511bffc73fcb57a8a85b9638c27db8bacdefd28cb",
+        0, "6b4364a0a7691cc3ecbfc4ea71e73b7a4ddd4f0e1f97576e6d5725af1a59e398",
     ),
 }
 
