@@ -45,8 +45,9 @@ __all__ = [
     "finite_count_pmf",
 ]
 
-# The recurrence is O(N * S * l_max), S the pmf's underflow index (a few
-# hundred for moderate C); refuse beyond.
+# The recurrence is N products of an (l_max * (l_max + 1)) x S block, S the
+# pmf's underflow index (a few hundred for moderate C): about 1 s at this
+# ceiling for C = (2, 0.5, 0.1) on one 2-vCPU core.  Refuse beyond.
 MAX_EVENT_COUNT = 100_000
 
 _EPS = float(np.finfo(float).eps)
