@@ -47,7 +47,7 @@ __all__ = [
 
 # The recurrence is N products of an (l_max * (l_max + 1)) x S block, S the
 # pmf's underflow index (a few hundred for moderate C): about 1 s at this
-# ceiling for C = (2, 0.5, 0.1) on one 2-vCPU core.  Refuse beyond.
+# ceiling for C = (2, 0.5, 0.1) on a 2-vCPU machine.  Refuse beyond.
 MAX_EVENT_COUNT = 100_000
 
 _EPS = float(np.finfo(float).eps)
@@ -184,7 +184,7 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
     j * a_{j,t} * (n-1)!/(n-j)! times that block: a plain sum in a fixed
     order, with the ratios taken from a table built once per call.
 
-    Each H_n is +0.0 past an underflow index S (about 320 for C = (2, 0.5,
+    Each H_n is zero past an underflow index S (about 320 for C = (2, 0.5,
     0.1) even at N = 10^5), so step n is computed only on [0, size) with
     size = min(n, max_j(len(H_{n-j}) - 1 + j)) + 1, len(H) the index of
     its last nonzero entry plus one.  This is exact, not a truncation:

@@ -94,7 +94,8 @@ def measure_coefficients(joint, k_max: int | None = None) -> tuple[float, ...]:
     """Coefficients C_1..C_k of a joint, measured through the expansion chain."""
     k_max = joint.n if k_max is None else k_max
     p_tables = [marginalize(joint, k) for k in range(1, k_max + 1)]
-    return tuple(correlation_coefficient(g, joint.n) for g in _partition_orders(p_tables))
+    g_tables = _partition_orders(p_tables)
+    return tuple(correlation_coefficient(g, joint.n) for g in g_tables)
 
 
 def _check(name, tolerance, worst, detail="") -> IdentityCheck:

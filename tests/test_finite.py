@@ -411,16 +411,15 @@ def closed_form_count_pmf(model, dps=60):
         b = [mpmath.mpf(1)]
         falling = mpmath.mpf(1)
         for k in range(1, n + 1):
-            f.append(
-                mpmath.fsum(l * q[l - 1] * f[k - l] for l in range(1, min(k, l_max) + 1))
-                / k
-            )
+            orders = range(1, min(k, l_max) + 1)
+            f.append(mpmath.fsum(l * q[l - 1] * f[k - l] for l in orders) / k)
             falling *= 1 - mpmath.mpf(k - 1) / n
             b.append(f[k] * falling)
             if k >= 2 * l_max and all(abs(x) * 2 ** k < 1e-40 for x in b[-l_max:]):
                 break
         # The alternating sum cancels about log10(max |b_k| 2^k) digits.
-        assert max(abs(x) * 2 ** k for k, x in enumerate(b)) < mpmath.mpf(10) ** (dps - 30)
+        largest = max(abs(x) * 2 ** k for k, x in enumerate(b))
+        assert largest < mpmath.mpf(10) ** (dps - 30)
         out = np.zeros(n + 1)
         for s in range(len(b)):
             binom = mpmath.mpf(1)
