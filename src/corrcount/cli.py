@@ -2,16 +2,20 @@
 
 Subcommands: limit-pmf, finite-pmf, oracle-pmf, cf, sample, estimate,
 verify.  Outputs are CSV (with header) or JSON, formatted so identical
-argv gives byte-identical bytes.  Exit codes: 0 success, 2 inadmissible
-model (the signed pmf is still printed), 3 invalid input or arguments,
-4 an identity failed during verify.
+argv gives byte-identical bytes.  Exit codes: 0 success, 1 stdout closed
+before all output was written (a broken pipe), 2 inadmissible model (the
+signed pmf is still printed), 3 invalid input or arguments, 4 an identity
+failed during verify.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     MAX_POINTS,
@@ -32,7 +36,11 @@ from .montecarlo import (
 )
 from .verify import run_identity_suite
 
+if TYPE_CHECKING:
+    import numpy as np
+
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INADMISSIBLE = 2
 EXIT_BAD_INPUT = 3
 EXIT_VERIFY_FAILED = 4
@@ -80,6 +88,11 @@ def _parse_ugrid(text: str) -> np.ndarray:
         raise _UsageError(f"bad u grid {text!r}; expected start:stop:count") from exc
     if not 1 <= count <= MAX_POINTS:
         raise _UsageError(f"u grid count must lie in 1..{MAX_POINTS}, got {count}")
+    # A non-finite span also catches a NaN or infinite start or stop.
+    if not math.isfinite(stop - start):
+        raise _UsageError(f"bad u grid {text!r}; start, stop and their span must be finite")
+    import numpy as np
+
     return np.linspace(start, stop, count)
 
 
@@ -190,6 +203,8 @@ def _is_number(field: str) -> bool:
 
 
 def _read_counts(path: str) -> np.ndarray:
+    import numpy as np
+
     try:
         with open(path, encoding="utf-8") as fh:
             rows = ((i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip())
@@ -351,7 +366,17 @@ def main(argv=None) -> int:
             args = parser.parse_args(_argv_from_config(args.config))
             if args.command is None:
                 raise _UsageError("config did not name a subcommand")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left (e.g. `| head`).  Point stdout at devnull so the
+        # flush at interpreter exit stays quiet, as the Python docs' note
+        # on SIGPIPE advises.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

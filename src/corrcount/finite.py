@@ -19,12 +19,14 @@ H_n(y) = n! [x^n] exp(A), which keeps every intermediate at H_n(1) = 1:
 the N! prefactor is absorbed step by step and nothing overflows.
 """
 
+from __future__ import annotations
+
 import math
 import operator
+import sys
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     BadShapeError,
@@ -36,6 +38,9 @@ from .core import (
     SeriesOverflowError,
     validate_model,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MAX_EVENT_COUNT",
@@ -50,7 +55,7 @@ __all__ = [
 # ceiling for C = (2, 0.5, 0.1) on a 2-vCPU machine.  Refuse beyond.
 MAX_EVENT_COUNT = 100_000
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 # Starting width of the ring's rows; it doubles as the support grows.
 _FIRST_WIDTH = 256
 # Steps whose weights are formed at a time from the ratio table.
@@ -123,6 +128,8 @@ def _ratio_table(n_events: int, l_max: int) -> np.ndarray:
     in :func:`finite_count_pmf`.  Each column is the previous one times
     n - j + 1, so an entry with j > n is zero.
     """
+    import numpy as np
+
     ratio = np.ones((n_events + 1, l_max))
     steps = np.arange(n_events + 1.0)
     for j in range(2, l_max + 1):
@@ -136,6 +143,8 @@ def _shadow_total(ratio: np.ndarray, magnitudes) -> float:
     h_n = sum_j j * R_j * (n-1)!/(n-j)! * h_{n-j} with h_0 = 1, the ratio
     table's rows taken a chunk at a time.  O(N * l_max).
     """
+    import numpy as np
+
     l_max = len(magnitudes)
     coeffs = np.array([(l_max - i) * magnitudes[l_max - i - 1] for i in range(l_max)])
     window: deque[float] = deque([0.0] * (l_max - 1) + [1.0], maxlen=l_max)
@@ -152,6 +161,8 @@ def _ring_views(ring: np.ndarray) -> tuple[list, list]:
     width matrix; ``diagonals[k]`` views slot k with row t starting at
     column t, so one assignment stores an H with all its shifts.
     """
+    import numpy as np
+
     slots, shifts, width = ring.shape
     l_max = slots // 2
     strides = (ring.strides[1] + ring.strides[2], ring.strides[2])
@@ -163,7 +174,6 @@ def _ring_views(ring: np.ndarray) -> tuple[list, list]:
     return blocks, diagonals
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def finite_count_pmf(model: CorrelationModel) -> Pmf:
     """Exact count pmf of a truncated coefficient model at finite N.
 
@@ -197,6 +207,8 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
         NonFiniteError: an entry overflowed to inf or nan (coefficients too
             large for double precision).
     """
+    import numpy as np
+
     exponent = build_exponent(model)
     n_events = model.n
     if n_events > MAX_EVENT_COUNT:
@@ -205,49 +217,50 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
         )
     l_max = exponent.degree
     shifts = l_max + 1
-    ratio = _ratio_table(n_events, l_max)
-    # base[i, t] = j * a_{j,t} for j = l_max - i, zero for t > j.
-    base = np.zeros((l_max, shifts))
-    for j, row in enumerate(exponent.rows, start=1):
-        base[l_max - j, : j + 1] = [j * a for a in row]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = _ratio_table(n_events, l_max)
+        # base[i, t] = j * a_{j,t} for j = l_max - i, zero for t > j.
+        base = np.zeros((l_max, shifts))
+        for j, row in enumerate(exponent.rows, start=1):
+            base[l_max - j, : j + 1] = [j * a for a in row]
 
-    # Slots k and k + l_max hold H_m for m = k mod l_max, so step n reads
-    # slots n % l_max onward, oldest first.  H_m for m < 0 is zero.
-    width = min(n_events + 1, _FIRST_WIDTH) + l_max
-    ring = np.zeros((2 * l_max, shifts, width))
-    blocks, diagonals = _ring_views(ring)
-    diagonals[0][:, 0] = diagonals[l_max][:, 0] = 1.0
-    # len(H_m) - 1 - m for the last l_max values of m
-    reach: deque[int] = deque([0], maxlen=l_max)
-    for start in range(1, n_events + 1, _CHUNK):
-        chunk = ratio[start : start + _CHUNK, :, None] * base
-        step_weights = chunk.reshape(-1, l_max * shifts)
-        for n, weights in enumerate(step_weights, start):
-            size = n + 1 + max(reach)
-            if size + l_max > width:
-                width = min(n_events + 1, max(2 * (width - l_max), size)) + l_max
-                wider = np.zeros((2 * l_max, shifts, width))
-                wider[:, :, : ring.shape[2]] = ring
-                ring = wider
-                blocks, diagonals = _ring_views(ring)
-            slot = n % l_max
-            h = weights @ blocks[slot][:, :size]
-            length = size
-            while length and h[length - 1] == 0.0:
-                length -= 1
-            reach.append(length - 1 - n)
-            diagonals[slot][:, :size] = h
-            diagonals[slot + l_max][:, :size] = h
+        # Slots k and k + l_max hold H_m for m = k mod l_max, so step n reads
+        # slots n % l_max onward, oldest first.  H_m for m < 0 is zero.
+        width = min(n_events + 1, _FIRST_WIDTH) + l_max
+        ring = np.zeros((2 * l_max, shifts, width))
+        blocks, diagonals = _ring_views(ring)
+        diagonals[0][:, 0] = diagonals[l_max][:, 0] = 1.0
+        # len(H_m) - 1 - m for the last l_max values of m
+        reach: deque[int] = deque([0], maxlen=l_max)
+        for start in range(1, n_events + 1, _CHUNK):
+            chunk = ratio[start : start + _CHUNK, :, None] * base
+            step_weights = chunk.reshape(-1, l_max * shifts)
+            for n, weights in enumerate(step_weights, start):
+                size = n + 1 + max(reach)
+                if size + l_max > width:
+                    width = min(n_events + 1, max(2 * (width - l_max), size)) + l_max
+                    wider = np.zeros((2 * l_max, shifts, width))
+                    wider[:, :, : ring.shape[2]] = ring
+                    ring = wider
+                    blocks, diagonals = _ring_views(ring)
+                slot = n % l_max
+                h = weights @ blocks[slot][:, :size]
+                length = size
+                while length and h[length - 1] == 0.0:
+                    length -= 1
+                reach.append(length - 1 - n)
+                diagonals[slot][:, :size] = h
+                diagonals[slot + l_max][:, :size] = h
 
-    values = np.zeros(n_events + 1)
-    values[:length] = h[:length]
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        s = int(bad[0])
-        raise NonFiniteError(
-            f"p_N({s}) = {float(values[s])!r} is not finite: the recurrence "
-            "overflowed double precision"
-        )
-    magnitudes = [math.fsum(abs(a) for a in row) for row in exponent.rows]
-    error_estimate = _shadow_total(ratio, magnitudes) * _EPS
+        values = np.zeros(n_events + 1)
+        values[:length] = h[:length]
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            s = int(bad[0])
+            raise NonFiniteError(
+                f"p_N({s}) = {float(values[s])!r} is not finite: the recurrence "
+                "overflowed double precision"
+            )
+        magnitudes = [math.fsum(abs(a) for a in row) for row in exponent.rows]
+        error_estimate = _shadow_total(ratio, magnitudes) * _EPS
     return Pmf.from_values(values, tail_bound=0.0, error_estimate=error_estimate)

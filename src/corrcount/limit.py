@@ -16,14 +16,13 @@ recovers them from any sufficiently tail-light pmf.
 import math
 import sys
 
-import numpy as np
-
 from .core import (
     MAX_POINTS,
     CfGrid,
     CorrelationModel,
     IdentityCheckError,
     NonConvergentError,
+    NonFiniteError,
     OutOfRangeError,
     Pmf,
     TailTooHeavyError,
@@ -69,11 +68,13 @@ def exponent_polynomial(model: CorrelationModel) -> tuple[float, ...]:
         for t in range(l + 1):
             q[t] += (-1) ** (l - t) * w * math.comb(l, t)
 
-    alt = np.zeros(l_max + 1)
-    power = np.array([1.0])
+    alt = [0.0] * (l_max + 1)
+    power = [1.0]  # coefficients of (z - 1)^l
     for l in range(1, l_max + 1):
-        power = np.convolve(power, [-1.0, 1.0])
-        alt[: l + 1] += model.coefficient(l) / math.factorial(l) * power
+        power = [b - a for a, b in zip(power + [0.0], [0.0] + power)]
+        w = model.coefficient(l) / math.factorial(l)
+        for t, x in enumerate(power):
+            alt[t] += w * x
 
     scale = max(
         1.0,
@@ -86,13 +87,24 @@ def exponent_polynomial(model: CorrelationModel) -> tuple[float, ...]:
 
 
 def char_fn(model: CorrelationModel, u_grid) -> CfGrid:
-    """Characteristic function chi(u) = exp(Q(e^{iu})) on a grid."""
+    """Characteristic function chi(u) = exp(Q(e^{iu})) on a grid.
+
+    Raises:
+        OutOfRangeError: more than MAX_POINTS grid points.
+        NonFiniteError: a grid point is NaN or infinite.
+    """
+    import numpy as np
+
     q = exponent_polynomial(model)
     u = np.asarray(list(u_grid), dtype=float)
     if u.size > MAX_POINTS:
         raise OutOfRangeError(
             f"grid of {u.size} points exceeds the supported ceiling {MAX_POINTS}"
         )
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteError(f"u[{i}] = {float(u[i])!r} is not finite")
     chi = np.exp(np.polyval(q[::-1], np.exp(1j * u)))
     return CfGrid(tuple(u.tolist()), tuple(chi.tolist()))
 
@@ -193,6 +205,8 @@ def factorial_cumulants(weights, l_max: int, total: float = 1.0) -> tuple[float,
     moment-to-cumulant recursion
     c_r = f_r - sum_{j<r} binom(r-1, j-1) c_j f_{r-j}.
     """
+    import numpy as np
+
     weights = np.asarray(weights, dtype=float)
     support = np.arange(weights.size, dtype=float)
 

@@ -12,11 +12,12 @@ child of the user seed's SeedSequence, so it never replays the sampler's
 PCG64(seed) stream.
 """
 
+from __future__ import annotations
+
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     MAX_JOINT_EVENTS,
@@ -30,6 +31,9 @@ from .core import (
     validate_seed,
 )
 from .limit import SUPPORT_CAP, factorial_cumulants
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_BOOTSTRAP",
@@ -116,6 +120,8 @@ def sample_counts(pmf: Pmf, n_samples: int, seed: int) -> np.ndarray:
     the cumulative masses (entries clipped at zero; the at-most-tail_bound
     sliver of uniforms beyond the last cumulative value lands on s_max).
     """
+    import numpy as np
+
     if not isinstance(n_samples, int) or not 1 <= n_samples <= MAX_POINTS:
         raise OutOfRangeError(
             f"n_samples must be an integer in 1..{MAX_POINTS}, got {n_samples!r}"
@@ -154,6 +160,8 @@ def estimate_coefficients(
             or not an integer.
         TooFewSamplesError: fewer than 10^l_max observations.
     """
+    import numpy as np
+
     if not isinstance(l_max, int) or not 1 <= l_max <= MAX_ESTIMATE_ORDER:
         raise OutOfRangeError(
             f"estimation order must lie in 1..{MAX_ESTIMATE_ORDER}, got {l_max!r}"

@@ -13,12 +13,13 @@ reconstruction P-from-G and the partition enumerator they share live here
 too.
 """
 
+from __future__ import annotations
+
 import itertools
 import math
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     KIND_CORRELATION,
@@ -28,6 +29,9 @@ from .core import (
     OutOfRangeError,
     SymmetricTable,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PARTITION_MAX_ORDER",
@@ -113,6 +117,8 @@ def _pattern_index(pattern: tuple[int, ...]) -> int:
 
 
 def _pattern_vector(table: SymmetricTable) -> np.ndarray:
+    import numpy as np
+
     vec = np.empty(2 ** table.order)
     for pattern, value in table.expanded().items():
         vec[_pattern_index(pattern)] = value
@@ -128,6 +134,8 @@ def _recursive_orders(p_tables: Sequence[SymmetricTable]) -> list[np.ndarray]:
     the values are bit-identical to a loop over patterns
     (tests/test_ursell.py keeps that loop as the reference).
     """
+    import numpy as np
+
     k = _check_tables(p_tables, KIND_PROBABILITY)
     if k > RECURSION_MAX_ORDER:
         raise OutOfRangeError(

@@ -6,11 +6,12 @@ ships with, so a regression anywhere in the expansion/counting chain shows
 up as a named FAIL line rather than a silent drift.
 """
 
+from __future__ import annotations
+
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     CorrelationModel,
@@ -30,6 +31,9 @@ from .ursell import (
     marginalize,
     probability_from_correlations,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "IdentityCheck",
@@ -124,6 +128,8 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
             joint the partition route can measure at every order), trials
             below 1, or a negative seed; refused before any work.
     """
+    import numpy as np
+
     if not 2 <= n <= PARTITION_MAX_ORDER:
         raise OutOfRangeError(
             f"verify supports joint sizes 2 <= n <= {PARTITION_MAX_ORDER} (the "

@@ -130,6 +130,30 @@ class TestCf:
         assert float(rows[-1].split(",")[0]) == pytest.approx(6.2832)
 
 
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--c", "2", "--count", "100000"],
+            ["cf", "--c", "2", "--u", "0:1:100000"],
+        ],
+    )
+    def test_reader_leaving_after_one_line_exit_1_quietly(self, argv):
+        # The output is several pipe buffers long, so writes are still
+        # pending when the reader closes its end.
+        with subprocess.Popen(
+            [sys.executable, "-m", "corrcount", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env(),
+        ) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            err = proc.stderr.read().decode()
+        assert code == 1
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
+
+
 class TestSampleAndEstimate:
     def test_sample_deterministic(self, capsys):
         code, first, _ = run_cli(
@@ -305,6 +329,18 @@ class TestBadInput:
     def test_bad_grid(self, capsys):
         code, _, _ = run_cli(capsys, "cf", "--c", "1.0", "--u", "0-1-2")
         assert code == 3
+
+    @pytest.mark.parametrize("grid", ["0:nan:3", "0:inf:3", "-1.7e308:1.7e308:3"])
+    def test_non_finite_grid_exit_3(self, grid):
+        # In a subprocess, so that a numpy RuntimeWarning would reach stderr.
+        done = subprocess.run(
+            [sys.executable, "-m", "corrcount", "cf", "--c", "2", f"--u={grid}"],
+            capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert done.returncode == 3
+        assert done.stdout == ""
+        assert "must be finite" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
     def test_oracle_joint_above_ceiling(self, capsys):
         code, out, err = run_cli(

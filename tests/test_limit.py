@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrcount import CorrelationModel, Pmf, char_fn, limit_pmf
-from corrcount.core import NonConvergentError, OutOfRangeError, TailTooHeavyError
+from corrcount.core import (
+    NonConvergentError,
+    NonFiniteError,
+    OutOfRangeError,
+    TailTooHeavyError,
+)
 from corrcount.limit import exponent_polynomial, factorial_cumulants_from_pmf
 from corrcount.verify import random_admissible_model, random_model
 
@@ -72,6 +77,12 @@ class TestCharFn:
         assert len(char_fn(model, [0.0, 1.0, 2.0]).chi) == 3
         with pytest.raises(OutOfRangeError, match="ceiling 3"):
             char_fn(model, [0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_refused(self, bad):
+        model = CorrelationModel.from_coefficients([1.0])
+        with pytest.raises(NonFiniteError, match=rf"u\[1\] = {bad!r} is not finite"):
+            char_fn(model, [0.0, bad, 1.0, math.nan])
 
     def test_modulus_bounded_for_admissible_models(self, rng):
         for _ in range(5):

@@ -2,15 +2,24 @@
 
 ``perfbench/tracer.py`` wraps functions by module and name; a rename or a
 move in the package would make the traced benchmark pass fail, so each of
-its targets is resolved here.
+its targets is resolved here.  The tracer finds the modules in
+``sys.modules`` right after ``import corrcount`` and ``import
+corrcount.cli``, so those imports must load all of them; and they must
+not load numpy, which only the commands that compute with arrays import.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import corrcount
 from corrcount.core import Pmf
+
+from conftest import subprocess_env
 
 ROOT_EXPORTS = {
     "CorrelationModel",
@@ -71,3 +80,59 @@ def test_benchmark_trace_installs_and_restores():
     for t, fn in originals.items():
         assert getattr(importlib.import_module(f"corrcount.{t.module}"), t.function) is fn
     assert Pmf.__dict__["from_values"] is from_values
+
+
+CLI_PROBE = """
+import contextlib, io, sys
+from corrcount import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main({argv!r})
+    except SystemExit as exc:  # argparse ends --help this way
+        code = exc.code
+print(code)
+"""
+
+
+def fresh_modules(code: str) -> tuple[str, set[str]]:
+    """(stdout before the last line, sys.modules) after ``code`` runs in a new interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        capture_output=True, text=True, check=True, env=subprocess_env(),
+    )
+    *head, modules = done.stdout.splitlines()
+    return "\n".join(head), set(modules.split())
+
+
+@pytest.mark.parametrize("statement", ["import corrcount", "import corrcount.cli"])
+def test_package_import_loads_every_traced_module_but_not_numpy(statement):
+    traced = {f"corrcount.{t.module}" for t in load_tracer().TARGETS} | {"corrcount.core"}
+    _, modules = fresh_modules(statement)
+    assert traced <= modules
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--help"], 0),
+        (["limit-pmf"], 3),
+        (["limit-pmf", "--c", "10000,500,10,0.5", "--format", "json"], 0),
+        (["oracle-pmf", "--n", "1000", "--mixture", "0.2:0.5,0.6:0.5"], 0),
+    ],
+)
+def test_scalar_commands_never_import_numpy(argv, code):
+    out, modules = fresh_modules(CLI_PROBE.format(argv=argv))
+    assert out == str(code)
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["finite-pmf", "--n", "200", "--c", "3,0.6"], ["cf", "--c", "2", "--u", "0:1:5"]],
+)
+def test_array_commands_do_not_import_numpy_random(argv):
+    out, modules = fresh_modules(CLI_PROBE.format(argv=argv))
+    assert out == "0"
+    assert "numpy" in modules
+    assert "numpy.random" not in modules
