@@ -91,6 +91,19 @@ class TestValidateSeed:
         validate_seed(np.int64(7))
 
     @pytest.mark.parametrize(
+        "seed", [2 ** 70, True, False, np.uint8(7), np.int32(0)]
+    )
+    def test_bools_big_and_numpy_integers_accepted(self, seed):
+        validate_seed(seed)
+
+    @pytest.mark.parametrize(
+        "seed", [-1, np.int64(-3), 3.0, np.float64(3.0), "3", None, np.True_]
+    )
+    def test_other_seeds_refused(self, seed):
+        with pytest.raises(OutOfRangeError, match="non-negative integer"):
+            validate_seed(seed)
+
+    @pytest.mark.parametrize(
         "call",
         [
             lambda seed: sample_counts(Pmf.from_values([0.5, 0.5]), 10, seed),
