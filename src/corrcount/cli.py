@@ -11,7 +11,6 @@ failed during verify.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -98,6 +97,8 @@ def _parse_ugrid(text: str) -> np.ndarray:
 
 def _resolve_model(args, need_n: bool) -> CorrelationModel:
     if getattr(args, "model", None):
+        import json
+
         try:
             with open(args.model, encoding="utf-8") as fh:
                 model = CorrelationModel.from_json(fh.read())
@@ -116,6 +117,8 @@ def _resolve_model(args, need_n: bool) -> CorrelationModel:
 
 def _emit_pmf(pmf: Pmf, fmt: str) -> None:
     if fmt == "json":
+        import json
+
         payload = {
             "p": list(pmf.values),
             "tail_bound": pmf.tail_bound,
@@ -166,6 +169,8 @@ def _cmd_cf(args) -> int:
     model = _resolve_model(args, need_n=False)
     grid = char_fn(model, _parse_ugrid(args.u))
     if args.format == "json":
+        import json
+
         payload = {
             "u": list(grid.u),
             "re": [z.real for z in grid.chi],
@@ -328,6 +333,8 @@ _CONFIG_FLAGS = {
 
 
 def _argv_from_config(path: str) -> list[str]:
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)

@@ -15,11 +15,9 @@ All types are immutable after construction and all operations are pure,
 so everything here is safe for unrestricted concurrent use.
 """
 
-import json
 import math
-import numbers
+import operator
 import warnings
-from dataclasses import dataclass
 
 __all__ = [
     "ADMISSIBILITY_TOL",
@@ -41,6 +39,7 @@ __all__ = [
     "InvalidDistributionError",
     "IdentityCheckError",
     "TrailingZeroWarning",
+    "Record",
     "CorrelationModel",
     "SymmetricTable",
     "ExchangeableJoint",
@@ -121,8 +120,41 @@ class TrailingZeroWarning(UserWarning):
     """
 
 
-@dataclass(frozen=True)
-class CorrelationModel:
+class Record:
+    """Immutable value with equality, hash and repr over ``_fields``.
+
+    A subclass names its fields in ``_fields`` and passes their final
+    values, in that order, to ``Record.__init__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class CorrelationModel(Record):
     """Coefficient vector (C_1, ..., C_{l_max}) with an optional event count N.
 
     ``c`` is ordered C_1, ..., C_{l_max}; use :meth:`coefficient` for
@@ -130,12 +162,10 @@ class CorrelationModel:
     positive integer >= l_max for finite-N ones.
     """
 
-    l_max: int
-    c: tuple[float, ...]
-    n: int | None = None
+    _fields = ("l_max", "c", "n")
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", tuple(float(x) for x in self.c))
+    def __init__(self, l_max: int, c, n: int | None = None):
+        super().__init__(l_max, tuple(float(x) for x in c), n)
 
     @classmethod
     def from_coefficients(cls, c, n=None) -> "CorrelationModel":
@@ -152,6 +182,8 @@ class CorrelationModel:
         return {"l_max": self.l_max, "c": list(self.c), "n": self.n}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
@@ -168,6 +200,8 @@ class CorrelationModel:
 
     @classmethod
     def from_json(cls, text: str) -> "CorrelationModel":
+        import json
+
         return cls.from_json_dict(json.loads(text))
 
 
@@ -213,12 +247,15 @@ def validate_seed(seed: int) -> None:
     Raises:
         OutOfRangeError: the seed is not an integer or is negative.
     """
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    try:
+        valid = operator.index(seed) >= 0
+    except TypeError:  # not an integer: a float, a string, numpy's bool
+        valid = False
+    if not valid:
         raise OutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-@dataclass(frozen=True)
-class SymmetricTable:
+class SymmetricTable(Record):
     """A symmetric function on {0,1}^k stored by number of ones.
 
     ``values[m]`` is the function value at any argument pattern with
@@ -226,24 +263,22 @@ class SymmetricTable:
     small orders so symmetry can be tested rather than assumed.
     """
 
-    order: int
-    kind: str
-    values: tuple[float, ...]
+    _fields = ("order", "kind", "values")
 
     #: per-pattern views are limited to 2^12 entries
     MAX_EXPANDED_ORDER = 12
 
-    def __post_init__(self):
-        if self.kind not in (KIND_PROBABILITY, KIND_CORRELATION):
-            raise BadShapeError(f"unknown table kind {self.kind!r}")
-        if not isinstance(self.order, int) or self.order < 1:
-            raise BadShapeError(f"order must be a positive integer, got {self.order!r}")
-        object.__setattr__(self, "values", tuple(float(x) for x in self.values))
-        if len(self.values) != self.order + 1:
+    def __init__(self, order: int, kind: str, values):
+        if kind not in (KIND_PROBABILITY, KIND_CORRELATION):
+            raise BadShapeError(f"unknown table kind {kind!r}")
+        if not isinstance(order, int) or order < 1:
+            raise BadShapeError(f"order must be a positive integer, got {order!r}")
+        values = tuple(float(x) for x in values)
+        if len(values) != order + 1:
             raise BadShapeError(
-                f"order {self.order} needs {self.order + 1} values, "
-                f"got {len(self.values)}"
+                f"order {order} needs {order + 1} values, got {len(values)}"
             )
+        super().__init__(order, kind, values)
 
     @classmethod
     def probability(cls, values) -> "SymmetricTable":
@@ -297,47 +332,40 @@ class SymmetricTable:
         return out
 
 
-@dataclass(frozen=True)
-class ExchangeableJoint:
+class ExchangeableJoint(Record):
     """Joint distribution of N exchangeable binary events.
 
     ``pattern_weight[m]`` is the probability of any single outcome pattern
     with exactly m ones; the C(N, m)-fold multiplicity is implicit.
     """
 
-    n: int
-    pattern_weight: tuple[float, ...]
+    _fields = ("n", "pattern_weight")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise BadShapeError(f"n must be a positive integer, got {self.n!r}")
-        if self.n > MAX_JOINT_EVENTS:
+    def __init__(self, n: int, pattern_weight):
+        if not isinstance(n, int) or n < 1:
+            raise BadShapeError(f"n must be a positive integer, got {n!r}")
+        if n > MAX_JOINT_EVENTS:
             raise OutOfRangeError(
-                f"joint of n = {self.n} events exceeds the supported ceiling "
+                f"joint of n = {n} events exceeds the supported ceiling "
                 f"{MAX_JOINT_EVENTS}"
             )
-        object.__setattr__(
-            self, "pattern_weight", tuple(float(x) for x in self.pattern_weight)
-        )
-        if len(self.pattern_weight) != self.n + 1:
+        pattern_weight = tuple(float(x) for x in pattern_weight)
+        if len(pattern_weight) != n + 1:
             raise BadShapeError(
-                f"n = {self.n} needs {self.n + 1} pattern weights, "
-                f"got {len(self.pattern_weight)}"
+                f"n = {n} needs {n + 1} pattern weights, got {len(pattern_weight)}"
             )
-        for w in self.pattern_weight:
+        for w in pattern_weight:
             if not math.isfinite(w):
                 raise NonFiniteError(f"pattern weight {w!r} is not finite")
             if w < 0.0:
                 raise InvalidDistributionError(f"negative pattern weight {w!r}")
-        total = math.fsum(
-            math.comb(self.n, m) * w for m, w in enumerate(self.pattern_weight)
-        )
+        total = math.fsum(math.comb(n, m) * w for m, w in enumerate(pattern_weight))
         if abs(total - 1.0) > TABLE_TOL:
             raise InvalidDistributionError(f"joint mass sums to {total!r}, not 1")
+        super().__init__(n, pattern_weight)
 
 
-@dataclass(frozen=True)
-class Pmf:
+class Pmf(Record):
     """Count distribution on {0, ..., s_max} with an explicit tail bound.
 
     ``admissible`` is False when some entry falls below -ADMISSIBILITY_TOL,
@@ -345,15 +373,19 @@ class Pmf:
     probability model; the signed values are kept for inspection.
     """
 
-    values: tuple[float, ...]
-    tail_bound: float = 0.0
-    admissible: bool = True
-    error_estimate: float = 0.0
+    _fields = ("values", "tail_bound", "admissible", "error_estimate")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(x) for x in self.values))
-        if not self.values:
+    def __init__(
+        self,
+        values,
+        tail_bound: float = 0.0,
+        admissible: bool = True,
+        error_estimate: float = 0.0,
+    ):
+        values = tuple(float(x) for x in values)
+        if not values:
             raise BadShapeError("pmf needs at least one entry")
+        super().__init__(values, tail_bound, admissible, error_estimate)
 
     @classmethod
     def from_values(cls, values, tail_bound=0.0, error_estimate=0.0) -> "Pmf":
@@ -362,7 +394,7 @@ class Pmf:
             tail_bound=float(tail_bound),
             error_estimate=float(error_estimate),
         )
-        # __post_init__ has converted the values; flag them without a copy.
+        # __init__ has converted the values; flag them without a copy.
         finite = all(math.isfinite(v) for v in pmf.values)
         admissible = finite and min(pmf.values) >= -ADMISSIBILITY_TOL
         object.__setattr__(pmf, "admissible", admissible)
@@ -384,20 +416,17 @@ class Pmf:
         return s, self.values[s]
 
 
-@dataclass(frozen=True)
-class CfGrid:
+class CfGrid(Record):
     """Characteristic-function samples chi(u) on a grid of real arguments."""
 
-    u: tuple[float, ...]
-    chi: tuple[complex, ...]
+    _fields = ("u", "chi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(float(x) for x in self.u))
-        object.__setattr__(self, "chi", tuple(complex(z) for z in self.chi))
-        if len(self.u) != len(self.chi):
-            raise BadShapeError(
-                f"grid length {len(self.u)} != value count {len(self.chi)}"
-            )
+    def __init__(self, u, chi):
+        u = tuple(float(x) for x in u)
+        chi = tuple(complex(z) for z in chi)
+        if len(u) != len(chi):
+            raise BadShapeError(f"grid length {len(u)} != value count {len(chi)}")
+        super().__init__(u, chi)
 
 
 def correlation_coefficient(table: SymmetricTable, n: int) -> float:

@@ -25,7 +25,6 @@ import math
 import operator
 import sys
 from collections import deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -35,6 +34,7 @@ from .core import (
     IdentityCheckError,
     NonFiniteError,
     Pmf,
+    Record,
     SeriesOverflowError,
     validate_model,
 )
@@ -62,18 +62,18 @@ _FIRST_WIDTH = 256
 _CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class BivariatePolynomial:
+class BivariatePolynomial(Record):
     """Coefficients a[d][t] of sum_d sum_t a x^d y^t, 1 <= d <= degree, 0 <= t <= d."""
 
-    rows: tuple[tuple[float, ...], ...]
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        for d, row in enumerate(self.rows, start=1):
+    def __init__(self, rows: tuple[tuple[float, ...], ...]):
+        for d, row in enumerate(rows, start=1):
             if len(row) != d + 1:
                 raise BadShapeError(
                     f"x-degree {d} needs {d + 1} y-coefficients, got {len(row)}"
                 )
+        super().__init__(rows)
 
     @property
     def degree(self) -> int:

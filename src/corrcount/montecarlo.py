@@ -14,9 +14,7 @@ PCG64(seed) stream.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -27,6 +25,7 @@ from .core import (
     InadmissiblePmfError,
     OutOfRangeError,
     Pmf,
+    Record,
     TooFewSamplesError,
     validate_seed,
 )
@@ -50,15 +49,13 @@ DEFAULT_BOOTSTRAP = 200
 MAX_ESTIMATE_ORDER = 4
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
+class MixtureSpec(Record):
     """Atoms (p, weight) of a finite mixture of iid Bernoulli sequences."""
 
-    atoms: tuple[tuple[float, float], ...]
+    _fields = ("atoms",)
 
-    def __post_init__(self):
-        atoms = tuple((float(p), float(w)) for p, w in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
+    def __init__(self, atoms):
+        atoms = tuple((float(p), float(w)) for p, w in atoms)
         if not atoms:
             raise BadSpecError("mixture needs at least one atom")
         for p, w in atoms:
@@ -71,16 +68,22 @@ class MixtureSpec:
         total = math.fsum(w for _, w in atoms)
         if abs(total - 1.0) > 1e-12:
             raise BadSpecError(f"atom weights sum to {total!r}, not 1")
+        super().__init__(atoms)
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(Record):
     """Plug-in coefficient estimates with bootstrap standard errors."""
 
-    c_hat: tuple[float, ...]
-    std_err: tuple[float, ...]
-    n_samples: int
-    n_bootstrap: int
+    _fields = ("c_hat", "std_err", "n_samples", "n_bootstrap")
+
+    def __init__(
+        self,
+        c_hat: tuple[float, ...],
+        std_err: tuple[float, ...],
+        n_samples: int,
+        n_bootstrap: int,
+    ):
+        super().__init__(c_hat, std_err, n_samples, n_bootstrap)
 
     def to_json_dict(self) -> dict:
         return {
@@ -91,6 +94,8 @@ class EstimateReport:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 

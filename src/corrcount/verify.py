@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import (
     CorrelationModel,
     OutOfRangeError,
+    Record,
     TrailingZeroWarning,
     correlation_coefficient,
     validate_seed,
@@ -46,13 +46,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    tolerance: float
-    worst: float
-    passed: bool
-    detail: str = ""
+class IdentityCheck(Record):
+    _fields = ("name", "tolerance", "worst", "passed", "detail")
+
+    def __init__(
+        self, name: str, tolerance: float, worst: float, passed: bool, detail: str = ""
+    ):
+        super().__init__(name, tolerance, worst, passed, detail)
 
 
 def random_mixture_spec(rng: np.random.Generator) -> MixtureSpec:

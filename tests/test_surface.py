@@ -5,7 +5,8 @@ move in the package would make the traced benchmark pass fail, so each of
 its targets is resolved here.  The tracer finds the modules in
 ``sys.modules`` right after ``import corrcount`` and ``import
 corrcount.cli``, so those imports must load all of them; and they must
-not load numpy, which only the commands that compute with arrays import.
+not load numpy, which only the commands that compute with arrays import,
+nor the other modules in ``START_UP_FREE``, which every job would pay for.
 """
 
 import importlib
@@ -110,6 +111,23 @@ def test_package_import_loads_every_traced_module_but_not_numpy(statement):
     _, modules = fresh_modules(statement)
     assert traced <= modules
     assert "numpy" not in modules
+
+
+SUBMODULES = {
+    f"corrcount.{name}"
+    for name in ("core", "finite", "limit", "montecarlo", "ursell", "verify")
+}
+# Each costs start-up time that no command needs before it runs.
+START_UP_FREE = {"dataclasses", "inspect", "json", "numbers", "numpy"}
+
+
+def test_cli_import_adds_only_what_starting_needs():
+    # Measured against a bare interpreter, whose `site` may preload modules.
+    _, baseline = fresh_modules("pass")
+    _, modules = fresh_modules("import corrcount.cli")
+    added = modules - baseline
+    assert SUBMODULES <= added
+    assert not added & START_UP_FREE
 
 
 @pytest.mark.parametrize(
