@@ -191,11 +191,13 @@ def _cmd_sample(args) -> int:
     else:
         pmf = limit_pmf(model, mass_tolerance=args.tol)
     counts = sample_counts(pmf, args.count, args.seed)
+    # Counts lie in the pmf support, so one line per possible count is a
+    # small table, and looking lines up beats formatting each count.
+    lines = [f"{k}\n" for k in range(int(counts.max()) + 1)]
     out = sys.stdout
     for chunk_start in range(0, len(counts), 65536):
         chunk = counts[chunk_start : chunk_start + 65536]
-        out.write("\n".join(map(str, chunk.tolist())))
-        out.write("\n")
+        out.write("".join(map(lines.__getitem__, chunk.tolist())))
     return EXIT_OK
 
 

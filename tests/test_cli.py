@@ -167,6 +167,19 @@ class TestSampleAndEstimate:
         assert first == second
         assert len(first.strip().splitlines()) == 1000
 
+    def test_sample_lines_are_the_counts_formatted_by_str(self, capsys):
+        from corrcount import limit_pmf, sample_counts
+        from corrcount.core import CorrelationModel
+
+        code, out, _ = run_cli(
+            capsys, "sample", "--c", "12", "--count", "70000", "--seed", "5"
+        )
+        assert code == 0
+        pmf = limit_pmf(CorrelationModel.from_coefficients([12.0]), mass_tolerance=1e-12)
+        counts = sample_counts(pmf, 70000, 5).tolist()
+        assert min(counts) < 10 <= max(counts)
+        assert out == "".join(str(k) + "\n" for k in counts)
+
     def test_sample_inadmissible_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "sample", "--c", "0.1,-5", "--count", "10", "--seed", "1"
