@@ -91,7 +91,8 @@ def char_fn(model: CorrelationModel, u_grid) -> CfGrid:
 
     Raises:
         OutOfRangeError: more than MAX_POINTS grid points.
-        NonFiniteError: a grid point is NaN or infinite.
+        NonFiniteError: a grid point is NaN or infinite, or chi(u)
+            overflows double precision.
     """
     import numpy as np
 
@@ -105,7 +106,15 @@ def char_fn(model: CorrelationModel, u_grid) -> CfGrid:
     if bad.size:
         i = int(bad[0])
         raise NonFiniteError(f"u[{i}] = {float(u[i])!r} is not finite")
-    chi = np.exp(np.polyval(q[::-1], np.exp(1j * u)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi = np.exp(np.polyval(q[::-1], np.exp(1j * u)))
+    bad = np.flatnonzero(~np.isfinite(chi))
+    if bad.size:
+        i = int(bad[0])
+        raise NonFiniteError(
+            f"chi(u[{i}] = {float(u[i])!r}) = {complex(chi[i])!r} is not finite: "
+            "exp(Q(e^iu)) overflowed double precision"
+        )
     return CfGrid(tuple(u.tolist()), tuple(chi.tolist()))
 
 

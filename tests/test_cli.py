@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -376,6 +377,22 @@ class TestBadInput:
         assert code == 3
         assert out == ""
         assert err.startswith("error: p_N(0) = ")
+        assert "is not finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cf", "--c=-1000", "--u=0:3:3"],
+            ["cf", "--c", "2,400", "--u", "0:3:3", "--format", "json"],
+        ],
+    )
+    def test_cf_overflow_exit_3(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning fails the test
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""  # no inf rows, no Infinity in JSON
+        assert err.startswith("error: chi(u[")
         assert "is not finite" in err
 
     def test_estimate_count_above_ceiling_exit_3(self, capsys, tmp_path):

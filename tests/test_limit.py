@@ -84,6 +84,13 @@ class TestCharFn:
         with pytest.raises(NonFiniteError, match=rf"u\[1\] = {bad!r} is not finite"):
             char_fn(model, [0.0, bad, 1.0, math.nan])
 
+    def test_overflowing_chi_refused(self):
+        # Q(e^{iu}) = -1000 (e^{iu} - 1), so Re Q(e^{1.5i}) = 929 > log(max double)
+        model = CorrelationModel.from_coefficients([-1000.0])
+        assert char_fn(model, [0.0]).chi == (1.0,)
+        with pytest.raises(NonFiniteError, match=r"chi\(u\[1\] = 1\.5\) = .* is not finite"):
+            char_fn(model, [0.0, 1.5, 3.0])
+
     def test_modulus_bounded_for_admissible_models(self, rng):
         for _ in range(5):
             model = random_admissible_model(rng)
