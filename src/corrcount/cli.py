@@ -97,12 +97,11 @@ def _parse_ugrid(text: str) -> np.ndarray:
 
 def _resolve_model(args, need_n: bool) -> CorrelationModel:
     if getattr(args, "model", None):
-        import json
-
         try:
             with open(args.model, encoding="utf-8") as fh:
                 model = CorrelationModel.from_json(fh.read())
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError: bytes that are not UTF-8, or text that is not JSON
+        except (OSError, ValueError) as exc:
             raise _UsageError(f"cannot read model file {args.model}: {exc}") from exc
     elif getattr(args, "c", None):
         model = CorrelationModel.from_coefficients(_parse_coefficients(args.c))
@@ -340,7 +339,7 @@ def _argv_from_config(path: str) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # as for a model file
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict) or "command" not in config:
         raise _UsageError(f"config {path} must be an object with a 'command' key")

@@ -454,6 +454,19 @@ class TestBadInput:
         code, _, _ = run_cli(capsys, "limit-pmf", "--model", str(path))
         assert code == 3
 
+    @pytest.mark.parametrize("flag", ["--model", "--config"])
+    @pytest.mark.parametrize(
+        "data", [b'{"l_max": 1,', b'\xff\xfe{"l_max": 1}'], ids=["not-json", "not-utf8"]
+    )
+    def test_unreadable_json_file_exit_3(self, capsys, tmp_path, flag, data):
+        path = tmp_path / "job.json"
+        path.write_bytes(data)
+        argv = [flag, str(path)] if flag == "--config" else ["limit-pmf", flag, str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: cannot read {flag[2:]} ")
+
     def test_config_and_subcommand_conflict(self, capsys, tmp_path):
         path = tmp_path / "job.json"
         path.write_text(json.dumps({"command": "limit-pmf", "c": "1.0"}))
