@@ -100,8 +100,7 @@ def _resolve_model(args, need_n: bool) -> CorrelationModel:
         try:
             with open(args.model, encoding="utf-8") as fh:
                 model = CorrelationModel.from_json(fh.read())
-        # ValueError: bytes that are not UTF-8, or text that is not JSON
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise _UsageError(f"cannot read model file {args.model}: {exc}") from exc
     elif getattr(args, "c", None):
         model = CorrelationModel.from_coefficients(_parse_coefficients(args.c))
@@ -339,7 +338,7 @@ def _argv_from_config(path: str) -> list[str]:
     try:
         with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, ValueError) as exc:  # as for a model file
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict) or "command" not in config:
         raise _UsageError(f"config {path} must be an object with a 'command' key")
