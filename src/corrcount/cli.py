@@ -14,6 +14,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -23,6 +24,7 @@ from .core import (
     IdentityCheckError,
     InadmissiblePmfError,
     Pmf,
+    TrailingZeroWarning,
 )
 from .finite import count_pmf_from_joint, finite_count_pmf
 from .limit import char_fn, limit_pmf
@@ -363,39 +365,48 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.command is not None and args.config:
-            raise _UsageError("pass either a subcommand or --config, not both")
-        if args.command is None:
-            if not args.config:
-                raise _UsageError("a subcommand or --config is required")
-            args = parser.parse_args(_argv_from_config(args.config))
+    with warnings.catch_warnings():
+        shown = warnings.showwarning
+
+        def show(message, category, *args, **kwargs):
+            if category is not TrailingZeroWarning:
+                return shown(message, category, *args, **kwargs)
+            print(f"warning: {message}", file=sys.stderr)  # one line, no source
+
+        warnings.showwarning = show
+        try:
+            args = parser.parse_args(argv)
+            if args.command is not None and args.config:
+                raise _UsageError("pass either a subcommand or --config, not both")
             if args.command is None:
-                raise _UsageError("config did not name a subcommand")
-        code = args.func(args)
-        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
-        return code
-    except BrokenPipeError:
-        # The reader left (e.g. `| head`).  Point stdout at devnull so the
-        # flush at interpreter exit stays quiet, as the Python docs' note
-        # on SIGPIPE advises.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_BROKEN_PIPE
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except InadmissiblePmfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
-    except IdentityCheckError as exc:
-        print(f"internal identity violation: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    except CorrcountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+                if not args.config:
+                    raise _UsageError("a subcommand or --config is required")
+                args = parser.parse_args(_argv_from_config(args.config))
+                if args.command is None:
+                    raise _UsageError("config did not name a subcommand")
+            code = args.func(args)
+            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+            return code
+        except BrokenPipeError:
+            # The reader left (e.g. `| head`).  Point stdout at devnull so the
+            # flush at interpreter exit stays quiet, as the Python docs' note
+            # on SIGPIPE advises.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_BROKEN_PIPE
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        except InadmissiblePmfError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INADMISSIBLE
+        except IdentityCheckError as exc:
+            print(f"internal identity violation: {exc}", file=sys.stderr)
+            return EXIT_VERIFY_FAILED
+        except CorrcountError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

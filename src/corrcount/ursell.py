@@ -2,23 +2,21 @@
 
 Marginals of a joint give probability tables P_k; subtracting every
 factorized lower-order contribution gives the connected correlation tables
-G_k.  Two equivalent routes are implemented: the literal recursion over
-argument permutations (kept on the expanded per-pattern view, so symmetry
-and sign identities can be tested from first principles) and the
-set-partition sum used as the production path.  The recursion computes
-every one of the 2^k patterns and never uses symmetry, but it runs one
-order on all patterns at once: (k-1)! * (k-1) vector steps, one per
-permutation and split, over arrays of 2^k entries.  The inverse
-reconstruction P-from-G and the partition enumerator they share live here
-too.
+G_k.  Two equivalent routes are implemented.  The literal recursion over
+argument permutations is kept on the expanded per-pattern view, so
+symmetry and sign identities can be tested from first principles; it runs
+one order on all 2^k patterns at once, in (k-1)! * (k-1) vector steps.
+The production path uses that P_k sums the product of G over the blocks
+of every set partition, and that an exchangeable table depends only on a
+block's size and number of ones: so P is the exponential of G as
+bivariate series, and G its logarithm, with no partition enumerated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -26,6 +24,7 @@ from .core import (
     KIND_PROBABILITY,
     BadShapeError,
     ExchangeableJoint,
+    NonFiniteError,
     OutOfRangeError,
     SymmetricTable,
 )
@@ -34,9 +33,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "PARTITION_MAX_ORDER",
     "RECURSION_MAX_ORDER",
-    "enumerate_set_partitions",
     "marginalize",
     "correlation_recursive",
     "correlation_recursive_expanded",
@@ -44,42 +41,9 @@ __all__ = [
     "probability_from_correlations",
 ]
 
-# Bell(12) = 4,213,597 terms is the enumeration ceiling; refuse beyond.
-PARTITION_MAX_ORDER = 12
 # The literal recursion's top order takes (k-1)! * (k-1) vector steps over
 # 2^k patterns: about 0.5 s at k = 8, 7 s at k = 9 and 85 s at k = 10.
 RECURSION_MAX_ORDER = 10
-
-
-def enumerate_set_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every set partition of {1, ..., k} exactly once, as its blocks.
-
-    Partitions appear in the lexicographic order of their restricted-growth
-    strings (element i joins an existing block, in block-creation order,
-    before opening a new one), which makes every yielded partition
-    canonical: elements ascend within each block and blocks are ordered by
-    their smallest element.  The stream length is the Bell number of k.
-    """
-    if not isinstance(k, int) or not 1 <= k <= PARTITION_MAX_ORDER:
-        raise OutOfRangeError(
-            f"partition enumeration supports 1 <= k <= {PARTITION_MAX_ORDER}, got {k!r}"
-        )
-
-    blocks: list[list[int]] = [[1]]
-
-    def extend(element: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if element > k:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for block in blocks:
-            block.append(element)
-            yield from extend(element + 1)
-            block.pop()
-        blocks.append([element])
-        yield from extend(element + 1)
-        blocks.pop()
-
-    yield from extend(2)
 
 
 def marginalize(joint: ExchangeableJoint, k: int) -> SymmetricTable:
@@ -193,55 +157,77 @@ def correlation_recursive(p_tables: Sequence[SymmetricTable]) -> SymmetricTable:
     return SymmetricTable.correlation(values)
 
 
-def _block_product(g, blocks, m) -> float:
-    prod = 1.0
-    for block in blocks:
-        # elements <= m are the ones under the canonical m-ones pattern
-        prod *= g[len(block)][bisect_right(block, m)]
-    return prod
+def _exact_formula(
+    tables: Sequence[Sequence], log: bool
+) -> tuple[list[list[int]], int]:
+    """P_1..P_k from the values of G_1..G_k, or G from P if ``log``, exactly.
+
+    With class masses B_j[m] = C(j, m) P_j[m] and K_j[o] = C(j, o) G_j[o],
+    grouping partitions by the block of size j holding the first event
+    gives B_n = K_n + sum_{j<n} C(n-1, j-1) (K_j * B_{n-j}), B_0 = [1], with
+    * the convolution over the count of ones: the degree-n part of
+    D exp(L) = exp(L) D L, for the series L of G, D = x d/dx + y d/dy.
+    Entries are floats or fractions; times D^j, D their common denominator,
+    order j is integral, and the recurrence is homogeneous in the order.
+    Returns (numerators, D): entry m of order j is
+    numerators[j-1][m] / (C(j, m) D^j).
+    """
+    try:
+        ratios = [[v.as_integer_ratio() for v in values] for values in tables]
+    except (OverflowError, ValueError) as exc:  # inf or nan
+        raise NonFiniteError(f"table entries must be finite ({exc})") from exc
+    scale = math.lcm(*(den for values in ratios for _, den in values))
+    given = [
+        [math.comb(j, m) * num * (scale**j // den) for m, (num, den) in enumerate(row)]
+        for j, row in enumerate(ratios, start=1)
+    ]
+    out: list[list[int]] = []
+    for n in range(1, len(given) + 1):
+        lower, masses = (out, given) if log else (given, out)
+        rest = [0] * (n + 1)
+        for j in range(1, n):
+            weight = math.comb(n - 1, j - 1)
+            for o, a in enumerate(lower[j - 1]):
+                for t, b in enumerate(masses[n - j - 1]):
+                    rest[o + t] += weight * a * b
+        out.append([v - r if log else v + r for v, r in zip(given[n - 1], rest)])
+    return out, scale
 
 
-def _partition_orders(p_tables: Sequence[SymmetricTable]) -> list[SymmetricTable]:
-    """G_1..G_k by the set-partition sum, each order built once from below."""
-    k = _check_tables(p_tables, KIND_PROBABILITY)
-    if k > PARTITION_MAX_ORDER:
-        raise OutOfRangeError(f"partition route supports k <= {PARTITION_MAX_ORDER}")
-    g: dict[int, list[float]] = {1: list(p_tables[0].values)}
-    for j in range(2, k + 1):
-        disconnected = [0.0] * (j + 1)
-        for blocks in enumerate_set_partitions(j):
-            if len(blocks) == 1:
-                continue
-            for m in range(j + 1):
-                disconnected[m] += _block_product(g, blocks, m)
-        p_j = p_tables[j - 1].values
-        g[j] = [p_j[m] - disconnected[m] for m in range(j + 1)]
-    return [SymmetricTable.correlation(g[j]) for j in range(1, k + 1)]
+def _exponential_formula(tables: Sequence[Sequence], log: bool) -> list[list[float]]:
+    """:func:`_exact_formula`, each entry correctly rounded to a float."""
+    out, scale = _exact_formula(tables, log)
+    try:
+        return [
+            [v / (math.comb(j, m) * scale**j) for m, v in enumerate(values)]
+            for j, values in enumerate(out, start=1)
+        ]
+    except OverflowError as exc:
+        raise NonFiniteError(f"a table entry leaves the double range ({exc})") from exc
+
+
+def _correlation_orders(p_tables: Sequence[SymmetricTable]) -> list[SymmetricTable]:
+    """G_1..G_k of the probability tables P_1..P_k."""
+    _check_tables(p_tables, KIND_PROBABILITY)
+    values = _exponential_formula([table.values for table in p_tables], log=True)
+    return [SymmetricTable.correlation(g) for g in values]
 
 
 def correlation_partition(p_tables: Sequence[SymmetricTable]) -> SymmetricTable:
-    """Order-k correlation table via the set-partition sum, bottom-up.
+    """Order-k correlation table by the exponential formula.
 
     G_k = P_k - sum over partitions of {1..k} with >= 2 blocks of the
-    product of lower-order G values on each block.  Agrees with the
-    literal recursion wherever both are defined.
+    product of lower-order G on the blocks; each entry is the correctly
+    rounded exact value.  Agrees with the literal recursion.
     """
-    return _partition_orders(p_tables)[-1]
+    return _correlation_orders(p_tables)[-1]
 
 
 def probability_from_correlations(g_tables: Sequence[SymmetricTable]) -> SymmetricTable:
-    """Order-k probability table rebuilt from correlation tables.
+    """Order-k probability table, the inverse of :func:`correlation_partition`.
 
-    P_k = sum over all set partitions of {1..k} of the product of G values
-    on the blocks; the inverse of :func:`correlation_partition`.  Summing
-    the result over one argument reproduces the order k-1 reconstruction.
+    P_k = sum over all partitions of {1..k} of the product of G on the blocks.
     """
-    k = _check_tables(g_tables, KIND_CORRELATION)
-    if k > PARTITION_MAX_ORDER:
-        raise OutOfRangeError(f"partition route supports k <= {PARTITION_MAX_ORDER}")
-    g = {j: list(g_tables[j - 1].values) for j in range(1, k + 1)}
-    values = [0.0] * (k + 1)
-    for blocks in enumerate_set_partitions(k):
-        for m in range(k + 1):
-            values[m] += _block_product(g, blocks, m)
-    return SymmetricTable(order=k, kind=KIND_PROBABILITY, values=tuple(values))
+    _check_tables(g_tables, KIND_CORRELATION)
+    values = _exponential_formula([table.values for table in g_tables], log=False)[-1]
+    return SymmetricTable(order=len(values) - 1, kind=KIND_PROBABILITY, values=values)

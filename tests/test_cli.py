@@ -295,22 +295,30 @@ class TestVerifyCommand:
         assert len(lines) >= 7
         assert all(line.startswith("PASS") for line in lines)
 
-    def test_n_above_partition_ceiling_exit_3_at_once(self, capsys):
+    def test_n_above_ceiling_exit_3_at_once(self, capsys):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, "verify", "--n", "13", "--trials", "3")
+        code, out, err = run_cli(capsys, "verify", "--n", "21", "--trials", "3")
         assert time.perf_counter() - start < 5.0
         assert code == 3
         assert out == ""
-        assert "n <= 12" in err
+        assert err == "error: verify supports joint sizes 2 <= n <= 20, got 21\n"
+
+    def test_n_12_passes_quickly(self, capsys):
+        # The iid check runs on exact tables, so n^k cannot magnify rounding.
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "--n", "12", "--trials", "1")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        assert "PASS iid-correlation-free: max |err| = 0.000e+00" in out
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["--trials", "0"], "trials >= 1, got 0"),
             (["--trials", "-1"], "trials >= 1, got -1"),
-            (["--n", "1"], "2 <= n <= 12 (the partition route's order ceiling), got 1"),
-            (["--n", "0"], "2 <= n <= 12 (the partition route's order ceiling), got 0"),
-            (["--n", "-3"], "2 <= n <= 12 (the partition route's order ceiling), got -3"),
+            (["--n", "1"], "2 <= n <= 20, got 1"),
+            (["--n", "0"], "2 <= n <= 20, got 0"),
+            (["--n", "-3"], "2 <= n <= 20, got -3"),
         ],
     )
     def test_vacuous_run_exit_3_at_once(self, capsys, argv, message):
@@ -320,6 +328,25 @@ class TestVerifyCommand:
         assert code == 3
         assert out == ""
         assert message in err
+
+
+class TestWarnings:
+    @pytest.mark.parametrize(
+        "argv",
+        [["limit-pmf", "--c", "1,0"], ["finite-pmf", "--n", "5", "--c", "1,0"]],
+    )
+    def test_trailing_zero_is_one_line(self, argv):
+        # In a subprocess: the warning reaches stderr as a user would see it.
+        done = subprocess.run(
+            [sys.executable, "-m", "corrcount", *argv],
+            capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert done.returncode == 0
+        assert done.stdout.startswith("s,p\n")
+        assert done.stderr == (
+            "warning: C_2 = 0: model is correlated to an order below its "
+            "declared l_max\n"
+        )
 
 
 class TestBadInput:

@@ -118,7 +118,9 @@ SUBMODULES = {
     for name in ("core", "finite", "limit", "montecarlo", "ursell", "verify")
 }
 # Each costs start-up time that no command needs before it runs.
-START_UP_FREE = {"dataclasses", "inspect", "json", "numbers", "numpy"}
+START_UP_FREE = {
+    "dataclasses", "decimal", "fractions", "inspect", "json", "numbers", "numpy",
+}
 
 
 def test_cli_import_adds_only_what_starting_needs():

@@ -1,21 +1,25 @@
 import itertools
 import math
 import struct
+from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrcount import MixtureSpec, build_mixture_joint
-from corrcount.core import BadShapeError, OutOfRangeError, SymmetricTable
+from corrcount.core import BadShapeError, NonFiniteError, OutOfRangeError, SymmetricTable
 from corrcount.ursell import (
+    _correlation_orders,
+    _exact_formula,
     correlation_partition,
     correlation_recursive,
     correlation_recursive_expanded,
-    enumerate_set_partitions,
     marginalize,
     probability_from_correlations,
 )
+from corrcount.verify import measure_coefficients
 
 from conftest import ALL_OR_NOTHING_3, make_random_joint
 
@@ -31,6 +35,72 @@ def bell_recurrence(k):
 def iid_tables(p, k):
     joint = build_mixture_joint(MixtureSpec(((p, 1.0),)), k)
     return [marginalize(joint, j) for j in range(1, k + 1)]
+
+
+def enumerate_set_partitions(k):
+    """Yield every set partition of {1, ..., k} exactly once, as its blocks.
+
+    Partitions appear in the lexicographic order of their restricted-growth
+    strings (element i joins an existing block, in block-creation order,
+    before opening a new one), which makes every yielded partition
+    canonical: elements ascend within each block and blocks are ordered by
+    their smallest element.  The stream length is the Bell number of k.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    blocks = [[1]]
+
+    def extend(element):
+        if element > k:
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for block in blocks:
+            block.append(element)
+            yield from extend(element + 1)
+            block.pop()
+        blocks.append([element])
+        yield from extend(element + 1)
+        blocks.pop()
+
+    yield from extend(2)
+
+
+def block_product(g, blocks, m):
+    prod = 1.0
+    for block in blocks:
+        # elements <= m are the ones under the canonical m-ones pattern
+        prod *= g[len(block)][bisect_right(block, m)]
+    return prod
+
+
+def partition_orders(p_tables):
+    """G_1..G_k by the set-partition sum, each order built once from below.
+
+    The definition of the Ursell expansion, enumerated term by term: the
+    oracle for the exponential formula in corrcount.ursell.
+    """
+    g = {1: list(p_tables[0].values)}
+    for j in range(2, len(p_tables) + 1):
+        disconnected = [0.0] * (j + 1)
+        for blocks in enumerate_set_partitions(j):
+            if len(blocks) == 1:
+                continue
+            for m in range(j + 1):
+                disconnected[m] += block_product(g, blocks, m)
+        p_j = p_tables[j - 1].values
+        g[j] = [p_j[m] - disconnected[m] for m in range(j + 1)]
+    return [g[j] for j in range(1, len(p_tables) + 1)]
+
+
+def partition_probability(g_tables):
+    """P_k as the sum over all set partitions of the product of G on the blocks."""
+    k = len(g_tables)
+    g = {j: list(g_tables[j - 1].values) for j in range(1, k + 1)}
+    values = [0.0] * (k + 1)
+    for blocks in enumerate_set_partitions(k):
+        for m in range(k + 1):
+            values[m] += block_product(g, blocks, m)
+    return values
 
 
 def is_canonical(blocks):
@@ -76,10 +146,10 @@ class TestEnumerateSetPartitions:
         assert first == second
 
     def test_bounds(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(ValueError):
             list(enumerate_set_partitions(0))
-        with pytest.raises(OutOfRangeError):
-            list(enumerate_set_partitions(13))
+        with pytest.raises(ValueError):
+            list(enumerate_set_partitions(-1))
 
 
 class TestMarginalize:
@@ -333,12 +403,94 @@ class TestProbabilityFromCorrelations:
                 summed = full.values[m] + full.values[m + 1]
                 assert summed == pytest.approx(lower.values[m], abs=1e-13)
 
-    def test_order_cap(self):
-        zeros = [
-            SymmetricTable.correlation([0.0] * (k + 1)) for k in range(1, 14)
-        ]
-        with pytest.raises(OutOfRangeError):
-            probability_from_correlations(zeros)
+    def test_no_order_cap(self):
+        # the set-partition sum stopped at order 12; the series has no cap
+        p = 0.25
+        g1 = SymmetricTable.correlation([1 - p, p])
+        zeros = [SymmetricTable.correlation([0.0] * (k + 1)) for k in range(2, 22)]
+        table = probability_from_correlations([g1, *zeros])
+        assert table.order == 21
+        for m in range(22):
+            assert table.values[m] == pytest.approx(
+                p ** m * (1 - p) ** (21 - m), rel=1e-14
+            )
+
+    def test_non_finite_result_refused(self):
+        g1 = SymmetricTable.correlation([0.5, 0.5])
+        g2 = SymmetricTable.correlation([0.0, math.nan, 0.0])
+        with pytest.raises(NonFiniteError):
+            probability_from_correlations([g1, g2])
+
+
+def random_dyadic_tables(rng, k):
+    """Tables of order 1..k with entries i / 2^10, i in [-512, 512], as fractions."""
+    return [
+        [Fraction(int(i), 1024) for i in rng.integers(-512, 513, size=j + 1)]
+        for j in range(1, k + 1)
+    ]
+
+
+def exact_tables(tables, log):
+    numerators, scale = _exact_formula(tables, log)
+    return [
+        [Fraction(v, math.comb(j, m) * scale**j) for m, v in enumerate(values)]
+        for j, values in enumerate(numerators, start=1)
+    ]
+
+
+class TestExponentialFormula:
+    def test_log_matches_the_partition_sum(self, rng):
+        for n in [*range(2, 10), 9]:
+            joint = make_random_joint(rng, n=n)
+            p_tables = [marginalize(joint, k) for k in range(1, n + 1)]
+            want = partition_orders(p_tables)
+            got = _correlation_orders(p_tables)
+            for g, w in zip(got, want):
+                assert max(abs(a - b) for a, b in zip(g.values, w)) < 1e-12
+
+    def test_exp_matches_the_partition_sum(self, rng):
+        for n in [*range(2, 10), 9]:
+            joint = make_random_joint(rng, n=n)
+            p_tables = [marginalize(joint, k) for k in range(1, n + 1)]
+            g_tables = _correlation_orders(p_tables)
+            want = partition_probability(g_tables)
+            got = probability_from_correlations(g_tables).values
+            assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
+
+    @pytest.mark.parametrize("k", [5, 9, 14])
+    def test_exact_round_trips(self, rng, k):
+        tables = random_dyadic_tables(rng, k)
+        assert exact_tables(exact_tables(tables, log=True), log=False) == tables
+        assert exact_tables(exact_tables(tables, log=False), log=True) == tables
+
+    def test_results_are_correctly_rounded(self, rng):
+        # each float is the nearest double to the exact expansion
+        for n in (3, 6, 12):
+            joint = make_random_joint(rng, n=n)
+            p_tables = [marginalize(joint, k) for k in range(1, n + 1)]
+            exact = exact_tables([t.values for t in p_tables], log=True)
+            got = _correlation_orders(p_tables)
+            assert [list(g.values) for g in got] == [[float(v) for v in t] for t in exact]
+
+    def test_float_round_trip_at_order_20(self, rng):
+        # The exponential cancels G back to P <= 1, so its rounding scales
+        # with the largest |G|: 1e-12 of it, or of 1 when |G| is smaller.
+        for _ in range(6):
+            joint = make_random_joint(rng, n=20)
+            p_tables = [marginalize(joint, k) for k in range(1, 21)]
+            g_tables = _correlation_orders(p_tables)
+            scale = max(1.0, max(abs(v) for g in g_tables for v in g.values))
+            rebuilt = probability_from_correlations(g_tables)
+            worst = max(abs(a - b) for a, b in zip(rebuilt.values, p_tables[-1].values))
+            assert worst < 1e-12 * scale
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_float_iid_chain_is_correlation_free(self, n):
+        # 6n <= 53 bits: the float joint of a dyadic p is exact up to n = 8
+        for i in (4, 17, 32, 60):
+            joint = build_mixture_joint(MixtureSpec(((i / 64.0, 1.0),)), n)
+            coeffs = measure_coefficients(joint)
+            assert max(abs(c) for c in coeffs[1:]) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
