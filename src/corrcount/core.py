@@ -211,10 +211,11 @@ def validate_model(model: CorrelationModel) -> CorrelationModel:
     Emits :class:`TrailingZeroWarning` when C_{l_max} is exactly zero.
 
     Raises:
-        BadShapeError: l_max < 1, coefficient count mismatch, or n < l_max.
+        BadShapeError: l_max or n not a positive integer (a bool is not
+            one), coefficient count mismatch, or n < l_max.
         NonFiniteError: any coefficient is NaN or infinite.
     """
-    if not isinstance(model.l_max, int) or model.l_max < 1:
+    if isinstance(model.l_max, bool) or not isinstance(model.l_max, int) or model.l_max < 1:
         raise BadShapeError(f"l_max must be a positive integer, got {model.l_max!r}")
     if len(model.c) != model.l_max:
         raise BadShapeError(
@@ -224,7 +225,7 @@ def validate_model(model: CorrelationModel) -> CorrelationModel:
         if not math.isfinite(value):
             raise NonFiniteError(f"C_{l} = {value!r} is not finite")
     if model.n is not None:
-        if not isinstance(model.n, int) or model.n < 1:
+        if isinstance(model.n, bool) or not isinstance(model.n, int) or model.n < 1:
             raise BadShapeError(f"n must be a positive integer, got {model.n!r}")
         if model.n < model.l_max:
             raise BadShapeError(f"n = {model.n} is below l_max = {model.l_max}")
@@ -259,14 +260,10 @@ class SymmetricTable(Record):
     """A symmetric function on {0,1}^k stored by number of ones.
 
     ``values[m]`` is the function value at any argument pattern with
-    exactly m ones; :meth:`expanded` materializes the per-pattern view for
-    small orders so symmetry can be tested rather than assumed.
+    exactly m ones.
     """
 
     _fields = ("order", "kind", "values")
-
-    #: per-pattern views are limited to 2^12 entries
-    MAX_EXPANDED_ORDER = 12
 
     def __init__(self, order: int, kind: str, values):
         if kind not in (KIND_PROBABILITY, KIND_CORRELATION):
@@ -307,29 +304,6 @@ class SymmetricTable(Record):
             raise InvalidDistributionError(
                 f"pattern masses sum to {total!r}, not 1"
             )
-
-    def value_at(self, pattern) -> float:
-        """Value at an explicit pattern of 0/1 arguments."""
-        pattern = tuple(pattern)
-        if len(pattern) != self.order:
-            raise BadShapeError(
-                f"pattern length {len(pattern)} != order {self.order}"
-            )
-        if any(r not in (0, 1) for r in pattern):
-            raise OutOfRangeError(f"pattern entries must be 0 or 1: {pattern}")
-        return self.values[sum(pattern)]
-
-    def expanded(self) -> dict[tuple[int, ...], float]:
-        """Per-pattern dictionary over all 2^order argument patterns."""
-        if self.order > self.MAX_EXPANDED_ORDER:
-            raise OutOfRangeError(
-                f"expanded view limited to order {self.MAX_EXPANDED_ORDER}"
-            )
-        out = {}
-        for bits in range(2 ** self.order):
-            pattern = tuple((bits >> i) & 1 for i in range(self.order))
-            out[pattern] = self.values[sum(pattern)]
-        return out
 
 
 class ExchangeableJoint(Record):

@@ -148,13 +148,16 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
     mass (``tail_bound``) is within ``mass_tolerance``.  The recurrence then
     runs once on p(n) 2^-e, seeded with exp(q_0 - e ln 2), e = 0 whenever
     exp(q_0) is a normal double; 2^500 moves into e whenever an entry passes
-    2^500 (exact).  The drift |1 - sum p| is the ``error_estimate``.
+    2^500 (exact).  The drift |1 - sum p| is the ``error_estimate``.  The
+    rounded q sum to Q(1) = fsum(q), not 0, so the exact series has mass
+    exp(Q(1)), and the drift budget includes |exp(Q(1)) - 1|.
 
     Raises:
         OutOfRangeError: mass_tolerance outside (0, 1e-6] or exp(q_0) overflows.
         NonConvergentError: the tail bound needs more than SUPPORT_CAP
-            entries, or the drift exceeds mass_tolerance plus one rounding
-            per entry (cancellation swamps the series).
+            entries, or the drift exceeds mass_tolerance plus the rounding
+            of q plus one rounding per entry (cancellation swamps the
+            series).
     """
     if not 0.0 < mass_tolerance <= 1e-6:
         raise OutOfRangeError(
@@ -197,7 +200,8 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
         drift = math.inf
     while len(p) > 1 and p[-1] == 0.0:
         p.pop()
-    if not drift <= mass_tolerance + len(p) * sys.float_info.epsilon:
+    rounding = abs(math.expm1(math.fsum(q))) + len(p) * sys.float_info.epsilon
+    if not drift <= mass_tolerance + rounding:
         raise NonConvergentError(
             f"pmf mass drifts from 1 by {drift:.3e}, above tolerance {mass_tolerance} "
             "plus rounding: cancellation swamps coefficients far from admissible"

@@ -3,9 +3,9 @@
 Marginals of a joint give probability tables P_k; subtracting every
 factorized lower-order contribution gives the connected correlation tables
 G_k.  Two equivalent routes are implemented.  The literal recursion over
-argument permutations is kept on the expanded per-pattern view, so
-symmetry and sign identities can be tested from first principles; it runs
-one order on all 2^k patterns at once, in (k-1)! * (k-1) vector steps.
+argument permutations is kept on all 2^k argument patterns, so symmetry
+and sign identities can be tested from first principles; it runs one
+order on all patterns at once, in (k-1)! * (k-1) vector steps.
 The production path uses that P_k sums the product of G over the blocks
 of every set partition, and that an exchangeable table depends only on a
 block's size and number of ones: so P is the exponential of G as
@@ -76,25 +76,13 @@ def _check_tables(tables: Sequence[SymmetricTable], kind: str) -> int:
     return len(tables)
 
 
-def _pattern_index(pattern: tuple[int, ...]) -> int:
-    return sum(r << i for i, r in enumerate(pattern))
-
-
-def _pattern_vector(table: SymmetricTable) -> np.ndarray:
-    import numpy as np
-
-    vec = np.empty(2 ** table.order)
-    for pattern, value in table.expanded().items():
-        vec[_pattern_index(pattern)] = value
-    return vec
-
-
 def _recursive_orders(p_tables: Sequence[SymmetricTable]) -> list[np.ndarray]:
     """G_1..G_k of the literal recursion, each over all 2^j patterns.
 
-    Entry b of order j is the pattern with r_i = (b >> i) & 1.  Each order
-    works on all 2^j argument patterns at once; every pattern gets the
-    float operations of the per-pattern sum in its (sigma, l) order, so
+    Entry b of order j is the argument pattern with r_i = (b >> i) & 1, so
+    an exchangeable table puts values[m] at every b with m bits set.  Each
+    order works on all 2^j argument patterns at once; every pattern gets
+    the float operations of the per-pattern sum in its (sigma, l) order, so
     the values are bit-identical to a loop over patterns
     (tests/test_ursell.py keeps that loop as the reference).
     """
@@ -106,15 +94,15 @@ def _recursive_orders(p_tables: Sequence[SymmetricTable]) -> list[np.ndarray]:
             f"literal recursion supports k <= {RECURSION_MAX_ORDER}; "
             "use correlation_partition beyond"
         )
-    p_vec = {j: _pattern_vector(p_tables[j - 1]) for j in range(1, k + 1)}
-    g_vec = {1: p_vec[1]}
-    for j in range(2, k + 1):
+    p_vec, g_vec = {}, {}
+    for j in range(1, k + 1):
+        patterns = np.arange(2 ** j)
+        bit = [(patterns >> i) & 1 for i in range(j)]
+        p_vec[j] = np.asarray(p_tables[j - 1].values)[sum(bit)]
         weight = {
             l: 1.0 / (math.factorial(l - 1) * math.factorial(j - l))
             for l in range(1, j)
         }
-        patterns = np.arange(2 ** j)
-        bit = [(patterns >> i) & 1 for i in range(j)]
         acc = np.zeros(2 ** j)
         for sigma in itertools.permutations(range(1, j)):
             # bit t of q is r[sigma[t]]: the trailing slots read in sigma order
@@ -125,13 +113,6 @@ def _recursive_orders(p_tables: Sequence[SymmetricTable]) -> list[np.ndarray]:
                 acc += weight[l] * g_vec[l][g_args] * p_vec[j - l][p_args]
         g_vec[j] = p_vec[j] - acc
     return [g_vec[j] for j in range(1, k + 1)]
-
-
-def _expanded(vec: np.ndarray, k: int) -> dict[tuple[int, ...], float]:
-    values = vec.tolist()
-    return {
-        r: values[_pattern_index(r)] for r in itertools.product((0, 1), repeat=k)
-    }
 
 
 def correlation_recursive_expanded(
@@ -146,14 +127,17 @@ def correlation_recursive_expanded(
     the right object for testing permutation invariance and the sign-flip
     identity from scratch.
     """
-    return _expanded(_recursive_orders(p_tables)[-1], len(p_tables))
+    values = _recursive_orders(p_tables)[-1].tolist()
+    return {
+        r: values[sum(x << i for i, x in enumerate(r))]
+        for r in itertools.product((0, 1), repeat=len(p_tables))
+    }
 
 
 def correlation_recursive(p_tables: Sequence[SymmetricTable]) -> SymmetricTable:
     """Order-k correlation table from the literal permutation recursion."""
-    expanded = correlation_recursive_expanded(p_tables)
-    k = len(p_tables)
-    values = [expanded[(1,) * m + (0,) * (k - m)] for m in range(k + 1)]
+    g = _recursive_orders(p_tables)[-1]
+    values = [g[(1 << m) - 1] for m in range(len(p_tables) + 1)]
     return SymmetricTable.correlation(values)
 
 

@@ -26,7 +26,6 @@ from .limit import char_fn, limit_pmf
 from .montecarlo import MixtureSpec, build_mixture_joint
 from .ursell import (
     _correlation_orders,
-    _expanded,
     _exponential_formula,
     _recursive_orders,
     marginalize,
@@ -145,16 +144,15 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
         p_tables = [marginalize(joint, k) for k in range(1, min(joint.n, 6) + 1)]
         g_tables = _correlation_orders(p_tables)
         for k, rec in enumerate(_recursive_orders(p_tables)[1:], start=2):
-            exp_g = _expanded(rec, k)
-            compressed = [exp_g[(1,) * m + (0,) * (k - m)] for m in range(k + 1)]
-            part = g_tables[k - 1].values
-            worst_eq = max(worst_eq, *(abs(a - b) for a, b in zip(compressed, part)))
-            for pattern, value in exp_g.items():
-                canonical = exp_g[tuple(sorted(pattern, reverse=True))]
-                worst_sym = max(worst_sym, abs(value - canonical))
-                if pattern[0] == 1:
-                    flipped = (0,) + pattern[1:]
-                    worst_flip = max(worst_flip, abs(value + exp_g[flipped]))
+            # entry b has r_i = (b >> i) & 1: the canonical entry of its
+            # class puts all ones first, and rec[1::2], rec[0::2] differ in r_1
+            ones = sum((np.arange(2 ** k) >> i) & 1 for i in range(k))
+            canonical = rec[(1 << ones) - 1]
+            compressed = rec[(1 << np.arange(k + 1)) - 1]
+            part = np.asarray(g_tables[k - 1].values)
+            worst_eq = max(worst_eq, float(np.max(np.abs(compressed - part))))
+            worst_sym = max(worst_sym, float(np.max(np.abs(rec - canonical))))
+            worst_flip = max(worst_flip, float(np.max(np.abs(rec[1::2] + rec[0::2]))))
         rebuilt = probability_from_correlations(g_tables)
         worst_round = max(
             worst_round,

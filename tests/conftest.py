@@ -44,6 +44,18 @@ def make_random_joint(rng, n):
     return build_mixture_joint(make_random_mixture(rng), n)
 
 
+def pattern_value(table, pattern):
+    """Value of an exchangeable table at an explicit 0/1 argument pattern.
+
+    The table stores one value per number of ones; this oracle reads it the
+    way the paper writes it, as a function of k arguments.
+    """
+    pattern = tuple(pattern)
+    assert len(pattern) == table.order, (pattern, table.order)
+    assert set(pattern) <= {0, 1}, pattern
+    return table.values[sum(pattern)]
+
+
 ALL_OR_NOTHING_3 = build_mixture_joint(MixtureSpec(((0.0, 0.5), (1.0, 0.5))), 3)
 
 

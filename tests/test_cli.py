@@ -481,6 +481,24 @@ class TestBadInput:
         code, _, _ = run_cli(capsys, "limit-pmf", "--model", str(path))
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "model, field",
+        [
+            ({"l_max": 1, "c": [1.0], "n": True}, "n"),
+            ({"l_max": True, "c": [1.0]}, "l_max"),
+        ],
+        ids=["n", "l_max"],
+    )
+    def test_json_bool_is_not_an_integer_field(self, capsys, tmp_path, model, field):
+        # json reads true as a bool, which Python counts as the int 1
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        command = "finite-pmf" if "n" in model else "limit-pmf"
+        code, out, err = run_cli(capsys, command, "--model", str(path))
+        assert code == 3
+        assert out == ""
+        assert f"{field} must be a positive integer, got True" in err
+
     @pytest.mark.parametrize("flag", ["--model", "--config"])
     @pytest.mark.parametrize(
         "data", [b'{"l_max": 1,', b'\xff\xfe{"l_max": 1}'], ids=["not-json", "not-utf8"]

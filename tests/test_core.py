@@ -31,7 +31,7 @@ from corrcount.core import (
 )
 from corrcount.ursell import correlation_recursive, marginalize
 
-from conftest import m_factor
+from conftest import m_factor, pattern_value
 
 
 class TestValidateModel:
@@ -167,7 +167,7 @@ class TestCorrelationCoefficient:
         joint = build_mixture_joint(MixtureSpec(((0.375, 1.0),)), 4)
         p_tables = [marginalize(joint, k) for k in range(1, 3)]
         g2 = correlation_recursive(p_tables)
-        assert g2.value_at((1, 1)) == 0.0
+        assert pattern_value(g2, (1, 1)) == 0.0
         assert correlation_coefficient(g2, 4) == 0.0
 
     def test_order_above_n_rejected(self):
@@ -233,14 +233,6 @@ class TestMFactor:
 
 
 class TestSymmetricTable:
-    def test_expanded_view_is_constant_on_pattern_classes(self):
-        table = SymmetricTable.correlation([0.5, -0.25, 0.125])
-        expanded = table.expanded()
-        assert len(expanded) == 4
-        for pattern, value in expanded.items():
-            assert value == table.values[sum(pattern)]
-            assert value == table.value_at(pattern)
-
     def test_probability_invariants_enforced(self):
         SymmetricTable.probability([0.25, 0.25, 0.25])  # binomial weights: 1
         with pytest.raises(InvalidDistributionError):
@@ -253,11 +245,6 @@ class TestSymmetricTable:
             SymmetricTable(order=2, kind="probability", values=(0.5, 0.5))
         with pytest.raises(BadShapeError):
             SymmetricTable(order=1, kind="nonsense", values=(0.5, 0.5))
-        table = SymmetricTable.correlation([0.1, 0.2])
-        with pytest.raises(BadShapeError):
-            table.value_at((1, 0))
-        with pytest.raises(OutOfRangeError):
-            table.value_at((2,))
 
 
 class TestJointAndPmf:

@@ -237,6 +237,40 @@ class TestLimitPmf:
         folded = invert_cf_by_dft(model, n_grid=16384, keep=size)
         assert max(abs(a - b) for a, b in zip(pmf.values, folded)) <= 1e-10
 
+    def test_rounded_exponent_mass_is_in_the_drift_budget(self):
+        # Every q_j >= 0, so nothing cancels; but the rounded q sum to
+        # Q(1) = 3.54e-12, and the exact series of exp(Q) has mass exp(Q(1)).
+        c = [9831.9101, 490.687988, 10.11039, 0.505686]
+        model = CorrelationModel.from_coefficients(c)
+        q = exponent_polynomial(model)
+        assert min(q[1:]) >= 0.0
+        shift = math.expm1(math.fsum(q))
+        assert shift > 3e-12
+        pmf = limit_pmf(model)
+        assert pmf.admissible
+        assert pmf.error_estimate > 1e-12 + len(pmf.values) * sys.float_info.epsilon
+        assert abs(pmf.total_mass() - 1.0) <= 1e-12 + shift
+        assert abs(pmf.mean() - c[0]) <= 1e-10 * c[0]
+
+    @pytest.mark.parametrize(
+        "c, drift",
+        [
+            ([1.0, 40.0], "1.410e+17"),
+            ([1.0, 20.0], "4.502e-02"),
+            ([2.0, 10.0], "3.403e-11"),
+        ],
+    )
+    def test_cancelling_vectors_still_refused(self, c, drift):
+        # Q(1) rounds to exactly 0 here, so the budget is the one before.
+        model = CorrelationModel.from_coefficients(c)
+        assert math.fsum(exponent_polynomial(model)) == 0.0
+        with pytest.raises(NonConvergentError) as exc:
+            limit_pmf(model)
+        assert str(exc.value) == (
+            f"pmf mass drifts from 1 by {drift}, above tolerance 1e-12 plus "
+            "rounding: cancellation swamps coefficients far from admissible"
+        )
+
     @pytest.mark.parametrize("c", [[1.0, 0.0, 0.0, 1e5], [1.0, 1e300]])
     def test_p0_overflow_refused(self, c):
         with pytest.raises(OutOfRangeError, match=r"overflows: q_0 = .* 709\.78"):

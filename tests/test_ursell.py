@@ -21,7 +21,7 @@ from corrcount.ursell import (
 )
 from corrcount.verify import measure_coefficients
 
-from conftest import ALL_OR_NOTHING_3, make_random_joint
+from conftest import ALL_OR_NOTHING_3, make_random_joint, pattern_value
 
 
 def bell_recurrence(k):
@@ -156,16 +156,16 @@ class TestMarginalize:
     def test_iid_half(self):
         joint = build_mixture_joint(MixtureSpec(((0.5, 1.0),)), 3)
         table = marginalize(joint, 2)
-        assert table.value_at((1, 1)) == pytest.approx(0.25, abs=1e-15)
+        assert pattern_value(table, (1, 1)) == pytest.approx(0.25, abs=1e-15)
 
     def test_all_or_nothing_first_order(self):
         table = marginalize(ALL_OR_NOTHING_3, 1)
-        assert table.value_at((1,)) == pytest.approx(0.5, abs=0)
+        assert pattern_value(table, (1,)) == pytest.approx(0.5, abs=0)
 
     def test_all_or_nothing_second_order(self):
         table = marginalize(ALL_OR_NOTHING_3, 2)
-        assert table.value_at((1, 1)) == pytest.approx(0.5, abs=0)
-        assert table.value_at((1, 0)) == 0.0
+        assert pattern_value(table, (1, 1)) == pytest.approx(0.5, abs=0)
+        assert pattern_value(table, (1, 0)) == 0.0
 
     def test_order_bounds(self):
         with pytest.raises(OutOfRangeError):
@@ -184,7 +184,7 @@ class TestMarginalize:
                     joint.pattern_weight[sum(head) + sum(rest)]
                     for rest in itertools.product((0, 1), repeat=joint.n - k)
                 )
-                assert table.value_at(head) == pytest.approx(brute, abs=1e-14)
+                assert pattern_value(table, head) == pytest.approx(brute, abs=1e-14)
 
 
 class TestCorrelationRecursive:
@@ -195,14 +195,14 @@ class TestCorrelationRecursive:
     def test_all_or_nothing_second_order(self):
         p_tables = [marginalize(ALL_OR_NOTHING_3, k) for k in (1, 2)]
         g2 = correlation_recursive(p_tables)
-        assert g2.value_at((1, 1)) == pytest.approx(0.25, abs=1e-15)
-        assert g2.value_at((1, 0)) == pytest.approx(-0.25, abs=1e-15)
+        assert pattern_value(g2, (1, 1)) == pytest.approx(0.25, abs=1e-15)
+        assert pattern_value(g2, (1, 0)) == pytest.approx(-0.25, abs=1e-15)
 
     def test_all_or_nothing_third_order_all_ones(self):
         p_tables = [marginalize(ALL_OR_NOTHING_3, k) for k in (1, 2, 3)]
         g3 = correlation_recursive(p_tables)
         # 0.5 - 0.125 - 3 * 0.5 * 0.25 = 0
-        assert g3.value_at((1, 1, 1)) == pytest.approx(0.0, abs=1e-15)
+        assert pattern_value(g3, (1, 1, 1)) == pytest.approx(0.0, abs=1e-15)
 
     def test_order_cap(self):
         with pytest.raises(OutOfRangeError):
@@ -217,23 +217,25 @@ class TestCorrelationRecursive:
 def g3_literal(p1, p2, p3, g1, g2, r):
     """Third-order connected part, written out term by term."""
     r1, r2, r3 = r
+    G1 = lambda a: pattern_value(g1, (a,))
+    G2 = lambda a, b: pattern_value(g2, (a, b))
     return (
-        p3.value_at(r)
-        - g1.value_at((r1,)) * g1.value_at((r2,)) * g1.value_at((r3,))
-        - g1.value_at((r1,)) * g2.value_at((r2, r3))
-        - g1.value_at((r2,)) * g2.value_at((r1, r3))
-        - g1.value_at((r3,)) * g2.value_at((r1, r2))
+        pattern_value(p3, r)
+        - G1(r1) * G1(r2) * G1(r3)
+        - G1(r1) * G2(r2, r3)
+        - G1(r2) * G2(r1, r3)
+        - G1(r3) * G2(r1, r2)
     )
 
 
 def g4_literal(p4, g1, g2, g3, r):
     """Fourth-order connected part: all 14 factorized terms subtracted."""
     r1, r2, r3, r4 = r
-    G1 = lambda a: g1.value_at((a,))
-    G2 = lambda a, b: g2.value_at((a, b))
-    G3 = lambda a, b, c: g3.value_at((a, b, c))
+    G1 = lambda a: pattern_value(g1, (a,))
+    G2 = lambda a, b: pattern_value(g2, (a, b))
+    G3 = lambda a, b, c: pattern_value(g3, (a, b, c))
     return (
-        p4.value_at(r)
+        pattern_value(p4, r)
         - G1(r1) * G1(r2) * G1(r3) * G1(r4)
         - G2(r1, r2) * G1(r3) * G1(r4)
         - G2(r1, r3) * G1(r2) * G1(r4)
@@ -274,7 +276,7 @@ class TestCorrelationPartition:
         g1, g2, g3 = g_tables[0], g_tables[1], g_tables[2]
         for r in itertools.product((0, 1), repeat=4):
             literal = g4_literal(p_tables[3], g1, g2, g3, r)
-            assert g4.value_at(r) == pytest.approx(literal, abs=1e-14)
+            assert pattern_value(g4, r) == pytest.approx(literal, abs=1e-14)
 
     def test_third_order_against_literal_expansion(self, rng):
         joint = make_random_joint(rng, n=4)
@@ -284,7 +286,7 @@ class TestCorrelationPartition:
         g3 = correlation_partition(p_tables)
         for r in itertools.product((0, 1), repeat=3):
             literal = g3_literal(p_tables[0], p_tables[1], p_tables[2], g1, g2, r)
-            assert g3.value_at(r) == pytest.approx(literal, abs=1e-14)
+            assert pattern_value(g3, r) == pytest.approx(literal, abs=1e-14)
 
 
 class TestRecursiveVsPartition:
@@ -299,6 +301,12 @@ class TestRecursiveVsPartition:
                 assert max(abs(x - y) for x, y in zip(a.values, b.values)) < 1e-12
 
 
+def expanded_view(table):
+    """Per-pattern dictionary of a table over all 2^order argument patterns."""
+    patterns = itertools.product((0, 1), repeat=table.order)
+    return {r: pattern_value(table, r) for r in patterns}
+
+
 def recursion_loop(p_tables):
     """The literal recursion as a per-pattern loop over dictionaries.
 
@@ -306,7 +314,7 @@ def recursion_loop(p_tables):
     same floating-point operations in the same order, one pattern at a time.
     """
     k = len(p_tables)
-    p_exp = {j: p_tables[j - 1].expanded() for j in range(1, k + 1)}
+    p_exp = {j: expanded_view(p_tables[j - 1]) for j in range(1, k + 1)}
     g_exp: dict[int, dict[tuple[int, ...], float]] = {1: dict(p_exp[1])}
     for j in range(2, k + 1):
         weight = {
@@ -368,7 +376,7 @@ class TestProbabilityFromCorrelations:
         g3 = SymmetricTable.correlation([0.0, 0.0, 0.0, 0.0])
         p3 = probability_from_correlations([g1, g2, g3])
         # 0.125 + 3 * 0.5 * 0.25 + 0
-        assert p3.value_at((1, 1, 1)) == pytest.approx(0.5, abs=1e-15)
+        assert pattern_value(p3, (1, 1, 1)) == pytest.approx(0.5, abs=1e-15)
 
     def test_vanishing_higher_orders_mean_independence(self):
         p = 0.3
