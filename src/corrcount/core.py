@@ -7,9 +7,9 @@ exchangeable binary events, optionally tied to a finite event count N.
 Exchangeability is exploited structurally everywhere: a symmetric function
 on {0,1}^k is stored compressed as k+1 numbers indexed by how many
 arguments equal one (:class:`SymmetricTable`), and a full joint over N
-events is stored as one weight per number-of-ones pattern class
-(:class:`ExchangeableJoint`).  Count distributions carry an explicit tail
-bound and an admissibility flag (:class:`Pmf`).
+events is stored as its count law, the mass of each number-of-ones
+pattern class (:class:`ExchangeableJoint`).  Count distributions carry an
+explicit tail bound and an admissibility flag (:class:`Pmf`).
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe for unrestricted concurrent use.
@@ -22,7 +22,6 @@ import warnings
 __all__ = [
     "ADMISSIBILITY_TOL",
     "TABLE_TOL",
-    "MAX_JOINT_EVENTS",
     "MAX_POINTS",
     "KIND_PROBABILITY",
     "KIND_CORRELATION",
@@ -54,8 +53,6 @@ __all__ = [
 ADMISSIBILITY_TOL = 1e-9
 # Normalization slack for probability tables and joints.
 TABLE_TOL = 1e-12
-# Largest joint size n for which every C(n, m) converts to a float.
-MAX_JOINT_EVENTS = 1029
 # Largest sample count or characteristic-function grid; beyond it the
 # arrays alone would take gigabytes.
 MAX_POINTS = 10 ** 7
@@ -280,13 +277,15 @@ class SymmetricTable(Record):
     @classmethod
     def probability(cls, values) -> "SymmetricTable":
         """Build a probability table and enforce its invariants."""
-        table = cls(order=len(tuple(values)) - 1, kind=KIND_PROBABILITY, values=tuple(values))
+        values = tuple(values)
+        table = cls(order=len(values) - 1, kind=KIND_PROBABILITY, values=values)
         table.require_normalized()
         return table
 
     @classmethod
     def correlation(cls, values) -> "SymmetricTable":
-        return cls(order=len(tuple(values)) - 1, kind=KIND_CORRELATION, values=tuple(values))
+        values = tuple(values)
+        return cls(order=len(values) - 1, kind=KIND_CORRELATION, values=values)
 
     def require_normalized(self) -> None:
         """Probability tables must be nonnegative and sum to one over patterns."""
@@ -297,9 +296,16 @@ class SymmetricTable(Record):
             raise InvalidDistributionError(
                 f"negative probability entry {min(self.values)!r}"
             )
-        total = math.fsum(
-            math.comb(self.order, m) * v for m, v in enumerate(self.values)
-        )
+        # C(order, m) leaves the double range past order 1029, so each
+        # class mass C(order, m) * v is rounded once from exact integers.
+        ratios = (v.as_integer_ratio() for v in self.values)
+        try:
+            total = math.fsum(
+                math.comb(self.order, m) * num / den
+                for m, (num, den) in enumerate(ratios)
+            )
+        except OverflowError:  # a class mass beyond the double range
+            total = math.inf
         if abs(total - 1.0) > TABLE_TOL:
             raise InvalidDistributionError(
                 f"pattern masses sum to {total!r}, not 1"
@@ -309,34 +315,27 @@ class SymmetricTable(Record):
 class ExchangeableJoint(Record):
     """Joint distribution of N exchangeable binary events.
 
-    ``pattern_weight[m]`` is the probability of any single outcome pattern
-    with exactly m ones; the C(N, m)-fold multiplicity is implicit.
+    ``mass[m]`` is the probability that exactly m events occur, the total
+    of the C(N, m) outcome patterns with m ones, which share it equally.
     """
 
-    _fields = ("n", "pattern_weight")
+    _fields = ("n", "mass")
 
-    def __init__(self, n: int, pattern_weight):
-        if not isinstance(n, int) or n < 1:
+    def __init__(self, n: int, mass):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise BadShapeError(f"n must be a positive integer, got {n!r}")
-        if n > MAX_JOINT_EVENTS:
-            raise OutOfRangeError(
-                f"joint of n = {n} events exceeds the supported ceiling "
-                f"{MAX_JOINT_EVENTS}"
-            )
-        pattern_weight = tuple(float(x) for x in pattern_weight)
-        if len(pattern_weight) != n + 1:
-            raise BadShapeError(
-                f"n = {n} needs {n + 1} pattern weights, got {len(pattern_weight)}"
-            )
-        for w in pattern_weight:
-            if not math.isfinite(w):
-                raise NonFiniteError(f"pattern weight {w!r} is not finite")
-            if w < 0.0:
-                raise InvalidDistributionError(f"negative pattern weight {w!r}")
-        total = math.fsum(math.comb(n, m) * w for m, w in enumerate(pattern_weight))
+        mass = tuple(float(x) for x in mass)
+        if len(mass) != n + 1:
+            raise BadShapeError(f"n = {n} needs {n + 1} class masses, got {len(mass)}")
+        for q in mass:
+            if not math.isfinite(q):
+                raise NonFiniteError(f"class mass {q!r} is not finite")
+            if q < 0.0:
+                raise InvalidDistributionError(f"negative class mass {q!r}")
+        total = math.fsum(mass)
         if abs(total - 1.0) > TABLE_TOL:
             raise InvalidDistributionError(f"joint mass sums to {total!r}, not 1")
-        super().__init__(n, pattern_weight)
+        super().__init__(n, mass)
 
 
 class Pmf(Record):

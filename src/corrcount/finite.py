@@ -1,6 +1,6 @@
 """Exact count distributions at finite N.
 
-The direct route reads the pmf straight off a joint's pattern classes.
+The direct route reads the pmf straight off a joint's class masses.
 The model route evaluates the count probability of a truncated coefficient
 vector as
 
@@ -81,11 +81,8 @@ class BivariatePolynomial(Record):
 
 
 def count_pmf_from_joint(joint: ExchangeableJoint) -> Pmf:
-    """Exact count pmf of a joint: p(s) = C(N, s) * pattern_weight[s]."""
-    values = [
-        math.comb(joint.n, s) * joint.pattern_weight[s] for s in range(joint.n + 1)
-    ]
-    return Pmf.from_values(values, tail_bound=0.0)
+    """Exact count pmf of a joint: its class masses."""
+    return Pmf.from_values(joint.mass, tail_bound=0.0)
 
 
 def build_exponent(model: CorrelationModel) -> BivariatePolynomial:

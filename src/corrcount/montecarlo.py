@@ -18,7 +18,6 @@ import math
 from typing import TYPE_CHECKING
 
 from .core import (
-    MAX_JOINT_EVENTS,
     MAX_POINTS,
     BadSpecError,
     ExchangeableJoint,
@@ -29,6 +28,7 @@ from .core import (
     TooFewSamplesError,
     validate_seed,
 )
+from .finite import MAX_EVENT_COUNT
 from .limit import SUPPORT_CAP, factorial_cumulants
 
 if TYPE_CHECKING:
@@ -102,19 +102,62 @@ class EstimateReport(Record):
 def build_mixture_joint(spec: MixtureSpec, n: int) -> ExchangeableJoint:
     """Exchangeable joint of n events from a Bernoulli mixture.
 
-    pattern_weight[m] = sum over atoms of weight * p^m (1-p)^(n-m).
+    mass[m] = sum over atoms of weight * C(n, m) p^m (1-p)^(n-m), summed in
+    40-digit decimals, whose exponent range no term leaves, by the walk
+    term * p/(1-p) * (n-m)/(m+1) up from weight * (1-p)^n; then each mass
+    is correctly rounded to a float by :func:`_round_once`.
     """
-    if not isinstance(n, int) or n < 1:
+    import decimal
+
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise BadSpecError(f"event count must be a positive integer, got {n!r}")
-    if n > MAX_JOINT_EVENTS:
+    if n > MAX_EVENT_COUNT:
         raise OutOfRangeError(
-            f"joint of n = {n} events exceeds the supported ceiling {MAX_JOINT_EVENTS}"
+            f"joint of n = {n} events exceeds the supported ceiling {MAX_EVENT_COUNT}"
         )
-    weights = [
-        math.fsum(w * p ** m * (1.0 - p) ** (n - m) for p, w in spec.atoms)
-        for m in range(n + 1)
-    ]
-    return ExchangeableJoint(n=n, pattern_weight=tuple(weights))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        ctx.Emin = decimal.MIN_EMIN
+        mass = [decimal.Decimal(0)] * (n + 1)
+        for p, w in spec.atoms:
+            if p == 1.0:
+                mass[n] += decimal.Decimal(w)
+                continue
+            p = decimal.Decimal(p)
+            odds = p / (1 - p)
+            term = decimal.Decimal(w) * (1 - p) ** n
+            for m in range(n + 1):
+                mass[m] += term
+                term = term * odds * (n - m) / (m + 1)
+        return ExchangeableJoint(
+            n, [_round_once(spec, n, m, q) for m, q in enumerate(mass)]
+        )
+
+
+def _round_once(spec: MixtureSpec, n: int, m: int, q, prec: int = 40) -> float:
+    """Mixture mass[m] rounded to a float once, given q, its value to prec digits.
+
+    Either decimal route errs by under 10^6 units in the last digit at
+    n <= MAX_EVENT_COUNT, so the mass is within q * 10^(8 - prec) of q.  While that interval
+    holds a rounding boundary, the mass is recomputed from its closed form
+    at doubled precision, until the computation is exact.
+    """
+    import decimal
+
+    bound = q.scaleb(8 - prec)
+    if float(q - bound) == float(q + bound):
+        return float(q)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2 * prec
+        ctx.clear_flags()
+        q = sum(
+            decimal.Decimal(w) * (m == n * p) if p in (0.0, 1.0)
+            else decimal.Decimal(w) * math.comb(n, m)
+            * decimal.Decimal(p) ** m * (1 - decimal.Decimal(p)) ** (n - m)
+            for p, w in spec.atoms
+        )
+        exact = not ctx.flags[decimal.Inexact]
+        return float(q) if exact else _round_once(spec, n, m, q, 2 * prec)
 
 
 def sample_counts(pmf: Pmf, n_samples: int, seed: int) -> np.ndarray:

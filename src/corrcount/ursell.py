@@ -49,14 +49,17 @@ RECURSION_MAX_ORDER = 10
 def marginalize(joint: ExchangeableJoint, k: int) -> SymmetricTable:
     """Order-k probability table of a joint: sum out the other N-k events.
 
-    values[m] = sum_j C(N-k, j) * pattern_weight[m+j].
+    A pattern with s ones has probability mass[s] / C(N, s), so
+    values[m] = sum_j mass[m+j] * C(N-k, j) / C(N, m+j), each ratio of
+    exact integers rounded once.
     """
     if not isinstance(k, int) or not 1 <= k <= joint.n:
         raise OutOfRangeError(f"marginal order {k!r} outside 1..{joint.n}")
     rest = joint.n - k
     values = [
         math.fsum(
-            math.comb(rest, j) * joint.pattern_weight[m + j] for j in range(rest + 1)
+            joint.mass[m + j] * (math.comb(rest, j) / math.comb(joint.n, m + j))
+            for j in range(rest + 1)
         )
         for m in range(k + 1)
     ]

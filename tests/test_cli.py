@@ -69,6 +69,17 @@ class TestPmfCommands:
         assert code == 0
         assert parse_pmf_csv(out) == {0: 0.5, 1: 0.0, 2: 0.0, 3: 0.5}
 
+    def test_oracle_pmf_past_the_double_range_of_binomials(self, capsys):
+        # C(2000, m) overflows a double and 0.7^2000 underflows one
+        code, out, _ = run_cli(capsys, "oracle-pmf", "--n", "2000", "--mixture", "0.3:1")
+        assert code == 0
+        pmf = parse_pmf_csv(out)
+        assert sorted(pmf) == list(range(2001))
+        log_p, log_q = math.log(0.3), math.log1p(-0.3)
+        for s, p in pmf.items():
+            log_comb = math.lgamma(2001) - math.lgamma(s + 1) - math.lgamma(2001 - s)
+            assert abs(p - math.exp(log_comb + s * log_p + (2000 - s) * log_q)) <= 1e-10
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "limit-pmf", "--c", "1.0", "--format", "json")
         assert code == 0
@@ -385,11 +396,11 @@ class TestBadInput:
 
     def test_oracle_joint_above_ceiling(self, capsys):
         code, out, err = run_cli(
-            capsys, "oracle-pmf", "--n", "2000", "--mixture", "0.3:1"
+            capsys, "oracle-pmf", "--n", "100001", "--mixture", "0.3:1"
         )
         assert code == 3
         assert out == ""
-        assert "ceiling 1029" in err
+        assert "ceiling 100000" in err
 
     @pytest.mark.parametrize("c, cause", [("1,0,0,1e5", "overflows")])
     def test_limit_p0_out_of_double_range_exit_3(self, capsys, c, cause):

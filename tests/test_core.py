@@ -16,7 +16,6 @@ from corrcount import (
     sample_counts,
 )
 from corrcount.core import (
-    MAX_JOINT_EVENTS,
     BadShapeError,
     CfGrid,
     ExchangeableJoint,
@@ -246,27 +245,28 @@ class TestSymmetricTable:
         with pytest.raises(BadShapeError):
             SymmetricTable(order=1, kind="nonsense", values=(0.5, 0.5))
 
+    def test_classmethods_read_a_generator_once(self):
+        table = SymmetricTable.probability(x for x in [0.25, 0.25, 0.25])
+        assert table.order == 2 and table.values == (0.25, 0.25, 0.25)
+        table = SymmetricTable.correlation(x for x in [0.5, 0.5])
+        assert table.order == 1 and table.values == (0.5, 0.5)
+
 
 class TestJointAndPmf:
     def test_joint_validation(self):
-        ExchangeableJoint(2, (0.25, 0.25, 0.25))
+        ExchangeableJoint(2, (0.25, 0.5, 0.25))
         with pytest.raises(InvalidDistributionError):
-            ExchangeableJoint(2, (0.5, 0.25, 0.25))
+            ExchangeableJoint(2, (0.5, 0.5, 0.25))
         with pytest.raises(InvalidDistributionError):
-            ExchangeableJoint(2, (0.75, -0.25, 0.75))
+            ExchangeableJoint(2, (0.75, -0.5, 0.75))
         with pytest.raises(BadShapeError):
             ExchangeableJoint(2, (0.5, 0.5))
         with pytest.raises(NonFiniteError):
             ExchangeableJoint(1, (float("nan"), 0.5))
 
-    def test_joint_size_ceiling(self):
-        # the largest n whose binomials C(n, m) all convert to a float
-        n = MAX_JOINT_EVENTS
-        assert all(math.isfinite(float(math.comb(n, m))) for m in range(n + 1))
-        with pytest.raises(OverflowError):
-            float(math.comb(n + 1, (n + 1) // 2))
-        with pytest.raises(OutOfRangeError):
-            ExchangeableJoint(n + 1, (0.0,) * (n + 1) + (1.0,))
+    def test_joint_refuses_a_bool_n(self):
+        with pytest.raises(BadShapeError, match="n must be a positive integer"):
+            ExchangeableJoint(True, (0.5, 0.5))
 
     def test_pmf_helpers(self):
         pmf = Pmf.from_values([0.25, 0.5, 0.25])

@@ -30,6 +30,15 @@ entries are correctly rounded.  Only the worst values of the lines built
 on those tables moved (``g-recursive-vs-partition``, ``p-g-roundtrip``,
 ``oracle-vs-finite-pmf``), each within its unchanged tolerance.
 
+The ``oracle-pmf`` digest and both ``verify`` digests were re-recorded
+when exchangeable joints switched from per-pattern weights to class
+masses, each the exact mixture mass rounded once.  ``ORACLE_P`` pins the
+``oracle-pmf`` rows, and ``test_oracle_pmf_rows_are_exactly_rounded``
+checks them against exact fractions.  In ``verify`` only the lines built
+on marginals of mixture joints moved (``g-recursive-vs-partition``,
+``g-permutation-symmetry``, ``g-flip-antisymmetry``,
+``oracle-vs-finite-pmf``), each within its unchanged tolerance.
+
 ``{plain}``, ``{csv}`` and ``{bare_csv}`` in an argv stand for counts files
 the test writes: plain lines, CSV with a ``sample_index,count`` header,
 and CSV without one, all holding the same 2000 counts.  ``{wide}`` is a
@@ -37,6 +46,8 @@ plain file of 2000 counts up to 300, above the one-byte range.
 """
 
 import hashlib
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -73,7 +84,7 @@ CASES = {
     ),
     "oracle-pmf": (
         ["oracle-pmf", "--n", "8", "--mixture", "0.2:0.5,0.8:0.5"],
-        0, "fbaee851c3a8c867742dcd3df28bcc6c30e08a97e74919420a3971dfff3814f5",
+        0, "5c3b26d6dd3c50aafa343f23afde3ea5601b0a4eff77dc77a073924fb26123b8",
     ),
     "sample-limit": (
         ["sample", "--c", "2.0,0.5", "--count", "2000", "--seed", "42"],
@@ -105,11 +116,11 @@ CASES = {
     ),
     "verify": (
         ["verify", "--trials", "20"],
-        0, "65a13b47e986e63ea3776cd99d95fc03fda9d647098764800f8d90a90c81fa47",
+        0, "2cabca20f97a69684d798a4fc4dea53443e984fd8a57db4abdf8dbd3c93e4143",
     ),
     "verify-default": (
         ["verify"],
-        0, "ddabe30e26877dfc4c2cab89b9734672bc41169c5f6c9848cb00d862f4d59b75",
+        0, "9dbd71157831fb16243827a7150cdac290e0140bd8b3060c5b0a38ca4fd25d79",
     ),
 }
 
@@ -125,6 +136,14 @@ C_HAT = {
 # sha256 of the limit-pmf-json stdout up to its "tail_bound" key, recorded
 # before the Cauchy tail bound: the admissible flag and every p entry.
 LIMIT_P = "71fd2cfb5504203262aa61447309bb5afab10cd072af6292fe360065c13af817"
+
+# The p column of the oracle-pmf stdout: each entry is the exact mixture
+# mass sum_atoms w C(8, s) p^s (1-p)^(8-s), rounded once.
+ORACLE_P = (
+    "0.08388736", "0.16781311999999998", "0.14737408", "0.07798784",
+    "0.04587519999999999", "0.07798783999999997", "0.14737408",
+    "0.16781312000000004", "0.08388736000000004",
+)
 
 
 @pytest.fixture(scope="module")
@@ -168,3 +187,19 @@ def test_limit_pmf_entries_are_unchanged(capsys):
     out = capsys.readouterr().out
     prefix = out[: out.index(', "tail_bound"')]
     assert hashlib.sha256(prefix.encode("utf-8")).hexdigest() == LIMIT_P
+
+
+def test_oracle_pmf_rows_are_exactly_rounded(capsys):
+    argv, _, _ = CASES["oracle-pmf"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "s,p"
+    assert tuple(row.split(",")[1] for row in rows[1:]) == ORACLE_P
+    exact = [
+        sum(
+            Fraction(w) * math.comb(8, s) * Fraction(p) ** s * (1 - Fraction(p)) ** (8 - s)
+            for p, w in ((0.2, 0.5), (0.8, 0.5))
+        )
+        for s in range(9)
+    ]
+    assert ORACLE_P == tuple(repr(float(q)) for q in exact)

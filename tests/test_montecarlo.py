@@ -13,7 +13,6 @@ from corrcount import (
     sample_counts,
 )
 from corrcount.core import (
-    MAX_JOINT_EVENTS,
     MAX_POINTS,
     BadSpecError,
     InadmissiblePmfError,
@@ -21,6 +20,7 @@ from corrcount.core import (
     TooFewSamplesError,
     correlation_coefficient,
 )
+from corrcount.finite import MAX_EVENT_COUNT
 from corrcount.limit import SUPPORT_CAP, factorial_cumulants
 from corrcount.montecarlo import EstimateReport
 from corrcount.ursell import correlation_partition, marginalize
@@ -48,7 +48,7 @@ class TestMixtureSpec:
 class TestBuildMixtureJoint:
     def test_all_or_nothing(self):
         joint = build_mixture_joint(MixtureSpec(((0.0, 0.5), (1.0, 0.5))), 3)
-        assert joint.pattern_weight == (0.5, 0.0, 0.0, 0.5)
+        assert joint.mass == (0.5, 0.0, 0.0, 0.5)
 
     def test_single_atom_is_iid(self):
         joint = build_mixture_joint(MixtureSpec(((0.25, 1.0),)), 5)
@@ -80,11 +80,65 @@ class TestBuildMixtureJoint:
         with pytest.raises(BadSpecError):
             build_mixture_joint(MixtureSpec(((0.5, 1.0),)), 0)
 
+    def test_bool_event_count_refused(self):
+        with pytest.raises(BadSpecError, match="positive integer, got True"):
+            build_mixture_joint(MixtureSpec(((0.5, 1.0),)), True)
+
     def test_event_count_ceiling(self):
         spec = MixtureSpec(((0.3, 1.0),))
-        assert build_mixture_joint(spec, MAX_JOINT_EVENTS).n == MAX_JOINT_EVENTS
-        with pytest.raises(OutOfRangeError):
-            build_mixture_joint(spec, MAX_JOINT_EVENTS + 1)
+        joint = build_mixture_joint(spec, MAX_EVENT_COUNT)
+        assert joint.n == MAX_EVENT_COUNT
+        assert math.fsum(joint.mass) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(OutOfRangeError, match=f"ceiling {MAX_EVENT_COUNT}"):
+            build_mixture_joint(spec, MAX_EVENT_COUNT + 1)
+
+
+def exact_masses(atoms, n):
+    """Class masses sum_atoms w C(n, m) p^m (1-p)^(n-m), each rounded once.
+
+    Every p and w is a ratio of integers, so each mass is an integer over
+    one common denominator, and int / int rounds it to a float once.
+    """
+    ratios = [(p.as_integer_ratio(), w.as_integer_ratio()) for p, w in atoms]
+    den = math.lcm(*(w_den * p_den ** n for (_, p_den), (_, w_den) in ratios))
+    num = [0] * (n + 1)
+    for (p_num, p_den), (w_num, w_den) in ratios:
+        scale = den // (w_den * p_den ** n) * w_num
+        rest = [1]  # rest[j] = (p_den - p_num)^j
+        for _ in range(n):
+            rest.append(rest[-1] * (p_den - p_num))
+        for m in range(n + 1):
+            num[m] += scale * math.comb(n, m) * p_num ** m * rest[n - m]
+    return [x / den for x in num]
+
+
+class TestMixtureMassesAreCorrectlyRounded:
+    """Each class mass is the exact mixture mass rounded to a float once."""
+
+    ATOMS = {
+        "dyadic": ((0.25, 1.0),),
+        "non-dyadic": ((0.3, 1.0),),
+        # 0.5 * (1 - 0.2) + 0.5 * (1 - 0.8) is a midpoint between two floats
+        "two-atom-tie": ((0.2, 0.5), (0.8, 0.5)),
+        "ends": ((0.0, 0.25), (1.0, 0.25), (0.625, 0.5)),
+        # 0.5 * C(n, 1) * 5e-324 lies just below a midpoint for odd n
+        "subnormal": ((5e-324, 0.5), (1.0, 0.25), (0.0, 0.25)),
+        "three-atom": ((0.1, 0.3), (0.7, 0.3), (0.999, 0.4)),
+        "near-one": ((1.0 - 2.0 ** -53, 0.5), (0.5, 0.5)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ATOMS))
+    def test_small_n(self, name):
+        atoms = self.ATOMS[name]
+        for n in range(1, 41):
+            want = exact_masses(atoms, n)
+            assert list(build_mixture_joint(MixtureSpec(atoms), n).mass) == want, n
+
+    @pytest.mark.parametrize("name", ["non-dyadic", "two-atom-tie", "subnormal"])
+    def test_n_near_300(self, name):
+        atoms = self.ATOMS[name]
+        want = exact_masses(atoms, 301)
+        assert list(build_mixture_joint(MixtureSpec(atoms), 301).mass) == want
 
 
 class TestSampleCounts:

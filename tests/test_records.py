@@ -41,9 +41,9 @@ RECORDS = [
     (
         ExchangeableJoint,
         (1, (0.5, 0.5)),
-        {"n": 1, "pattern_weight": [0.5, 0.5]},
+        {"n": 1, "mass": [0.5, 0.5]},
         (1, (0.25, 0.75)),
-        "ExchangeableJoint(n=1, pattern_weight=(0.5, 0.5))",
+        "ExchangeableJoint(n=1, mass=(0.5, 0.5))",
     ),
     (
         Pmf,

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrcount import MixtureSpec, build_mixture_joint
-from corrcount.core import BadShapeError, NonFiniteError, OutOfRangeError, SymmetricTable
+from corrcount.core import (
+    BadShapeError,
+    InvalidDistributionError,
+    NonFiniteError,
+    OutOfRangeError,
+    SymmetricTable,
+)
 from corrcount.ursell import (
     _correlation_orders,
     _exact_formula,
@@ -167,6 +173,18 @@ class TestMarginalize:
         assert pattern_value(table, (1, 1)) == pytest.approx(0.5, abs=0)
         assert pattern_value(table, (1, 0)) == 0.0
 
+    def test_order_past_the_double_range_of_binomials(self):
+        # C(k, m) overflows a double past k = 1029; the tables are still checked
+        joint = build_mixture_joint(MixtureSpec(((0.3, 1.0),)), 1100)
+        table = marginalize(joint, 1030)
+        total = sum(math.comb(1030, m) * Fraction(v) for m, v in enumerate(table.values))
+        assert float(total) == pytest.approx(1.0, abs=1e-12)
+        # at k = n the per-pattern values mass[m] / C(n, m) underflow
+        with pytest.raises(InvalidDistributionError, match="sum to 0.99999999"):
+            marginalize(joint, 1100)
+        with pytest.raises(InvalidDistributionError, match="sum to inf"):
+            SymmetricTable.probability([0.5] * 1101)
+
     def test_order_bounds(self):
         with pytest.raises(OutOfRangeError):
             marginalize(ALL_OR_NOTHING_3, 4)
@@ -175,15 +193,17 @@ class TestMarginalize:
 
     def test_against_outcome_enumeration(self, rng):
         # sum the joint over every completion pattern, no binomial shortcut
+        # beyond the one per-pattern probability mass[s] / C(n, s)
         for _ in range(10):
             joint = make_random_joint(rng, n=int(rng.integers(2, 7)))
             k = int(rng.integers(1, joint.n + 1))
             table = marginalize(joint, k)
             for head in itertools.product((0, 1), repeat=k):
-                brute = math.fsum(
-                    joint.pattern_weight[sum(head) + sum(rest)]
+                ones = (
+                    sum(head) + sum(rest)
                     for rest in itertools.product((0, 1), repeat=joint.n - k)
                 )
+                brute = math.fsum(joint.mass[s] / math.comb(joint.n, s) for s in ones)
                 assert pattern_value(table, head) == pytest.approx(brute, abs=1e-14)
 
 
