@@ -5,10 +5,10 @@ The central parameter object is :class:`CorrelationModel`, the vector
 exchangeable binary events, optionally tied to a finite event count N.
 
 Exchangeability is exploited structurally everywhere: a symmetric function
-on {0,1}^k is stored compressed as k+1 numbers indexed by how many
-arguments equal one (:class:`SymmetricTable`), and a full joint over N
-events is stored as its count law, the mass of each number-of-ones
-pattern class (:class:`ExchangeableJoint`).  Count distributions carry an
+on {0,1}^k is stored as its k+1 class totals, the sums over the argument
+patterns with each number of ones (:class:`SymmetricTable`), and a joint
+of N events likewise as its count law, the mass of each class
+(:class:`ExchangeableJoint`).  Count distributions carry an
 explicit tail bound and an admissibility flag (:class:`Pmf`).
 
 All types are immutable after construction and all operations are pure,
@@ -23,8 +23,6 @@ __all__ = [
     "ADMISSIBILITY_TOL",
     "TABLE_TOL",
     "MAX_POINTS",
-    "KIND_PROBABILITY",
-    "KIND_CORRELATION",
     "CorrcountError",
     "BadShapeError",
     "NonFiniteError",
@@ -44,6 +42,7 @@ __all__ = [
     "ExchangeableJoint",
     "Pmf",
     "CfGrid",
+    "is_int_in",
     "validate_model",
     "validate_seed",
     "correlation_coefficient",
@@ -51,14 +50,11 @@ __all__ = [
 
 # A pmf entry below -ADMISSIBILITY_TOL marks the producing model inadmissible.
 ADMISSIBILITY_TOL = 1e-9
-# Normalization slack for probability tables and joints.
+# Normalization slack for joints.
 TABLE_TOL = 1e-12
 # Largest sample count or characteristic-function grid; beyond it the
 # arrays alone would take gigabytes.
 MAX_POINTS = 10 ** 7
-
-KIND_PROBABILITY = "probability"
-KIND_CORRELATION = "correlation"
 
 
 class CorrcountError(Exception):
@@ -202,6 +198,11 @@ class CorrelationModel(Record):
         return cls.from_json_dict(json.loads(text))
 
 
+def is_int_in(value, low: int, high: float = math.inf) -> bool:
+    """Whether ``value`` is a Python int, not a bool, with low <= value <= high."""
+    return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+
+
 def validate_model(model: CorrelationModel) -> CorrelationModel:
     """Check the model invariants and return the model unchanged.
 
@@ -212,7 +213,7 @@ def validate_model(model: CorrelationModel) -> CorrelationModel:
             one), coefficient count mismatch, or n < l_max.
         NonFiniteError: any coefficient is NaN or infinite.
     """
-    if isinstance(model.l_max, bool) or not isinstance(model.l_max, int) or model.l_max < 1:
+    if not is_int_in(model.l_max, 1):
         raise BadShapeError(f"l_max must be a positive integer, got {model.l_max!r}")
     if len(model.c) != model.l_max:
         raise BadShapeError(
@@ -222,7 +223,7 @@ def validate_model(model: CorrelationModel) -> CorrelationModel:
         if not math.isfinite(value):
             raise NonFiniteError(f"C_{l} = {value!r} is not finite")
     if model.n is not None:
-        if isinstance(model.n, bool) or not isinstance(model.n, int) or model.n < 1:
+        if not is_int_in(model.n, 1):
             raise BadShapeError(f"n must be a positive integer, got {model.n!r}")
         if model.n < model.l_max:
             raise BadShapeError(f"n = {model.n} is below l_max = {model.l_max}")
@@ -240,13 +241,13 @@ def validate_seed(seed: int) -> None:
     """Check that a generator seed is a non-negative integer.
 
     NumPy refuses negative seeds with a bare ValueError; this names the
-    seed as an input error instead.
+    seed as an input error instead.  NumPy's integers are seeds too.
 
     Raises:
-        OutOfRangeError: the seed is not an integer or is negative.
+        OutOfRangeError: the seed is not an integer, is a bool, or is negative.
     """
     try:
-        valid = operator.index(seed) >= 0
+        valid = not isinstance(seed, bool) and is_int_in(operator.index(seed), 0)
     except TypeError:  # not an integer: a float, a string, numpy's bool
         valid = False
     if not valid:
@@ -254,62 +255,24 @@ def validate_seed(seed: int) -> None:
 
 
 class SymmetricTable(Record):
-    """A symmetric function on {0,1}^k stored by number of ones.
+    """A symmetric function on {0,1}^k stored by class total.
 
-    ``values[m]`` is the function value at any argument pattern with
-    exactly m ones.
+    ``values[m]`` is the sum of the function over the C(k, m) argument
+    patterns with exactly m ones.  The tables G, and P rebuilt from G, are
+    signed, so only the shape is checked.
     """
 
-    _fields = ("order", "kind", "values")
+    _fields = ("values",)
 
-    def __init__(self, order: int, kind: str, values):
-        if kind not in (KIND_PROBABILITY, KIND_CORRELATION):
-            raise BadShapeError(f"unknown table kind {kind!r}")
-        if not isinstance(order, int) or order < 1:
-            raise BadShapeError(f"order must be a positive integer, got {order!r}")
+    def __init__(self, values):
         values = tuple(float(x) for x in values)
-        if len(values) != order + 1:
-            raise BadShapeError(
-                f"order {order} needs {order + 1} values, got {len(values)}"
-            )
-        super().__init__(order, kind, values)
+        if len(values) < 2:
+            raise BadShapeError(f"a table needs order >= 1, got {len(values)} values")
+        super().__init__(values)
 
-    @classmethod
-    def probability(cls, values) -> "SymmetricTable":
-        """Build a probability table and enforce its invariants."""
-        values = tuple(values)
-        table = cls(order=len(values) - 1, kind=KIND_PROBABILITY, values=values)
-        table.require_normalized()
-        return table
-
-    @classmethod
-    def correlation(cls, values) -> "SymmetricTable":
-        values = tuple(values)
-        return cls(order=len(values) - 1, kind=KIND_CORRELATION, values=values)
-
-    def require_normalized(self) -> None:
-        """Probability tables must be nonnegative and sum to one over patterns."""
-        for v in self.values:
-            if not math.isfinite(v):
-                raise NonFiniteError(f"table value {v!r} is not finite")
-        if min(self.values) < -TABLE_TOL:
-            raise InvalidDistributionError(
-                f"negative probability entry {min(self.values)!r}"
-            )
-        # C(order, m) leaves the double range past order 1029, so each
-        # class mass C(order, m) * v is rounded once from exact integers.
-        ratios = (v.as_integer_ratio() for v in self.values)
-        try:
-            total = math.fsum(
-                math.comb(self.order, m) * num / den
-                for m, (num, den) in enumerate(ratios)
-            )
-        except OverflowError:  # a class mass beyond the double range
-            total = math.inf
-        if abs(total - 1.0) > TABLE_TOL:
-            raise InvalidDistributionError(
-                f"pattern masses sum to {total!r}, not 1"
-            )
+    @property
+    def order(self) -> int:
+        return len(self.values) - 1
 
 
 class ExchangeableJoint(Record):
@@ -322,7 +285,7 @@ class ExchangeableJoint(Record):
     _fields = ("n", "mass")
 
     def __init__(self, n: int, mass):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if not is_int_in(n, 1):
             raise BadShapeError(f"n must be a positive integer, got {n!r}")
         mass = tuple(float(x) for x in mass)
         if len(mass) != n + 1:
@@ -403,9 +366,18 @@ class CfGrid(Record):
 
 
 def correlation_coefficient(table: SymmetricTable, n: int) -> float:
-    """Scaled all-ones entry N^k * G_k(1, ..., 1) of a correlation table."""
-    if not isinstance(n, int) or n < 1:
+    """Scaled all-ones entry N^k * G_k(1, ..., 1) of a correlation table.
+
+    The all-ones class holds one pattern, so G_k(1, ..., 1) is values[k].
+    N^k overflows a double long before C_k does, so the product is formed
+    from exact integers and rounded once.
+    """
+    if not is_int_in(n, 1):
         raise OutOfRangeError(f"n must be a positive integer, got {n!r}")
     if table.order > n:
         raise OutOfRangeError(f"table order {table.order} exceeds n = {n}")
-    return float(n) ** table.order * table.values[table.order]
+    try:
+        num, den = table.values[table.order].as_integer_ratio()
+        return n ** table.order * num / den
+    except (OverflowError, ValueError) as exc:  # G_k or C_k is not a finite double
+        raise NonFiniteError(f"C_{table.order} is not a finite double ({exc})") from exc

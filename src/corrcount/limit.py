@@ -26,6 +26,7 @@ from .core import (
     OutOfRangeError,
     Pmf,
     TailTooHeavyError,
+    is_int_in,
     validate_model,
 )
 
@@ -248,7 +249,7 @@ def factorial_cumulants_from_pmf(pmf: Pmf, l_max: int) -> tuple[float, ...]:
         OutOfRangeError: l_max outside 1..MAX_CUMULANT_ORDER.
         TailTooHeavyError: pmf tail bound above 1e-10.
     """
-    if not isinstance(l_max, int) or not 1 <= l_max <= MAX_CUMULANT_ORDER:
+    if not is_int_in(l_max, 1, MAX_CUMULANT_ORDER):
         raise OutOfRangeError(
             f"cumulant order must lie in 1..{MAX_CUMULANT_ORDER}, got {l_max!r}"
         )

@@ -26,6 +26,7 @@ from .core import (
     Pmf,
     Record,
     TooFewSamplesError,
+    is_int_in,
     validate_seed,
 )
 from .finite import MAX_EVENT_COUNT
@@ -109,7 +110,7 @@ def build_mixture_joint(spec: MixtureSpec, n: int) -> ExchangeableJoint:
     """
     import decimal
 
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not is_int_in(n, 1):
         raise BadSpecError(f"event count must be a positive integer, got {n!r}")
     if n > MAX_EVENT_COUNT:
         raise OutOfRangeError(
@@ -170,7 +171,7 @@ def sample_counts(pmf: Pmf, n_samples: int, seed: int) -> np.ndarray:
     """
     import numpy as np
 
-    if not isinstance(n_samples, int) or not 1 <= n_samples <= MAX_POINTS:
+    if not is_int_in(n_samples, 1, MAX_POINTS):
         raise OutOfRangeError(
             f"n_samples must be an integer in 1..{MAX_POINTS}, got {n_samples!r}"
         )
@@ -210,11 +211,11 @@ def estimate_coefficients(
     """
     import numpy as np
 
-    if not isinstance(l_max, int) or not 1 <= l_max <= MAX_ESTIMATE_ORDER:
+    if not is_int_in(l_max, 1, MAX_ESTIMATE_ORDER):
         raise OutOfRangeError(
             f"estimation order must lie in 1..{MAX_ESTIMATE_ORDER}, got {l_max!r}"
         )
-    if not isinstance(n_bootstrap, int) or n_bootstrap < 2:
+    if not is_int_in(n_bootstrap, 2):
         raise OutOfRangeError(f"n_bootstrap must be >= 2, got {n_bootstrap!r}")
     validate_seed(seed)
     raw = np.asarray(counts)

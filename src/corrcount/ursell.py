@@ -1,11 +1,12 @@
 """Correlation (Ursell) expansion machinery on exchangeable tables.
 
-Marginals of a joint give probability tables P_k; subtracting every
+Marginals of a joint are the joints P_k of k events; subtracting every
 factorized lower-order contribution gives the connected correlation tables
-G_k.  Two equivalent routes are implemented.  The literal recursion over
-argument permutations is kept on all 2^k argument patterns, so symmetry
-and sign identities can be tested from first principles; it runs one
-order on all patterns at once, in (k-1)! * (k-1) vector steps.
+G_k.  All are stored by class total.  Two equivalent routes are
+implemented.  The literal recursion over argument permutations is kept on
+all 2^k argument patterns, the only per-pattern view, so symmetry and sign
+identities can be tested from first principles; it runs one order on all
+patterns at once, in (k-1)! * (k-1) vector steps.
 The production path uses that P_k sums the product of G over the blocks
 of every set partition, and that an exchangeable table depends only on a
 block's size and number of ones: so P is the exponential of G as
@@ -20,13 +21,12 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from .core import (
-    KIND_CORRELATION,
-    KIND_PROBABILITY,
     BadShapeError,
     ExchangeableJoint,
     NonFiniteError,
     OutOfRangeError,
     SymmetricTable,
+    is_int_in,
 )
 
 if TYPE_CHECKING:
@@ -46,44 +46,52 @@ __all__ = [
 RECURSION_MAX_ORDER = 10
 
 
-def marginalize(joint: ExchangeableJoint, k: int) -> SymmetricTable:
-    """Order-k probability table of a joint: sum out the other N-k events.
+def marginalize(joint: ExchangeableJoint, k: int) -> ExchangeableJoint:
+    """Joint of k of the N events: sum out the other N-k.
 
-    A pattern with s ones has probability mass[s] / C(N, s), so
-    values[m] = sum_j mass[m+j] * C(N-k, j) / C(N, m+j), each ratio of
-    exact integers rounded once.
+    Given that m+j of all N events occur, the count among k of them is
+    hypergeometric, so mass_k[m] = sum_j mass[m+j] * C(k, m) C(N-k, j) /
+    C(N, m+j), each weight a ratio of exact integers rounded once.  At
+    k = N every weight is 1 and the joint comes back unchanged.
     """
-    if not isinstance(k, int) or not 1 <= k <= joint.n:
+    if not is_int_in(k, 1, joint.n):
         raise OutOfRangeError(f"marginal order {k!r} outside 1..{joint.n}")
     rest = joint.n - k
-    values = [
+    c_k, c_rest, c_n = ([math.comb(t, i) for i in range(t + 1)] for t in (k, rest, joint.n))
+    mass = [
         math.fsum(
-            joint.mass[m + j] * (math.comb(rest, j) / math.comb(joint.n, m + j))
+            joint.mass[m + j] * (c_k[m] * c_rest[j] / c_n[m + j])
             for j in range(rest + 1)
         )
         for m in range(k + 1)
     ]
-    return SymmetricTable.probability(values)
+    return ExchangeableJoint(k, mass)
 
 
-def _check_tables(tables: Sequence[SymmetricTable], kind: str) -> int:
+def _check_tables(tables: Sequence, cls: type) -> list[tuple[float, ...]]:
+    """Class totals of the order-1..k tables, each checked to be a ``cls``."""
     if not tables:
         raise BadShapeError("need at least the order-1 table")
     for j, table in enumerate(tables, start=1):
-        if table.order != j:
+        if not isinstance(table, cls):
             raise BadShapeError(
-                f"expected table of order {j} at position {j - 1}, got {table.order}"
+                f"expected {cls.__name__} at order {j}, got {type(table).__name__}"
             )
-        if table.kind != kind:
-            raise BadShapeError(f"expected {kind} table at order {j}, got {table.kind}")
-    return len(tables)
+    totals = [t.mass if cls is ExchangeableJoint else t.values for t in tables]
+    for j, values in enumerate(totals, start=1):
+        if len(values) != j + 1:
+            raise BadShapeError(
+                f"expected table of order {j} at position {j - 1}, got {len(values) - 1}"
+            )
+    return totals
 
 
-def _recursive_orders(p_tables: Sequence[SymmetricTable]) -> list[np.ndarray]:
-    """G_1..G_k of the literal recursion, each over all 2^j patterns.
+def _recursive_orders(p_tables: Sequence[ExchangeableJoint]) -> list[np.ndarray]:
+    """Per-pattern G_1..G_k of the literal recursion, each over all 2^j patterns.
 
     Entry b of order j is the argument pattern with r_i = (b >> i) & 1, so
-    an exchangeable table puts values[m] at every b with m bits set.  Each
+    a joint puts its per-pattern probability mass[m] / C(j, m) at every b
+    with m bits set.  Each
     order works on all 2^j argument patterns at once; every pattern gets
     the float operations of the per-pattern sum in its (sigma, l) order, so
     the values are bit-identical to a loop over patterns
@@ -91,7 +99,8 @@ def _recursive_orders(p_tables: Sequence[SymmetricTable]) -> list[np.ndarray]:
     """
     import numpy as np
 
-    k = _check_tables(p_tables, KIND_PROBABILITY)
+    totals = _check_tables(p_tables, ExchangeableJoint)
+    k = len(totals)
     if k > RECURSION_MAX_ORDER:
         raise OutOfRangeError(
             f"literal recursion supports k <= {RECURSION_MAX_ORDER}; "
@@ -101,7 +110,8 @@ def _recursive_orders(p_tables: Sequence[SymmetricTable]) -> list[np.ndarray]:
     for j in range(1, k + 1):
         patterns = np.arange(2 ** j)
         bit = [(patterns >> i) & 1 for i in range(j)]
-        p_vec[j] = np.asarray(p_tables[j - 1].values)[sum(bit)]
+        per_pattern = [v / math.comb(j, m) for m, v in enumerate(totals[j - 1])]
+        p_vec[j] = np.asarray(per_pattern)[sum(bit)]
         weight = {
             l: 1.0 / (math.factorial(l - 1) * math.factorial(j - l))
             for l in range(1, j)
@@ -119,7 +129,7 @@ def _recursive_orders(p_tables: Sequence[SymmetricTable]) -> list[np.ndarray]:
 
 
 def correlation_recursive_expanded(
-    p_tables: Sequence[SymmetricTable],
+    p_tables: Sequence[ExchangeableJoint],
 ) -> dict[tuple[int, ...], float]:
     """Expanded-view G_k via the literal recursion over argument permutations.
 
@@ -137,27 +147,26 @@ def correlation_recursive_expanded(
     }
 
 
-def correlation_recursive(p_tables: Sequence[SymmetricTable]) -> SymmetricTable:
+def correlation_recursive(p_tables: Sequence[ExchangeableJoint]) -> SymmetricTable:
     """Order-k correlation table from the literal permutation recursion."""
-    g = _recursive_orders(p_tables)[-1]
-    values = [g[(1 << m) - 1] for m in range(len(p_tables) + 1)]
-    return SymmetricTable.correlation(values)
+    g, k = _recursive_orders(p_tables)[-1], len(p_tables)
+    # class m totals C(k, m) copies of its canonical pattern, all ones first
+    return SymmetricTable(math.comb(k, m) * g[(1 << m) - 1] for m in range(k + 1))
 
 
 def _exact_formula(
     tables: Sequence[Sequence], log: bool
 ) -> tuple[list[list[int]], int]:
-    """P_1..P_k from the values of G_1..G_k, or G from P if ``log``, exactly.
+    """Class totals P_1..P_k from those of G_1..G_k, or G from P if ``log``, exactly.
 
-    With class masses B_j[m] = C(j, m) P_j[m] and K_j[o] = C(j, o) G_j[o],
-    grouping partitions by the block of size j holding the first event
-    gives B_n = K_n + sum_{j<n} C(n-1, j-1) (K_j * B_{n-j}), B_0 = [1], with
+    With B_j the class totals of P_j and K_j those of G_j, grouping
+    partitions by the block of size j holding the first event gives
+    B_n = K_n + sum_{j<n} C(n-1, j-1) (K_j * B_{n-j}), B_0 = [1], with
     * the convolution over the count of ones: the degree-n part of
     D exp(L) = exp(L) D L, for the series L of G, D = x d/dx + y d/dy.
     Entries are floats or fractions; times D^j, D their common denominator,
     order j is integral, and the recurrence is homogeneous in the order.
-    Returns (numerators, D): entry m of order j is
-    numerators[j-1][m] / (C(j, m) D^j).
+    Returns (numerators, D): entry m of order j is numerators[j-1][m] / D^j.
     """
     try:
         ratios = [[v.as_integer_ratio() for v in values] for values in tables]
@@ -165,7 +174,7 @@ def _exact_formula(
         raise NonFiniteError(f"table entries must be finite ({exc})") from exc
     scale = math.lcm(*(den for values in ratios for _, den in values))
     given = [
-        [math.comb(j, m) * num * (scale**j // den) for m, (num, den) in enumerate(row)]
+        [num * (scale**j // den) for num, den in row]
         for j, row in enumerate(ratios, start=1)
     ]
     out: list[list[int]] = []
@@ -186,21 +195,20 @@ def _exponential_formula(tables: Sequence[Sequence], log: bool) -> list[list[flo
     out, scale = _exact_formula(tables, log)
     try:
         return [
-            [v / (math.comb(j, m) * scale**j) for m, v in enumerate(values)]
+            [v / scale**j for v in values]
             for j, values in enumerate(out, start=1)
         ]
     except OverflowError as exc:
         raise NonFiniteError(f"a table entry leaves the double range ({exc})") from exc
 
 
-def _correlation_orders(p_tables: Sequence[SymmetricTable]) -> list[SymmetricTable]:
+def _correlation_orders(p_tables: Sequence[ExchangeableJoint]) -> list[SymmetricTable]:
     """G_1..G_k of the probability tables P_1..P_k."""
-    _check_tables(p_tables, KIND_PROBABILITY)
-    values = _exponential_formula([table.values for table in p_tables], log=True)
-    return [SymmetricTable.correlation(g) for g in values]
+    values = _exponential_formula(_check_tables(p_tables, ExchangeableJoint), log=True)
+    return [SymmetricTable(g) for g in values]
 
 
-def correlation_partition(p_tables: Sequence[SymmetricTable]) -> SymmetricTable:
+def correlation_partition(p_tables: Sequence[ExchangeableJoint]) -> SymmetricTable:
     """Order-k correlation table by the exponential formula.
 
     G_k = P_k - sum over partitions of {1..k} with >= 2 blocks of the
@@ -214,7 +222,8 @@ def probability_from_correlations(g_tables: Sequence[SymmetricTable]) -> Symmetr
     """Order-k probability table, the inverse of :func:`correlation_partition`.
 
     P_k = sum over all partitions of {1..k} of the product of G on the blocks.
+    The result carries the rounding of G, so it is a table, not a joint.
     """
-    _check_tables(g_tables, KIND_CORRELATION)
-    values = _exponential_formula([table.values for table in g_tables], log=False)[-1]
-    return SymmetricTable(order=len(values) - 1, kind=KIND_PROBABILITY, values=values)
+    return SymmetricTable(
+        _exponential_formula(_check_tables(g_tables, SymmetricTable), log=False)[-1]
+    )

@@ -19,6 +19,7 @@ from .core import (
     SymmetricTable,
     TrailingZeroWarning,
     correlation_coefficient,
+    is_int_in,
     validate_seed,
 )
 from .finite import count_pmf_from_joint, finite_count_pmf
@@ -125,11 +126,11 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
     """
     import numpy as np
 
-    if not 2 <= n <= VERIFY_MAX_N:
+    if not is_int_in(n, 2, VERIFY_MAX_N):
         raise OutOfRangeError(
             f"verify supports joint sizes 2 <= n <= {VERIFY_MAX_N}, got {n!r}"
         )
-    if trials < 1:
+    if not is_int_in(trials, 1):
         raise OutOfRangeError(f"verify needs trials >= 1, got {trials!r}")
     validate_seed(seed)
     rng = np.random.default_rng(seed)
@@ -149,14 +150,15 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
             ones = sum((np.arange(2 ** k) >> i) & 1 for i in range(k))
             canonical = rec[(1 << ones) - 1]
             compressed = rec[(1 << np.arange(k + 1)) - 1]
-            part = np.asarray(g_tables[k - 1].values)
+            sizes = [math.comb(k, m) for m in range(k + 1)]  # patterns per class
+            part = np.asarray(g_tables[k - 1].values) / sizes
             worst_eq = max(worst_eq, float(np.max(np.abs(compressed - part))))
             worst_sym = max(worst_sym, float(np.max(np.abs(rec - canonical))))
             worst_flip = max(worst_flip, float(np.max(np.abs(rec[1::2] + rec[0::2]))))
         rebuilt = probability_from_correlations(g_tables)
         worst_round = max(
             worst_round,
-            max(abs(a - b) for a, b in zip(rebuilt.values, p_tables[-1].values)),
+            max(abs(a - b) for a, b in zip(rebuilt.values, p_tables[-1].mass)),
         )
     checks.append(_check("g-recursive-vs-partition", 1e-12, worst_eq))
     checks.append(_check("g-permutation-symmetry", 1e-12, worst_sym))
@@ -164,7 +166,7 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
     checks.append(_check("p-g-roundtrip", 1e-12, worst_round))
 
     # iid joints carry no genuine correlation at any order >= 2.  The
-    # tables p^m (1-p)^(k-m) of a dyadic p run through the logarithm in
+    # masses C(k, m) p^m (1-p)^(k-m) of a dyadic p run through the log in
     # exact fractions, so any residue here is a logic error, not rounding.
     from fractions import Fraction
 
@@ -172,10 +174,11 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
     for _ in range(max(3, trials // 10)):
         p = Fraction(int(rng.integers(4, 61)), 64)
         p_values = [
-            [p**m * (1 - p) ** (k - m) for m in range(k + 1)] for k in range(1, n + 1)
+            [math.comb(k, m) * p**m * (1 - p) ** (k - m) for m in range(k + 1)]
+            for k in range(1, n + 1)
         ]
         for g in _exponential_formula(p_values, log=True)[1:]:
-            coeff = correlation_coefficient(SymmetricTable.correlation(g), n)
+            coeff = correlation_coefficient(SymmetricTable(g), n)
             worst_iid = max(worst_iid, abs(coeff))
     checks.append(_check("iid-correlation-free", 1e-10, worst_iid))
 

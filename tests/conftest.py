@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from corrcount import MixtureSpec, build_mixture_joint
-from corrcount.core import OutOfRangeError
+from corrcount.core import ExchangeableJoint, OutOfRangeError
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,16 +44,24 @@ def make_random_joint(rng, n):
     return build_mixture_joint(make_random_mixture(rng), n)
 
 
-def pattern_value(table, pattern):
-    """Value of an exchangeable table at an explicit 0/1 argument pattern.
+def class_totals(table):
+    """The class totals of a table or a joint: one sum per number of ones."""
+    return table.mass if isinstance(table, ExchangeableJoint) else table.values
 
-    The table stores one value per number of ones; this oracle reads it the
-    way the paper writes it, as a function of k arguments.
+
+def pattern_value(table, pattern):
+    """Value of an exchangeable table or joint at an explicit 0/1 argument pattern.
+
+    Both store the total over the C(k, m) patterns with m ones; this oracle
+    reads one pattern's equal share, the way the paper writes the table, as
+    a function of k arguments.
     """
     pattern = tuple(pattern)
-    assert len(pattern) == table.order, (pattern, table.order)
+    totals = class_totals(table)
+    assert len(pattern) == len(totals) - 1, (pattern, len(totals) - 1)
     assert set(pattern) <= {0, 1}, pattern
-    return table.values[sum(pattern)]
+    m = sum(pattern)
+    return totals[m] / math.comb(len(pattern), m)
 
 
 ALL_OR_NOTHING_3 = build_mixture_joint(MixtureSpec(((0.0, 0.5), (1.0, 0.5))), 3)

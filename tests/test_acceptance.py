@@ -124,9 +124,8 @@ def test_c04_ursell_suite():
                 partition = correlation_partition(p_tables[:k])
                 for m in range(k + 1):
                     canonical = (1,) * m + (0,) * (k - m)
-                    worst_eq = max(
-                        worst_eq, abs(expanded[canonical] - partition.values[m])
-                    )
+                    per_pattern = partition.values[m] / math.comb(k, m)
+                    worst_eq = max(worst_eq, abs(expanded[canonical] - per_pattern))
                 for pattern, value in expanded.items():
                     for sigma in itertools.permutations(range(k)):
                         permuted = tuple(pattern[i] for i in sigma)
@@ -139,7 +138,7 @@ def test_c04_ursell_suite():
             rebuilt = probability_from_correlations(g_tables)
             worst_round = max(
                 worst_round,
-                max(abs(a - b) for a, b in zip(rebuilt.values, p_tables[-1].values)),
+                max(abs(a - b) for a, b in zip(rebuilt.values, p_tables[-1].mass)),
             )
         assert worst_eq <= 1e-12
         assert worst_sym <= 1e-12

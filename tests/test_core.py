@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from corrcount.core import (
     validate_model,
     validate_seed,
 )
+from corrcount.limit import factorial_cumulants_from_pmf
 from corrcount.ursell import correlation_recursive, marginalize
 
 from conftest import m_factor, pattern_value
@@ -89,14 +91,12 @@ class TestValidateSeed:
         validate_seed(0)
         validate_seed(np.int64(7))
 
-    @pytest.mark.parametrize(
-        "seed", [2 ** 70, True, False, np.uint8(7), np.int32(0)]
-    )
-    def test_bools_big_and_numpy_integers_accepted(self, seed):
+    @pytest.mark.parametrize("seed", [2 ** 70, np.uint8(7), np.int32(0)])
+    def test_big_and_numpy_integers_accepted(self, seed):
         validate_seed(seed)
 
     @pytest.mark.parametrize(
-        "seed", [-1, np.int64(-3), 3.0, np.float64(3.0), "3", None, np.True_]
+        "seed", [-1, np.int64(-3), 3.0, np.float64(3.0), "3", None, np.True_, True, False]
     )
     def test_other_seeds_refused(self, seed):
         with pytest.raises(OutOfRangeError, match="non-negative integer"):
@@ -114,6 +114,36 @@ class TestValidateSeed:
     def test_callers_refuse_negative_seed(self, call):
         with pytest.raises(OutOfRangeError, match="non-negative integer, got -1"):
             call(-1)
+
+
+HALF = Pmf.from_values([0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda v: sample_counts(HALF, v, 0), True),
+        (lambda v: run_identity_suite(n=v, trials=1), 2.5),
+        (lambda v: run_identity_suite(n=2, trials=v), 2.5),
+        (lambda v: run_identity_suite(n=2, trials=v), True),
+        (lambda v: correlation_coefficient(SymmetricTable([0.5, 0.5]), v), True),
+        (lambda v: marginalize(build_mixture_joint(MixtureSpec(((0.5, 1.0),)), 3), v), True),
+        (lambda v: estimate_coefficients([1] * 10, v), True),
+        (lambda v: estimate_coefficients([1] * 10, 1, n_bootstrap=v), 2.0),
+        (lambda v: factorial_cumulants_from_pmf(HALF, v), True),
+        (lambda v: validate_seed(v), True),
+    ],
+    ids=[
+        "sample_counts-n_samples", "run_identity_suite-n", "run_identity_suite-trials",
+        "run_identity_suite-trials-bool", "correlation_coefficient-n", "marginalize-k",
+        "estimate_coefficients-l_max", "estimate_coefficients-n_bootstrap",
+        "factorial_cumulants_from_pmf-l_max", "validate_seed",
+    ],
+)
+def test_integer_arguments_refuse_bools_and_floats(call, value):
+    # a bool is an int to Python, and a float slips past range checks
+    with pytest.raises(OutOfRangeError, match=repr(value)):
+        call(value)
 
 
 class TestReducedCorrelation:
@@ -154,11 +184,11 @@ class TestReducedCorrelation:
 
 class TestCorrelationCoefficient:
     def test_scaled_all_ones_entry(self):
-        table = SymmetricTable.correlation([0.05, -0.05, 0.05])
+        table = SymmetricTable([0.05, -0.05, 0.05])
         assert correlation_coefficient(table, 4) == pytest.approx(0.8, abs=1e-15)
 
     def test_first_order(self):
-        table = SymmetricTable.correlation([0.7, 0.3])
+        table = SymmetricTable([0.7, 0.3])
         assert correlation_coefficient(table, 9) == pytest.approx(9 * 0.3, abs=0)
 
     def test_iid_joint_measures_zero(self):
@@ -170,16 +200,27 @@ class TestCorrelationCoefficient:
         assert correlation_coefficient(g2, 4) == 0.0
 
     def test_order_above_n_rejected(self):
-        table = SymmetricTable.correlation([0.0, 0.0, 0.1])
+        table = SymmetricTable([0.0, 0.0, 0.1])
         with pytest.raises(OutOfRangeError):
             correlation_coefficient(table, 1)
+
+    def test_tiny_entry_past_the_double_range_of_n_to_the_k(self):
+        # 200^135 is about 1e310, beyond a double; C_135 itself is not
+        g = SymmetricTable([0.0] * 135 + [1e-300])
+        want = float(Fraction(200) ** 135 * Fraction(1e-300))
+        assert correlation_coefficient(g, 200) == want
+        assert correlation_coefficient(SymmetricTable([0.0] * 135), 200) == 0.0
+        with pytest.raises(NonFiniteError, match="not a finite double"):
+            correlation_coefficient(SymmetricTable([0.0] * 135 + [1.0]), 200)
+        with pytest.raises(NonFiniteError, match="not a finite double"):
+            correlation_coefficient(SymmetricTable([0.0, math.nan]), 3)
 
     def test_round_trip_exact_for_power_of_two_n(self):
         # scaling by 2^j is exact, so the round trip must be bitwise
         for n, k, c in ((8, 2, 0.7), (16, 3, -2.317), (32, 4, 5.5)):
             model = CorrelationModel.from_coefficients([1.0] * (k - 1) + [c], n=n)
             vals = [reduced_correlation(model, k, q=k - m) for m in range(k + 1)]
-            assert correlation_coefficient(SymmetricTable.correlation(vals), n) == c
+            assert correlation_coefficient(SymmetricTable(vals), n) == c
 
     @given(
         c=st.floats(-10, 10, allow_nan=False).filter(lambda x: x != 0),
@@ -190,7 +231,7 @@ class TestCorrelationCoefficient:
         # dividing by N^k and multiplying back rounds at most once each way
         model = CorrelationModel.from_coefficients([1.0] * (k - 1) + [c], n=n)
         vals = [reduced_correlation(model, k, q=k - m) for m in range(k + 1)]
-        back = correlation_coefficient(SymmetricTable.correlation(vals), n)
+        back = correlation_coefficient(SymmetricTable(vals), n)
         assert back == pytest.approx(c, rel=3e-16)
 
 
@@ -232,24 +273,15 @@ class TestMFactor:
 
 
 class TestSymmetricTable:
-    def test_probability_invariants_enforced(self):
-        SymmetricTable.probability([0.25, 0.25, 0.25])  # binomial weights: 1
-        with pytest.raises(InvalidDistributionError):
-            SymmetricTable.probability([0.5, 0.5, 0.5])
-        with pytest.raises(InvalidDistributionError):
-            SymmetricTable.probability([1.5, -0.25, 0.25])
-
     def test_shape_errors(self):
-        with pytest.raises(BadShapeError):
-            SymmetricTable(order=2, kind="probability", values=(0.5, 0.5))
-        with pytest.raises(BadShapeError):
-            SymmetricTable(order=1, kind="nonsense", values=(0.5, 0.5))
+        for values in ((), (0.5,)):
+            with pytest.raises(BadShapeError, match="order >= 1"):
+                SymmetricTable(values)
+        assert SymmetricTable((0.5, -0.5, 2.0)).order == 2  # signed, unchecked
 
-    def test_classmethods_read_a_generator_once(self):
-        table = SymmetricTable.probability(x for x in [0.25, 0.25, 0.25])
-        assert table.order == 2 and table.values == (0.25, 0.25, 0.25)
-        table = SymmetricTable.correlation(x for x in [0.5, 0.5])
-        assert table.order == 1 and table.values == (0.5, 0.5)
+    def test_constructor_reads_a_generator_once(self):
+        table = SymmetricTable(x for x in [0.25, 0.5, 0.25])
+        assert table.order == 2 and table.values == (0.25, 0.5, 0.25)
 
 
 class TestJointAndPmf:

@@ -33,10 +33,10 @@ RECORDS = [
     ),
     (
         SymmetricTable,
-        (1, "probability", (0.5, 0.5)),
-        {"order": 1, "kind": "probability", "values": [0.5, 0.5]},
-        (1, "correlation", (0.5, 0.5)),
-        "SymmetricTable(order=1, kind='probability', values=(0.5, 0.5))",
+        ((0.5, 0.5),),
+        {"values": [0.5, 0.5]},
+        ((0.25, 0.75),),
+        "SymmetricTable(values=(0.5, 0.5))",
     ),
     (
         ExchangeableJoint,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from corrcount import MixtureSpec, build_mixture_joint
 from corrcount.core import (
     BadShapeError,
-    InvalidDistributionError,
+    ExchangeableJoint,
     NonFiniteError,
     OutOfRangeError,
     SymmetricTable,
@@ -27,7 +27,13 @@ from corrcount.ursell import (
 )
 from corrcount.verify import measure_coefficients
 
-from conftest import ALL_OR_NOTHING_3, make_random_joint, pattern_value
+from conftest import (
+    ALL_OR_NOTHING_3,
+    class_totals,
+    make_random_joint,
+    make_random_mixture,
+    pattern_value,
+)
 
 
 def bell_recurrence(k):
@@ -79,13 +85,24 @@ def block_product(g, blocks, m):
     return prod
 
 
-def partition_orders(p_tables):
-    """G_1..G_k by the set-partition sum, each order built once from below.
+def per_pattern(totals):
+    k = len(totals) - 1
+    return [v / math.comb(k, m) for m, v in enumerate(totals)]
 
-    The definition of the Ursell expansion, enumerated term by term: the
-    oracle for the exponential formula in corrcount.ursell.
+
+def to_totals(values):
+    k = len(values) - 1
+    return [math.comb(k, m) * v for m, v in enumerate(values)]
+
+
+def partition_orders(p_tables):
+    """Class totals of G_1..G_k by the set-partition sum, built from below.
+
+    The definition of the Ursell expansion, enumerated term by term on
+    per-pattern values: the oracle for the exponential formula in
+    corrcount.ursell.
     """
-    g = {1: list(p_tables[0].values)}
+    g = {1: per_pattern(class_totals(p_tables[0]))}
     for j in range(2, len(p_tables) + 1):
         disconnected = [0.0] * (j + 1)
         for blocks in enumerate_set_partitions(j):
@@ -93,20 +110,20 @@ def partition_orders(p_tables):
                 continue
             for m in range(j + 1):
                 disconnected[m] += block_product(g, blocks, m)
-        p_j = p_tables[j - 1].values
+        p_j = per_pattern(class_totals(p_tables[j - 1]))
         g[j] = [p_j[m] - disconnected[m] for m in range(j + 1)]
-    return [g[j] for j in range(1, len(p_tables) + 1)]
+    return [to_totals(g[j]) for j in range(1, len(p_tables) + 1)]
 
 
 def partition_probability(g_tables):
-    """P_k as the sum over all set partitions of the product of G on the blocks."""
+    """Class totals of P_k: over all set partitions, the product of G on the blocks."""
     k = len(g_tables)
-    g = {j: list(g_tables[j - 1].values) for j in range(1, k + 1)}
+    g = {j: per_pattern(g_tables[j - 1].values) for j in range(1, k + 1)}
     values = [0.0] * (k + 1)
     for blocks in enumerate_set_partitions(k):
         for m in range(k + 1):
             values[m] += block_product(g, blocks, m)
-    return values
+    return to_totals(values)
 
 
 def is_canonical(blocks):
@@ -174,16 +191,29 @@ class TestMarginalize:
         assert pattern_value(table, (1, 0)) == 0.0
 
     def test_order_past_the_double_range_of_binomials(self):
-        # C(k, m) overflows a double past k = 1029; the tables are still checked
+        # C(k, m) overflows a double past k = 1029, and the per-pattern
+        # probabilities mass[m] / C(n, m) underflow; class masses do neither
         joint = build_mixture_joint(MixtureSpec(((0.3, 1.0),)), 1100)
-        table = marginalize(joint, 1030)
-        total = sum(math.comb(1030, m) * Fraction(v) for m, v in enumerate(table.values))
-        assert float(total) == pytest.approx(1.0, abs=1e-12)
-        # at k = n the per-pattern values mass[m] / C(n, m) underflow
-        with pytest.raises(InvalidDistributionError, match="sum to 0.99999999"):
-            marginalize(joint, 1100)
-        with pytest.raises(InvalidDistributionError, match="sum to inf"):
-            SymmetricTable.probability([0.5] * 1101)
+        marginal = marginalize(joint, 1030)
+        assert isinstance(marginal, ExchangeableJoint) and marginal.n == 1030
+        assert math.fsum(marginal.mass) == pytest.approx(1.0, abs=1e-12)
+        # every hypergeometric weight is exactly 1 at k = n
+        assert marginalize(joint, 1100) == joint
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 301])
+    def test_masses_match_the_exact_hypergeometric_sums(self, rng, n):
+        joint = build_mixture_joint(make_random_mixture(rng), n)
+        for k in sorted({1, 2, n // 2, n - 1, n} - {0}):
+            exact = [
+                sum(
+                    Fraction(joint.mass[m + j])
+                    * Fraction(math.comb(k, m) * math.comb(n - k, j), math.comb(n, m + j))
+                    for j in range(n - k + 1)
+                )
+                for m in range(k + 1)
+            ]
+            got = marginalize(joint, k).mass
+            assert max(abs(a - float(b)) for a, b in zip(got, exact)) < 1e-15
 
     def test_order_bounds(self):
         with pytest.raises(OutOfRangeError):
@@ -232,6 +262,17 @@ class TestCorrelationRecursive:
         tables = iid_tables(0.5, 3)
         with pytest.raises(BadShapeError):
             correlation_recursive([tables[0], tables[2]])
+
+    @pytest.mark.parametrize(
+        "route", [correlation_recursive, correlation_recursive_expanded, correlation_partition]
+    )
+    def test_a_correlation_table_is_not_a_joint(self, route):
+        p_tables = iid_tables(0.5, 2)
+        g_tables = [correlation_partition(p_tables[:k]) for k in (1, 2)]
+        with pytest.raises(BadShapeError, match="expected ExchangeableJoint at order 1"):
+            route(g_tables)
+        with pytest.raises(BadShapeError, match="expected SymmetricTable at order 2"):
+            probability_from_correlations([g_tables[0], p_tables[1]])
 
 
 def g3_literal(p1, p2, p3, g1, g2, r):
@@ -322,8 +363,8 @@ class TestRecursiveVsPartition:
 
 
 def expanded_view(table):
-    """Per-pattern dictionary of a table over all 2^order argument patterns."""
-    patterns = itertools.product((0, 1), repeat=table.order)
+    """Per-pattern dictionary of a table or joint over all 2^k argument patterns."""
+    patterns = itertools.product((0, 1), repeat=len(class_totals(table)) - 1)
     return {r: pattern_value(table, r) for r in patterns}
 
 
@@ -391,23 +432,21 @@ class TestExpandedIdentities:
 
 class TestProbabilityFromCorrelations:
     def test_inverse_of_all_or_nothing_example(self):
-        g1 = SymmetricTable.correlation([0.5, 0.5])
-        g2 = SymmetricTable.correlation([0.25, -0.25, 0.25])
-        g3 = SymmetricTable.correlation([0.0, 0.0, 0.0, 0.0])
+        g1 = SymmetricTable([0.5, 0.5])
+        g2 = SymmetricTable([0.25, -0.5, 0.25])
+        g3 = SymmetricTable([0.0, 0.0, 0.0, 0.0])
         p3 = probability_from_correlations([g1, g2, g3])
         # 0.125 + 3 * 0.5 * 0.25 + 0
         assert pattern_value(p3, (1, 1, 1)) == pytest.approx(0.5, abs=1e-15)
 
     def test_vanishing_higher_orders_mean_independence(self):
         p = 0.3
-        g1 = SymmetricTable.correlation([1 - p, p])
-        zeros = [
-            SymmetricTable.correlation([0.0] * (k + 1)) for k in range(2, 5)
-        ]
+        g1 = SymmetricTable([1 - p, p])
+        zeros = [SymmetricTable([0.0] * (k + 1)) for k in range(2, 5)]
         table = probability_from_correlations([g1, *zeros])
         for m in range(5):
             assert table.values[m] == pytest.approx(
-                p ** m * (1 - p) ** (4 - m), abs=1e-15
+                math.comb(4, m) * p ** m * (1 - p) ** (4 - m), abs=1e-15
             )
 
     def test_round_trip_on_random_joint(self, rng):
@@ -416,7 +455,7 @@ class TestProbabilityFromCorrelations:
         g_tables = [correlation_partition(p_tables[:k]) for k in range(1, 7)]
         rebuilt = probability_from_correlations(g_tables)
         assert max(
-            abs(a - b) for a, b in zip(rebuilt.values, p_tables[-1].values)
+            abs(a - b) for a, b in zip(rebuilt.values, p_tables[-1].mass)
         ) < 1e-12
 
     def test_marginal_consistency(self, rng):
@@ -428,24 +467,25 @@ class TestProbabilityFromCorrelations:
             full = probability_from_correlations(g_tables[:k])
             lower = probability_from_correlations(g_tables[: k - 1])
             for m in range(k):
-                summed = full.values[m] + full.values[m + 1]
-                assert summed == pytest.approx(lower.values[m], abs=1e-13)
+                ones = (1,) * m + (0,) * (k - 1 - m)
+                summed = pattern_value(full, ones + (0,)) + pattern_value(full, ones + (1,))
+                assert summed == pytest.approx(pattern_value(lower, ones), abs=1e-13)
 
     def test_no_order_cap(self):
         # the set-partition sum stopped at order 12; the series has no cap
         p = 0.25
-        g1 = SymmetricTable.correlation([1 - p, p])
-        zeros = [SymmetricTable.correlation([0.0] * (k + 1)) for k in range(2, 22)]
+        g1 = SymmetricTable([1 - p, p])
+        zeros = [SymmetricTable([0.0] * (k + 1)) for k in range(2, 22)]
         table = probability_from_correlations([g1, *zeros])
         assert table.order == 21
         for m in range(22):
             assert table.values[m] == pytest.approx(
-                p ** m * (1 - p) ** (21 - m), rel=1e-14
+                math.comb(21, m) * p ** m * (1 - p) ** (21 - m), rel=1e-14
             )
 
     def test_non_finite_result_refused(self):
-        g1 = SymmetricTable.correlation([0.5, 0.5])
-        g2 = SymmetricTable.correlation([0.0, math.nan, 0.0])
+        g1 = SymmetricTable([0.5, 0.5])
+        g2 = SymmetricTable([0.0, math.nan, 0.0])
         with pytest.raises(NonFiniteError):
             probability_from_correlations([g1, g2])
 
@@ -461,7 +501,7 @@ def random_dyadic_tables(rng, k):
 def exact_tables(tables, log):
     numerators, scale = _exact_formula(tables, log)
     return [
-        [Fraction(v, math.comb(j, m) * scale**j) for m, v in enumerate(values)]
+        [Fraction(v, scale**j) for v in values]
         for j, values in enumerate(numerators, start=1)
     ]
 
@@ -496,7 +536,7 @@ class TestExponentialFormula:
         for n in (3, 6, 12):
             joint = make_random_joint(rng, n=n)
             p_tables = [marginalize(joint, k) for k in range(1, n + 1)]
-            exact = exact_tables([t.values for t in p_tables], log=True)
+            exact = exact_tables([t.mass for t in p_tables], log=True)
             got = _correlation_orders(p_tables)
             assert [list(g.values) for g in got] == [[float(v) for v in t] for t in exact]
 
@@ -509,7 +549,7 @@ class TestExponentialFormula:
             g_tables = _correlation_orders(p_tables)
             scale = max(1.0, max(abs(v) for g in g_tables for v in g.values))
             rebuilt = probability_from_correlations(g_tables)
-            worst = max(abs(a - b) for a, b in zip(rebuilt.values, p_tables[-1].values))
+            worst = max(abs(a - b) for a, b in zip(rebuilt.values, p_tables[-1].mass))
             assert worst < 1e-12 * scale
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -539,4 +579,4 @@ def test_round_trip_property(n, atoms):
     p_tables = [marginalize(joint, k) for k in range(1, n + 1)]
     g_tables = [correlation_partition(p_tables[:k]) for k in range(1, n + 1)]
     rebuilt = probability_from_correlations(g_tables)
-    assert max(abs(a - b) for a, b in zip(rebuilt.values, p_tables[-1].values)) < 1e-12
+    assert max(abs(a - b) for a, b in zip(rebuilt.values, p_tables[-1].mass)) < 1e-12
