@@ -11,6 +11,7 @@ failed during verify.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -81,7 +82,7 @@ def _parse_mixture(text: str) -> MixtureSpec:
     return MixtureSpec(tuple(atoms))
 
 
-def _parse_ugrid(text: str) -> np.ndarray:
+def _parse_ugrid(text: str) -> list[float]:
     try:
         start_s, stop_s, count_s = text.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
@@ -89,15 +90,28 @@ def _parse_ugrid(text: str) -> np.ndarray:
         raise _UsageError(f"bad u grid {text!r}; expected start:stop:count") from exc
     if not 1 <= count <= MAX_POINTS:
         raise _UsageError(f"u grid count must lie in 1..{MAX_POINTS}, got {count}")
+    span = stop - start
     # A non-finite span also catches a NaN or infinite start or stop.
-    if not math.isfinite(stop - start):
+    if not math.isfinite(span):
         raise _UsageError(f"bad u grid {text!r}; start, stop and their span must be finite")
-    import numpy as np
+    # The points of np.linspace(start, stop, count), bit for bit.
+    if count == 1:
+        return [0.0 * span + start]
+    step = span / (count - 1)
+    if step == 0.0:  # the step underflows: scale the span last
+        grid = [i / (count - 1) * span + start for i in range(count)]
+    else:
+        grid = [i * step + start for i in range(count)]
+    grid[-1] = stop
+    return grid
 
-    return np.linspace(start, stop, count)
 
+def _resolve_model(args, need_n: bool | None) -> CorrelationModel:
+    """The model of --c or --model, with --n applied.
 
-def _resolve_model(args, need_n: bool) -> CorrelationModel:
+    ``need_n`` True requires an event count, False refuses one (the
+    command computes the N -> infinity law) and None accepts either.
+    """
     if getattr(args, "model", None):
         try:
             with open(args.model, encoding="utf-8") as fh:
@@ -112,7 +126,19 @@ def _resolve_model(args, need_n: bool) -> CorrelationModel:
         model = CorrelationModel(l_max=model.l_max, c=model.c, n=args.n)
     if need_n and model.n is None:
         raise _UsageError("this command requires an event count: pass --n")
+    if need_n is False and model.n is not None:
+        raise _UsageError(
+            f"{args.command} computes the N -> infinity law and takes no event "
+            f"count, got n = {model.n}: use finite-pmf for a finite N"
+        )
     return model
+
+
+def _write_rows(rows) -> None:
+    """Write an iterable of lines to stdout, joined in blocks of 65536."""
+    rows = iter(rows)
+    while block := "".join(itertools.islice(rows, 65536)):
+        sys.stdout.write(block)
 
 
 def _emit_pmf(pmf: Pmf, fmt: str) -> None:
@@ -126,9 +152,9 @@ def _emit_pmf(pmf: Pmf, fmt: str) -> None:
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        print("s,p")
-        for s, p in enumerate(pmf.values):
-            print(f"{s},{p!r}")
+        _write_rows(itertools.chain(
+            ["s,p\n"], (f"{s},{p!r}\n" for s, p in enumerate(pmf.values))
+        ))
 
 
 def _pmf_exit(pmf: Pmf) -> int:
@@ -178,14 +204,15 @@ def _cmd_cf(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        print("u,re,im")
-        for u, z in zip(grid.u, grid.chi):
-            print(f"{u!r},{z.real!r},{z.imag!r}")
+        _write_rows(itertools.chain(
+            ["u,re,im\n"],
+            (f"{u!r},{z.real!r},{z.imag!r}\n" for u, z in zip(grid.u, grid.chi)),
+        ))
     return EXIT_OK
 
 
 def _cmd_sample(args) -> int:
-    model = _resolve_model(args, need_n=False)
+    model = _resolve_model(args, need_n=None)
     if model.n is not None:
         pmf = finite_count_pmf(model)
     else:

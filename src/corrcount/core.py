@@ -358,8 +358,8 @@ class CfGrid(Record):
     _fields = ("u", "chi")
 
     def __init__(self, u, chi):
-        u = tuple(float(x) for x in u)
-        chi = tuple(complex(z) for z in chi)
+        u = tuple(map(float, u))
+        chi = tuple(map(complex, chi))
         if len(u) != len(chi):
             raise BadShapeError(f"grid length {len(u)} != value count {len(chi)}")
         super().__init__(u, chi)

@@ -90,33 +90,42 @@ def exponent_polynomial(model: CorrelationModel) -> tuple[float, ...]:
 def char_fn(model: CorrelationModel, u_grid) -> CfGrid:
     """Characteristic function chi(u) = exp(Q(e^{iu})) on a grid.
 
+    Q(e^{iu}) is evaluated by Horner's rule from q_l_max down to q_0,
+    the loop ``numpy.polyval`` runs, in plain complex arithmetic.
+
     Raises:
         OutOfRangeError: more than MAX_POINTS grid points.
         NonFiniteError: a grid point is NaN or infinite, or chi(u)
             overflows double precision.
     """
-    import numpy as np
+    import cmath
 
-    q = exponent_polynomial(model)
-    u = np.asarray(list(u_grid), dtype=float)
-    if u.size > MAX_POINTS:
+    q = exponent_polynomial(model)[::-1]
+    u = tuple(map(float, u_grid))
+    if len(u) > MAX_POINTS:
         raise OutOfRangeError(
-            f"grid of {u.size} points exceeds the supported ceiling {MAX_POINTS}"
+            f"grid of {len(u)} points exceeds the supported ceiling {MAX_POINTS}"
         )
-    bad = np.flatnonzero(~np.isfinite(u))
-    if bad.size:
-        i = int(bad[0])
-        raise NonFiniteError(f"u[{i}] = {float(u[i])!r} is not finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        chi = np.exp(np.polyval(q[::-1], np.exp(1j * u)))
-    bad = np.flatnonzero(~np.isfinite(chi))
-    if bad.size:
-        i = int(bad[0])
-        raise NonFiniteError(
-            f"chi(u[{i}] = {float(u[i])!r}) = {complex(chi[i])!r} is not finite: "
-            "exp(Q(e^iu)) overflowed double precision"
-        )
-    return CfGrid(tuple(u.tolist()), tuple(chi.tolist()))
+    for i, x in enumerate(u):
+        if not math.isfinite(x):
+            raise NonFiniteError(f"u[{i}] = {x!r} is not finite")
+    chi = []
+    for i, x in enumerate(u):
+        z = cmath.exp(1j * x)
+        y = 0j
+        for c in q:
+            y = y * z + c
+        try:
+            value = cmath.exp(y)
+        except OverflowError:  # cmath.exp raises rather than return inf
+            value = None
+        if value is None or not cmath.isfinite(value):
+            raise NonFiniteError(
+                f"chi(u[{i}] = {x!r}) = exp({y!r}) is not finite: "
+                "exp(Q(e^iu)) overflowed double precision"
+            )
+        chi.append(value)
+    return CfGrid(u, chi)
 
 
 def _tail_bound(q: tuple[float, ...], support: int) -> float:

@@ -5,9 +5,10 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
-from corrcount.cli import _read_counts, main
+from corrcount.cli import _parse_ugrid, _read_counts, main
 
 from conftest import subprocess_env
 
@@ -140,6 +141,34 @@ class TestCf:
         assert len(rows) == 64
         assert float(rows[0].split(",")[0]) == 0.0
         assert float(rows[-1].split(",")[0]) == pytest.approx(6.2832)
+
+    @pytest.mark.parametrize(
+        "start, stop, count",
+        [
+            (0.0, 6.283185307179586, 100000),
+            (0.0, 6.2832, 16),
+            (0.5, 2.0, 1),
+            (-0.0, 1.0, 1),
+            (1.0, -3.0, 1),
+            (0.3, 0.7, 2),
+            (0.3, 0.7, 3),
+            (-0.0, 1.0, 3),
+            (1.0, -0.0, 3),
+            (0.0, -0.0, 3),
+            (1.25, 1.25, 5),
+            (3.0, -3.0, 7),
+            (-5.0, 7.0, 333),
+            (0.0, 5e-324, 7),  # the step underflows to 0
+            (1e-310, 2e-310, 1001),
+            (-8e307, 8e307, 9),
+            (1e308, -7e307, 4),
+            (0.0, 1.7e308, 1001),
+        ],
+    )
+    def test_grid_points_are_those_of_linspace(self, start, stop, count):
+        got = _parse_ugrid(f"{start!r}:{stop!r}:{count}")
+        want = np.linspace(start, stop, count).tolist()
+        assert list(map(repr, got)) == list(map(repr, want))
 
 
 class TestClosedStdout:
@@ -522,6 +551,27 @@ class TestBadInput:
         assert code == 3
         assert out == ""
         assert err.startswith(f"error: cannot read {flag[2:]} ")
+
+    @pytest.mark.parametrize("route", ["flag", "model-file", "config"])
+    @pytest.mark.parametrize("command", ["limit-pmf", "cf"])
+    def test_limit_law_refuses_an_event_count(self, capsys, tmp_path, command, route):
+        model = {"l_max": 1, "c": [2.0], "n": 10}
+        grid = {"cf": ["--u", "0:1:2"]}.get(command, [])
+        if route == "flag":
+            argv = [command, "--c", "2", "--n", "10", *grid]
+        elif route == "model-file":
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(model))
+            argv = [command, "--model", str(path), *grid]
+        else:
+            config = {"command": command, "model": model, "u": grid[1] if grid else None}
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps(config))
+            argv = ["--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "takes no event count, got n = 10: use finite-pmf" in err
 
     def test_config_and_subcommand_conflict(self, capsys, tmp_path):
         path = tmp_path / "job.json"

@@ -47,6 +47,16 @@ lines built on those tables moved (``g-permutation-symmetry``,
 ``g-flip-antisymmetry``, ``p-g-roundtrip``), each within its unchanged
 tolerance.
 
+The ``cf-csv`` and ``verify`` digests were re-recorded when the
+characteristic function moved from numpy to plain Python complex
+arithmetic.  numpy's complex multiply fuses multiply-adds where the CPU
+offers them, and CPython's x86-64 build does not, so the old digests held
+only on CPUs with those instructions; the new ones are what numpy printed
+with them switched off (``NPY_DISABLE_CPU_FEATURES``), and
+``test_cf_bytes_do_not_depend_on_numpy_cpu_features`` checks that.  In
+``verify`` only the ``cf-pmf-duality`` worst value moved, within its
+unchanged tolerance; grids of l_max = 1, such as ``cf-json``, did not move.
+
 ``{plain}``, ``{csv}`` and ``{bare_csv}`` in an argv stand for counts files
 the test writes: plain lines, CSV with a ``sample_index,count`` header,
 and CSV without one, all holding the same 2000 counts.  ``{wide}`` is a
@@ -55,11 +65,15 @@ plain file of 2000 counts up to 300, above the one-byte range.
 
 import hashlib
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from corrcount.cli import main
+
+from conftest import subprocess_env
 
 CASES = {
     "finite-pmf-csv": (
@@ -84,7 +98,7 @@ CASES = {
     ),
     "cf-csv": (
         ["cf", "--c", "2.0,0.5", "--u", "0:6.2832:16"],
-        0, "290a5076464e6475ad6bcfb2d00686d1e1a585be6cbf8f95177a06842d9c5091",
+        0, "40ed1589b7ef2b62c00adcb3895691cc53af4c68cc6002de1d80f2b9a7898f93",
     ),
     "cf-json": (
         ["cf", "--c", "1.0,0.3", "--u", "0.5:2:4", "--format", "json"],
@@ -124,7 +138,7 @@ CASES = {
     ),
     "verify": (
         ["verify", "--trials", "20"],
-        0, "72cf6592bd21c0e7d421a10c571cdc41f1f917e7b57a58a64c16aec7a9977ec3",
+        0, "bad3323193f2737831c13c71556ecbc84679a7231bc232dc031dca420829212e",
     ),
     "verify-default": (
         ["verify"],
@@ -211,3 +225,14 @@ def test_oracle_pmf_rows_are_exactly_rounded(capsys):
         for s in range(9)
     ]
     assert ORACLE_P == tuple(repr(float(q)) for q in exact)
+
+
+def test_cf_bytes_do_not_depend_on_numpy_cpu_features():
+    argv, want_code, want_digest = CASES["cf-csv"]
+    env = subprocess_env()
+    env["NPY_DISABLE_CPU_FEATURES"] = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+    done = subprocess.run(
+        [sys.executable, "-m", "corrcount", *argv], capture_output=True, env=env
+    )
+    digest = hashlib.sha256(done.stdout).hexdigest()
+    assert (done.returncode, digest) == (want_code, want_digest)

@@ -2,6 +2,7 @@ import cmath
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,34 @@ class TestCharFn:
         assert char_fn(model, [0.0]).chi == (1.0,)
         with pytest.raises(NonFiniteError, match=r"chi\(u\[1\] = 1\.5\) = .* is not finite"):
             char_fn(model, [0.0, 1.5, 3.0])
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            (1.0,),
+            (40.0,),
+            (2.0, 0.5),
+            (1.0, 0.3),
+            (2.0, -0.5),
+            (3.0, 1.0, 0.2),
+            (2.0, -3.0, 4.0),
+            (0.5, 2.0, -1.0),
+            (12.0, 3.0, 0.5, 0.05),
+            (300.0, 30.0, 2.0, 0.1),
+        ],
+    )
+    def test_matches_mpmath_oracle(self, c):
+        # Q(e^{iu}) from the same rounded q in 200-bit arithmetic: what is
+        # left is the rounding of Horner's rule and of exp.
+        model = CorrelationModel.from_coefficients(c)
+        q = exponent_polynomial(model)
+        grid = char_fn(model, np.linspace(-7.0, 7.0, 701))
+        budget = 2.0 * sys.float_info.epsilon * (1.0 + math.fsum(map(abs, q)))
+        with mpmath.workprec(200):
+            for u, chi in zip(grid.u, grid.chi):
+                z = mpmath.expj(u)
+                exact = mpmath.exp(mpmath.fsum(x * z**t for t, x in enumerate(q)))
+                assert abs(chi - exact) <= budget * max(1.0, abs(chi)), u
 
     def test_modulus_bounded_for_admissible_models(self, rng):
         for _ in range(5):

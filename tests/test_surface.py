@@ -119,7 +119,8 @@ SUBMODULES = {
 }
 # Each costs start-up time that no command needs before it runs.
 START_UP_FREE = {
-    "dataclasses", "decimal", "fractions", "inspect", "json", "numbers", "numpy",
+    "cmath", "dataclasses", "decimal", "fractions", "inspect", "json", "numbers",
+    "numpy",
 }
 
 
@@ -139,6 +140,8 @@ def test_cli_import_adds_only_what_starting_needs():
         (["limit-pmf"], 3),
         (["limit-pmf", "--c", "10000,500,10,0.5", "--format", "json"], 0),
         (["oracle-pmf", "--n", "1000", "--mixture", "0.2:0.5,0.6:0.5"], 0),
+        (["cf", "--c", "2", "--u", "0:1:5"], 0),
+        (["cf", "--c", "2,0.5", "--u", "0:1:5", "--format", "json"], 0),
     ],
 )
 def test_scalar_commands_never_import_numpy(argv, code):
@@ -149,7 +152,7 @@ def test_scalar_commands_never_import_numpy(argv, code):
 
 @pytest.mark.parametrize(
     "argv",
-    [["finite-pmf", "--n", "200", "--c", "3,0.6"], ["cf", "--c", "2", "--u", "0:1:5"]],
+    [["finite-pmf", "--n", "200", "--c", "3,0.6"]],
 )
 def test_array_commands_do_not_import_numpy_random(argv):
     out, modules = fresh_modules(CLI_PROBE.format(argv=argv))
