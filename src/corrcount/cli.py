@@ -22,7 +22,6 @@ from .core import (
     MAX_POINTS,
     CorrcountError,
     CorrelationModel,
-    IdentityCheckError,
     InadmissiblePmfError,
     Pmf,
     TrailingZeroWarning,
@@ -428,9 +427,6 @@ def main(argv=None) -> int:
         except InadmissiblePmfError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INADMISSIBLE
-        except IdentityCheckError as exc:
-            print(f"internal identity violation: {exc}", file=sys.stderr)
-            return EXIT_VERIFY_FAILED
         except CorrcountError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_BAD_INPUT

@@ -34,7 +34,6 @@ __all__ = [
     "TooFewSamplesError",
     "BadSpecError",
     "InvalidDistributionError",
-    "IdentityCheckError",
     "TrailingZeroWarning",
     "Record",
     "CorrelationModel",
@@ -43,6 +42,7 @@ __all__ = [
     "Pmf",
     "CfGrid",
     "is_int_in",
+    "fsum_or_inf",
     "validate_model",
     "validate_seed",
     "correlation_coefficient",
@@ -99,10 +99,6 @@ class BadSpecError(CorrcountError):
 
 class InvalidDistributionError(CorrcountError):
     """A probability table or joint violates nonnegativity or normalization."""
-
-
-class IdentityCheckError(CorrcountError):
-    """Two internally computed forms of the same quantity disagree."""
 
 
 class TrailingZeroWarning(UserWarning):
@@ -201,6 +197,14 @@ class CorrelationModel(Record):
 def is_int_in(value, low: int, high: float = math.inf) -> bool:
     """Whether ``value`` is a Python int, not a bool, with low <= value <= high."""
     return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+
+
+def fsum_or_inf(terms) -> float:
+    """math.fsum of nonnegative terms; inf where their sum overflows a double."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:  # finite terms whose running sum passed the range
+        return math.inf
 
 
 def validate_model(model: CorrelationModel) -> CorrelationModel:

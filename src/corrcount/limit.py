@@ -4,8 +4,10 @@ The limiting probability generating function is exp(Q(z)) with
 
     Q(z) = sum_l C_l (z - 1)^l / l!,
 
-a polynomial of degree l_max; the characteristic function is
-exp(Q(e^{iu})).  Pmf values are the power-series coefficients of exp(Q),
+a polynomial of degree l_max formed by one route, the occupancy double
+sum; orders past MAX_ORDER (l! overflows) and an overflowing q_t are
+refused.  The characteristic function is exp(Q(e^{iu})).  Pmf values
+are the power-series coefficients of exp(Q),
 generated by the standard recurrence for the exponential of a polynomial
 (exp(Q) is entire, so Cauchy's estimate bounds the omitted tail, even for
 coefficient vectors that are not admissible).  log of the generating
@@ -20,18 +22,19 @@ from .core import (
     MAX_POINTS,
     CfGrid,
     CorrelationModel,
-    IdentityCheckError,
     NonConvergentError,
     NonFiniteError,
     OutOfRangeError,
     Pmf,
     TailTooHeavyError,
+    fsum_or_inf,
     is_int_in,
     validate_model,
 )
 
 __all__ = [
     "SUPPORT_CAP",
+    "MAX_ORDER",
     "MAX_CUMULANT_ORDER",
     "exponent_polynomial",
     "char_fn",
@@ -42,6 +45,8 @@ __all__ = [
 
 # Adaptive support search refuses past this many pmf entries.
 SUPPORT_CAP = 10 ** 6
+# 171! exceeds the largest double, so C_l / l! has no order beyond this.
+MAX_ORDER = 170
 # exp(q) overflows above _LOG_MAX.
 _LOG_MAX = math.log(sys.float_info.max)
 # ln 2 split so that e * _LN2_HI is exact for |e| < 2^21 (Cody & Waite).
@@ -53,37 +58,27 @@ MAX_CUMULANT_ORDER = 6
 def exponent_polynomial(model: CorrelationModel) -> tuple[float, ...]:
     """Coefficients (q_0, ..., q_l_max) of Q(z) = sum_t q_t z^t; Q(1) = 0.
 
-    Q is the exponent of the limiting generating function exp(Q(z)).
-    Computed twice: literally as the occupancy double sum
-    q[t] = sum_l (-1)^(l-t) C_l binom(l, t) / l!, and independently by
-    accumulating C_l (z-1)^l / l! through repeated polynomial
-    multiplication.  The two routes must agree; the check ships with the
-    computation.
+    Q is the exponent of the limiting generating function exp(Q(z)),
+    computed as the occupancy double sum
+    q[t] = sum_l (-1)^(l-t) C_l binom(l, t) / l!.
+
+    Raises:
+        OutOfRangeError: l_max above MAX_ORDER, where l! overflows a double.
+        NonFiniteError: some q_t overflows a double.
     """
     model = validate_model(model)
     l_max = model.l_max
+    if l_max > MAX_ORDER:
+        raise OutOfRangeError(f"order l = {l_max}: l! = {l_max}! overflows a double")
 
     q = [0.0] * (l_max + 1)
     for l in range(1, l_max + 1):
         w = model.coefficient(l) / math.factorial(l)
         for t in range(l + 1):
             q[t] += (-1) ** (l - t) * w * math.comb(l, t)
-
-    alt = [0.0] * (l_max + 1)
-    power = [1.0]  # coefficients of (z - 1)^l
-    for l in range(1, l_max + 1):
-        power = [b - a for a, b in zip(power + [0.0], [0.0] + power)]
-        w = model.coefficient(l) / math.factorial(l)
-        for t, x in enumerate(power):
-            alt[t] += w * x
-
-    scale = max(
-        1.0,
-        sum(abs(model.coefficient(l)) * 2.0 ** l / math.factorial(l)
-            for l in range(1, l_max + 1)),
-    )
-    if max(abs(q[t] - alt[t]) for t in range(l_max + 1)) > 1e-14 * scale:
-        raise IdentityCheckError("double-sum and binomial forms of Q disagree")
+    for t, x in enumerate(q):
+        if not math.isfinite(x):
+            raise NonFiniteError(f"q_{t} = {x!r} is not finite: Q overflows a double")
     return tuple(q)
 
 
@@ -117,7 +112,7 @@ def char_fn(model: CorrelationModel, u_grid) -> CfGrid:
             y = y * z + c
         try:
             value = cmath.exp(y)
-        except OverflowError:  # cmath.exp raises rather than return inf
+        except (OverflowError, ValueError):  # raised for an infinite or NaN part
             value = None
         if value is None or not cmath.isfinite(value):
             raise NonFiniteError(
@@ -135,6 +130,7 @@ def _tail_bound(q: tuple[float, ...], support: int) -> float:
     so the tail is at most that times r^-(support+1) / (1 - 1/r), convex in
     t with slope sum_j j |q_j| e^{jt} - (support+1) - 1/(e^t - 1).  Any t
     gives a valid bound; bisection on the slope over (0, _LOG_MAX] picks one.
+    A sum that overflows is inf: a positive slope, or a bound that fails.
     """
     logs = [(j, math.log(abs(x))) for j, x in enumerate(q) if j and x]
     if not logs:  # Q is constant
@@ -143,9 +139,9 @@ def _tail_bound(q: tuple[float, ...], support: int) -> float:
     for _ in range(64):
         t = 0.5 * (lo + hi)
         # Terms clip to exp(_LOG_MAX) only where the slope is positive.
-        rate = math.fsum(j * math.exp(min(a + j * t, _LOG_MAX)) for j, a in logs)
+        rate = fsum_or_inf(j * math.exp(min(a + j * t, _LOG_MAX)) for j, a in logs)
         lo, hi = (t, hi) if rate < support + 1 + 1.0 / math.expm1(t) else (lo, t)
-    log_bound = q[0] + math.fsum(math.exp(min(a + j * hi, _LOG_MAX)) for j, a in logs)
+    log_bound = q[0] + fsum_or_inf(math.exp(min(a + j * hi, _LOG_MAX)) for j, a in logs)
     log_bound -= (support + 1) * hi + math.log(-math.expm1(-hi))
     return math.exp(log_bound) if log_bound < _LOG_MAX else math.inf
 
@@ -183,8 +179,8 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
 
     c1 = model.coefficient(1)
     c2 = model.coefficient(2) if model.l_max >= 2 else 0.0
-    s_max = math.ceil(c1 + 10.0 * math.sqrt(max(c1 + c2, 1.0)))
-    s_max = max(s_max, l_max, 1)
+    start = c1 + 10.0 * math.sqrt(max(c1 + c2, 1.0))  # inf if C_1 + C_2 overflows
+    s_max = max(math.ceil(min(start, SUPPORT_CAP + 1)), l_max, 1)
     while s_max <= SUPPORT_CAP and (tail := _tail_bound(q, s_max)) > mass_tolerance:
         s_max *= 2
     if s_max > SUPPORT_CAP:

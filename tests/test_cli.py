@@ -431,26 +431,97 @@ class TestBadInput:
         assert out == ""
         assert "ceiling 100000" in err
 
-    @pytest.mark.parametrize("c, cause", [("1,0,0,1e5", "overflows")])
-    def test_limit_p0_out_of_double_range_exit_3(self, capsys, c, cause):
-        code, out, err = run_cli(capsys, "limit-pmf", "--c", c)
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            pytest.param(
+                ["limit-pmf", "--c", "1,0,0,1e5"],
+                "p(0) = exp(q_0) overflows",
+                id="1,0,0,1e5-overflows",
+            ),
+            pytest.param(
+                ["limit-pmf", "--c", "1e308,-1e308"],
+                "q_1 = inf is not finite",
+                id="limit-q1-inf",
+            ),
+            pytest.param(
+                ["sample", "--c", "1e308,-1e308", "--count", "3"],
+                "q_1 = inf is not finite",
+                id="sample-q1-inf",
+            ),
+            pytest.param(
+                ["cf", "--c", "1e308,-1e308", "--u", "0:3:3"],
+                "q_1 = inf is not finite",
+                id="cf-q1-inf",
+            ),
+            # every q_t is finite, but the Cauchy bound's sums overflow
+            pytest.param(
+                ["limit-pmf", "--c", "1e307,1e307,1e307"],
+                "cap of 1000000 entries",
+                id="tail-sum-overflows",
+            ),
+            # C_1 + C_2 overflows in the starting support
+            pytest.param(
+                ["limit-pmf", "--c", "1e308,1e308"],
+                "cap of 1000000 entries",
+                id="start-overflows",
+            ),
+            pytest.param(
+                ["limit-pmf", "--c", ",".join(["0.1"] * 171)],
+                "order l = 171: l! = 171! overflows a double",
+                id="limit-order-171",
+            ),
+            pytest.param(
+                ["cf", "--c", ",".join(["0.1"] * 171), "--u", "0:3:3"],
+                "order l = 171: l! = 171! overflows a double",
+                id="cf-order-171",
+            ),
+        ],
+    )
+    def test_limit_p0_out_of_double_range_exit_3(self, capsys, argv, cause):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
-        assert f"p(0) = exp(q_0) {cause}" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert cause in err
 
-    @pytest.mark.parametrize("c", ["1e20", "1.0,1e40"])
-    def test_finite_overflow_exit_3(self, capsys, c):
-        code, out, err = run_cli(capsys, "finite-pmf", "--n", "100", "--c", c)
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            pytest.param(
+                ["--n", "100", "--c", "1e20"], "p_N(0) = inf is not finite", id="1e20"
+            ),
+            pytest.param(
+                ["--n", "100", "--c", "1.0,1e40"],
+                "p_N(0) = inf is not finite",
+                id="1.0,1e40",
+            ),
+            pytest.param(
+                ["--n", "100000", "--c", ",".join(["0.1"] * 62)],
+                "order l = 62 at N = 100000: N^l overflows a double",
+                id="n-power-62",
+            ),
+            # the event-count ceiling comes before N^l is formed
+            pytest.param(
+                ["--n", "10000000", "--c", ",".join(["0.1"] * 45)],
+                "N = 10000000 exceeds the supported ceiling 100000",
+                id="n-ceiling-45",
+            ),
+        ],
+    )
+    def test_finite_overflow_exit_3(self, capsys, argv, cause):
+        code, out, err = run_cli(capsys, "finite-pmf", *argv)
         assert code == 3
         assert out == ""
-        assert err.startswith("error: p_N(0) = ")
-        assert "is not finite" in err
+        assert err.startswith(f"error: {cause}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["cf", "--c=-1000", "--u=0:3:3"],
             ["cf", "--c", "2,400", "--u", "0:3:3", "--format", "json"],
+            # Q(e^iu) = inf - inf j at u = 3: cmath.exp raises ValueError
+            ["cf", "--c", "1,1.5e308", "--u", "0:3:3"],
         ],
     )
     def test_cf_overflow_exit_3(self, capsys, argv):

@@ -5,10 +5,17 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corrcount import CorrelationModel, Pmf, char_fn, limit_pmf
+from corrcount import (
+    CorrcountError,
+    CorrelationModel,
+    Pmf,
+    char_fn,
+    finite_count_pmf,
+    limit_pmf,
+)
 from corrcount.core import (
     NonConvergentError,
     NonFiniteError,
@@ -17,6 +24,16 @@ from corrcount.core import (
 )
 from corrcount.limit import exponent_polynomial, factorial_cumulants_from_pmf
 from corrcount.verify import random_admissible_model, random_model
+
+
+def binomial_form(model):
+    """q by the second route: sum of C_l (z - 1)^l / l! as polynomials."""
+    alt = np.zeros(model.l_max + 1)
+    power = np.array([1.0])  # coefficients of (z - 1)^l
+    for l in range(1, model.l_max + 1):
+        power = np.convolve(power, [-1.0, 1.0])
+        alt[: l + 1] += model.coefficient(l) / math.factorial(l) * power
+    return alt
 
 
 class TestExponentPolynomial:
@@ -46,18 +63,12 @@ class TestExponentPolynomial:
             assert abs(math.fsum(poly)) <= 1e-14
 
     def test_double_sum_matches_binomial_form(self, rng):
-        # the in-library check would raise; recompute the reference here
         for _ in range(1000):
             l_max = int(rng.integers(1, 7))
             c = rng.uniform(-10, 10, size=l_max).tolist()
             model = CorrelationModel.from_coefficients(c)
             q = exponent_polynomial(model)
-            alt = np.zeros(l_max + 1)
-            power = np.array([1.0])
-            for l in range(1, l_max + 1):
-                power = np.convolve(power, [-1.0, 1.0])
-                alt[: l + 1] += model.coefficient(l) / math.factorial(l) * power
-            assert max(abs(a - b) for a, b in zip(q, alt)) <= 1e-14
+            assert max(abs(a - b) for a, b in zip(q, binomial_form(model))) <= 1e-14
 
 
 class TestCharFn:
@@ -435,7 +446,12 @@ def test_exponent_forms_agree_property(c):
     if c[-1] == 0.0:
         c[-1] = 1.0
     model = CorrelationModel.from_coefficients(c)
-    poly = exponent_polynomial(model)  # raises IdentityCheckError on mismatch
+    poly = exponent_polynomial(model)
+    scale = max(
+        1.0,
+        sum(abs(x) * 2.0 ** l / math.factorial(l) for l, x in enumerate(c, start=1)),
+    )
+    assert max(abs(a - b) for a, b in zip(poly, binomial_form(model))) <= 1e-14 * scale
     assert abs(math.fsum(poly)) <= 1e-13 * max(
         1.0, max(abs(x) for x in poly)
     )
@@ -470,3 +486,36 @@ def test_limit_law_across_the_domain_property(q):
     assert abs(pmf.total_mass() - 1.0) <= 1e-12 + rounding
     assert abs(pmf.mean() - c[0]) <= 1e-8 * max(c[0], 1.0)
     assert pmf.tail_bound <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.lists(
+        st.builds(
+            lambda sign, k: sign * 10.0 ** k,
+            st.sampled_from((1.0, -1.0)),
+            st.integers(20, 308),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    n=st.integers(1, 10),
+)
+@example(c=[1e308, -1e308], n=2)
+@example(c=[1e307, 1e307, 1e307], n=3)
+@example(c=[1e308, 1e308], n=2)
+@example(c=[1e20, 1e308, -1e308], n=3)
+@example(c=[1e308], n=1)
+def test_edge_of_double_range_property(c, n):
+    # Each law returns or raises a CorrcountError; no raw Python exception.
+    model = CorrelationModel.from_coefficients(c)
+    finite_model = CorrelationModel.from_coefficients(c, n=max(n, len(c)))
+    for compute in (
+        lambda: limit_pmf(model),
+        lambda: char_fn(model, [0.0, 1.5, 3.0]),
+        lambda: finite_count_pmf(finite_model),
+    ):
+        try:
+            compute()
+        except CorrcountError:
+            pass
