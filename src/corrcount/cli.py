@@ -247,8 +247,10 @@ def _read_counts(path: str) -> np.ndarray:
             # ("sample_index,count"), which is skipped.
             csv = "," in first
             header = csv and not _is_number(first.split(",")[0])
-            if not first or (header and next(rows, None) is None):
+            if not first:
                 raise _UsageError(f"counts file {path} is empty")
+            if header and next(rows, None) is None:
+                raise _UsageError(f"counts file {path} has a header but no count rows")
         return np.loadtxt(
             path, dtype=np.int64, comments=None, delimiter=",", ndmin=1,
             skiprows=skip if header else 0, usecols=1 if csv else None, encoding="utf-8",

@@ -18,13 +18,13 @@ are refused.
 Coefficients of exp(A) are generated by the standard series recurrence for
 the exponential of a polynomial, run on the rescaled quantities
 H_n(y) = n! [x^n] exp(A), which keeps every intermediate at H_n(1) = 1:
-the N! prefactor is absorbed step by step and nothing overflows.
+the N! prefactor is absorbed step by step and nothing overflows.  It is
+the only series kernel here: the error estimate is read off its result.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from collections import deque
 from typing import TYPE_CHECKING
@@ -35,7 +35,6 @@ from .core import (
     ExchangeableJoint,
     NonFiniteError,
     Pmf,
-    Record,
     SeriesOverflowError,
     fsum_or_inf,
     is_int_in,
@@ -47,7 +46,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MAX_EVENT_COUNT",
-    "BivariatePolynomial",
     "count_pmf_from_joint",
     "build_exponent",
     "finite_count_pmf",
@@ -65,32 +63,15 @@ _FIRST_WIDTH = 256
 _CHUNK = 1024
 
 
-class BivariatePolynomial(Record):
-    """Coefficients a[d][t] of sum_d sum_t a x^d y^t, 1 <= d <= degree, 0 <= t <= d."""
-
-    _fields = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[float, ...], ...]):
-        for d, row in enumerate(rows, start=1):
-            if len(row) != d + 1:
-                raise BadShapeError(
-                    f"x-degree {d} needs {d + 1} y-coefficients, got {len(row)}"
-                )
-        super().__init__(rows)
-
-    @property
-    def degree(self) -> int:
-        return len(self.rows)
-
-
 def count_pmf_from_joint(joint: ExchangeableJoint) -> Pmf:
     """Exact count pmf of a joint: its class masses."""
     return Pmf.from_values(joint.mass, tail_bound=0.0)
 
 
-def build_exponent(model: CorrelationModel) -> BivariatePolynomial:
+def build_exponent(model: CorrelationModel) -> tuple[tuple[float, ...], ...]:
     """Bivariate exponent A(x, y) of the finite-N generating identity.
 
+    Row d - 1 holds the coefficients a[d][0..d] of x^d y^t, d = 1..l_max.
     Degree-1 row: (1 - C_1/N, C_1/N).  For l >= 2 the occupancy-t entry is
     (-1)^(l-t) C_l / (N^l (l-t)! t!).  Each row with l >= 2 sums to zero
     and the degree-1 row sums to one (alternating binomial identity), so
@@ -116,7 +97,7 @@ def build_exponent(model: CorrelationModel) -> BivariatePolynomial:
             (-1) ** (l - t) * scaled / (math.factorial(l - t) * math.factorial(t))
             for t in range(l + 1)
         ))
-    return BivariatePolynomial(tuple(rows))
+    return tuple(rows)
 
 
 def _ratio_table(n_events: int, l_max: int) -> np.ndarray:
@@ -133,23 +114,6 @@ def _ratio_table(n_events: int, l_max: int) -> np.ndarray:
     for j in range(2, l_max + 1):
         ratio[:, l_max - j] = ratio[:, l_max - j + 1] * (steps - (j - 1))
     return ratio
-
-
-def _shadow_total(ratio: np.ndarray, magnitudes) -> float:
-    """N! [x^N] exp(sum_j R_j x^j) by the scalar recurrence on ``ratio``.
-
-    h_n = sum_j j * R_j * (n-1)!/(n-j)! * h_{n-j} with h_0 = 1, the ratio
-    table's rows taken a chunk at a time.  O(N * l_max).
-    """
-    import numpy as np
-
-    l_max = len(magnitudes)
-    coeffs = np.array([(l_max - i) * magnitudes[l_max - i - 1] for i in range(l_max)])
-    window: deque[float] = deque([0.0] * (l_max - 1) + [1.0], maxlen=l_max)
-    for start in range(1, len(ratio), _CHUNK):
-        for row in (ratio[start : start + _CHUNK] * coeffs).tolist():
-            window.append(sum(map(operator.mul, row, window)))
-    return window[-1]
 
 
 def _ring_views(ring: np.ndarray) -> tuple[list, list]:
@@ -180,9 +144,9 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
     entries are p_N(0..N).  The sum over s is 1 and the mean is C_1 for any
     real coefficient vector; entries may be negative for inadmissible
     vectors, which the returned flag records.  ``error_estimate`` is
-    eps * N! [x^N] exp(sum_j R_j x^j) with R_j = sum_t |a_{j,t}|, the
-    total of the same recurrence run on absolute values, a proxy for
-    accumulated cancellation.
+    eps * sum_s |p_N(s)| of the computed entries: eps for a probability
+    law, larger by the cancellation a signed one needs to sum to 1.  The
+    error budget is N * error_estimate, tested from both sides.
 
     Each step is one product.  H_{n-l_max}..H_{n-1} sit in a ring of
     l_max slots, stored twice over so that the l_max slots step n reads
@@ -214,13 +178,13 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
             f"N = {n_events} exceeds the supported ceiling {MAX_EVENT_COUNT}"
         )
     exponent = build_exponent(model)
-    l_max = exponent.degree
+    l_max = len(exponent)
     shifts = l_max + 1
     with np.errstate(over="ignore", invalid="ignore"):
         ratio = _ratio_table(n_events, l_max)
         # base[i, t] = j * a_{j,t} for j = l_max - i, zero for t > j.
         base = np.zeros((l_max, shifts))
-        for j, row in enumerate(exponent.rows, start=1):
+        for j, row in enumerate(exponent, start=1):
             base[l_max - j, : j + 1] = [j * a for a in row]
 
         # Slots k and k + l_max hold H_m for m = k mod l_max, so step n reads
@@ -260,6 +224,5 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
                 f"p_N({s}) = {float(values[s])!r} is not finite: the recurrence "
                 "overflowed double precision"
             )
-        magnitudes = [fsum_or_inf(abs(a) for a in row) for row in exponent.rows]
-        error_estimate = _shadow_total(ratio, magnitudes) * _EPS
+        error_estimate = fsum_or_inf(map(abs, values[:length].tolist())) * _EPS
     return Pmf.from_values(values, tail_bound=0.0, error_estimate=error_estimate)

@@ -184,10 +184,16 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
     while s_max <= SUPPORT_CAP and (tail := _tail_bound(q, s_max)) > mass_tolerance:
         s_max *= 2
     if s_max > SUPPORT_CAP:
+        tail = _tail_bound(q, SUPPORT_CAP)
+        # |q_j| far above 2^53 can cancel that bound to 0 or inf: name the start.
+        why = (
+            f"the mean plus ten standard deviations is {start:.3e}"
+            if start > SUPPORT_CAP and not 0.0 < tail < math.inf
+            else f"the tail bound there is {tail:.3e}, above the mass "
+            f"tolerance {mass_tolerance}"
+        )
         raise NonConvergentError(
-            f"needed support beyond the cap of {SUPPORT_CAP} entries: the "
-            f"tail bound there is {_tail_bound(q, SUPPORT_CAP):.3e}, above "
-            f"the mass tolerance {mass_tolerance}"
+            f"needed support beyond the cap of {SUPPORT_CAP} entries: {why}"
         )
 
     e = 0 if math.exp(q[0]) >= sys.float_info.min else math.floor(q[0] / _LN2_HI)

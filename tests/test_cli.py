@@ -293,23 +293,33 @@ class TestSampleAndEstimate:
         assert json.loads(outs[1])["n_samples"] == 150
 
     @pytest.mark.parametrize(
-        "rows",
+        "rows, cause",
         [
-            ["sample_index,count", "0,2", "1,x", "2,2"],
-            ["0,2", "1", "2,2"],
-            ["2", "2,5", "2"],
-            ["2", "two", "2"],
+            pytest.param(
+                ["sample_index,count", "0,2", "1,x", "2,2"], "bad counts file", id="rows0"
+            ),
+            pytest.param(["0,2", "1", "2,2"], "bad counts file", id="rows1"),
+            pytest.param(["2", "2,5", "2"], "bad counts file", id="rows2"),
+            pytest.param(["2", "two", "2"], "bad counts file", id="rows3"),
+            pytest.param([], "is empty", id="empty"),
+            pytest.param(["", "  ", ""], "is empty", id="blank-only"),
+            pytest.param(
+                ["sample_index,count"],
+                "has a header but no count rows",
+                id="header-only",
+            ),
         ],
     )
-    def test_estimate_malformed_row_exit_3(self, capsys, tmp_path, rows):
+    def test_estimate_malformed_row_exit_3(self, capsys, tmp_path, rows, cause):
         path = tmp_path / "counts.txt"
-        path.write_text("\n".join(rows) + "\n")
+        path.write_text("".join(row + "\n" for row in rows))
         code, out, err = run_cli(
             capsys, "estimate", "--input", str(path), "--lmax", "1"
         )
         assert code == 3
         assert out == ""
-        assert "bad counts file" in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert cause in err
 
     def test_estimate_pipeline_recovers_coefficients(self, capsys, tmp_path):
         code, out, _ = run_cli(
@@ -457,14 +467,23 @@ class TestBadInput:
             # every q_t is finite, but the Cauchy bound's sums overflow
             pytest.param(
                 ["limit-pmf", "--c", "1e307,1e307,1e307"],
-                "cap of 1000000 entries",
+                "cap of 1000000 entries: the mean plus ten standard "
+                "deviations is 1.000e+307",
                 id="tail-sum-overflows",
             ),
             # C_1 + C_2 overflows in the starting support
             pytest.param(
                 ["limit-pmf", "--c", "1e308,1e308"],
-                "cap of 1000000 entries",
+                "cap of 1000000 entries: the mean plus ten standard "
+                "deviations is inf",
                 id="start-overflows",
+            ),
+            # the Cauchy bound's sums cancel to 0
+            pytest.param(
+                ["limit-pmf", "--c", "1e30"],
+                "cap of 1000000 entries: the mean plus ten standard "
+                "deviations is 1.000e+30",
+                id="start-past-cap",
             ),
             pytest.param(
                 ["limit-pmf", "--c", ",".join(["0.1"] * 171)],

@@ -17,7 +17,6 @@ from corrcount.core import (
     Pmf,
     SymmetricTable,
 )
-from corrcount.finite import BivariatePolynomial
 from corrcount.montecarlo import EstimateReport, MixtureSpec
 from corrcount.verify import IdentityCheck
 
@@ -60,13 +59,6 @@ RECORDS = [
         {"u": [0.0, 1], "chi": [1, 0.5 + 0.5j]},
         ((0.0, 2.0), (1, 0.5 + 0.5j)),
         "CfGrid(u=(0.0, 1.0), chi=((1+0j), (0.5+0.5j)))",
-    ),
-    (
-        BivariatePolynomial,
-        (((0.5, 0.5), (1.0, -2.0, 1.0)),),
-        {"rows": ((0.5, 0.5), (1.0, -2.0, 1.0))},
-        (((0.5, 0.5),),),
-        "BivariatePolynomial(rows=((0.5, 0.5), (1.0, -2.0, 1.0)))",
     ),
     (
         MixtureSpec,
