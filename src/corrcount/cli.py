@@ -122,7 +122,7 @@ def _resolve_model(args, need_n: bool | None) -> CorrelationModel:
     else:
         raise _UsageError("a model is required: pass --c or --model")
     if getattr(args, "n", None) is not None:
-        model = CorrelationModel(l_max=model.l_max, c=model.c, n=args.n)
+        model = CorrelationModel(model.c, args.n)
     if need_n and model.n is None:
         raise _UsageError("this command requires an event count: pass --n")
     if need_n is False and model.n is not None:

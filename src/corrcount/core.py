@@ -9,7 +9,9 @@ on {0,1}^k is stored as its k+1 class totals, the sums over the argument
 patterns with each number of ones (:class:`SymmetricTable`), and a joint
 of N events likewise as its count law, the mass of each class
 (:class:`ExchangeableJoint`).  Count distributions carry an
-explicit tail bound and an admissibility flag (:class:`Pmf`).
+explicit tail bound and flag their own admissibility (:class:`Pmf`).
+A record stores only what it cannot derive: the order l_max of a model
+and the event count of a joint are lengths, read as properties.
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe for unrestricted concurrent use.
@@ -29,7 +31,6 @@ __all__ = [
     "OutOfRangeError",
     "SeriesOverflowError",
     "NonConvergentError",
-    "TailTooHeavyError",
     "InadmissiblePmfError",
     "TooFewSamplesError",
     "BadSpecError",
@@ -79,10 +80,6 @@ class SeriesOverflowError(CorrcountError):
 
 class NonConvergentError(CorrcountError):
     """The adaptive support search hit its cap before meeting the mass tolerance."""
-
-
-class TailTooHeavyError(CorrcountError):
-    """The pmf tail bound is too large for the requested operation."""
 
 
 class InadmissiblePmfError(CorrcountError):
@@ -146,20 +143,25 @@ class Record:
 class CorrelationModel(Record):
     """Coefficient vector (C_1, ..., C_{l_max}) with an optional event count N.
 
-    ``c`` is ordered C_1, ..., C_{l_max}; use :meth:`coefficient` for
-    1-based access.  ``n`` is None for limit-law computations and a
-    positive integer >= l_max for finite-N ones.
+    ``c`` is ordered C_1, ..., C_{l_max}, so the order ``l_max`` is its
+    length; use :meth:`coefficient` for 1-based access.  ``n`` is None for
+    limit-law computations and a positive integer >= l_max for finite-N
+    ones.
     """
 
-    _fields = ("l_max", "c", "n")
+    _fields = ("c", "n")
 
-    def __init__(self, l_max: int, c, n: int | None = None):
-        super().__init__(l_max, tuple(float(x) for x in c), n)
+    def __init__(self, c, n: int | None = None):
+        super().__init__(tuple(float(x) for x in c), n)
 
     @classmethod
     def from_coefficients(cls, c, n=None) -> "CorrelationModel":
-        c = tuple(float(x) for x in c)
-        return cls(l_max=len(c), c=c, n=n)
+        """The same as ``CorrelationModel(c, n)``."""
+        return cls(c, n)
+
+    @property
+    def l_max(self) -> int:
+        return len(self.c)
 
     def coefficient(self, l: int) -> float:
         """C_l for 1 <= l <= l_max."""
@@ -177,15 +179,31 @@ class CorrelationModel(Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationModel":
+        """The model of a JSON object, whose ``l_max`` must be the length of ``c``.
+
+        Raises:
+            BadShapeError: a field is missing, ``c`` is not an array of
+                numbers (a bool or a string is not one), or ``l_max`` is
+                not a positive integer equal to its length.
+            NonFiniteError: an integer entry is too large for a double.
+        """
         try:
             l_max = data["l_max"]
             c = data["c"]
         except (KeyError, TypeError) as exc:
             raise BadShapeError(f"model JSON needs 'l_max' and 'c': {exc}") from exc
+        if not isinstance(c, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in c
+        ):
+            raise BadShapeError(f"model JSON 'c' must be an array of numbers, got {c!r}")
+        if not is_int_in(l_max, 1):
+            raise BadShapeError(f"l_max must be a positive integer, got {l_max!r}")
+        if l_max != len(c):
+            raise BadShapeError(f"expected {l_max} coefficients, got {len(c)}")
         try:
-            return cls(l_max=l_max, c=tuple(c), n=data.get("n"))
-        except (TypeError, ValueError) as exc:
-            raise BadShapeError(f"bad model JSON contents: {exc}") from exc
+            return cls(c, data.get("n"))
+        except OverflowError as exc:  # an integer past the double range
+            raise NonFiniteError(f"bad model JSON contents: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "CorrelationModel":
@@ -213,16 +231,12 @@ def validate_model(model: CorrelationModel) -> CorrelationModel:
     Emits :class:`TrailingZeroWarning` when C_{l_max} is exactly zero.
 
     Raises:
-        BadShapeError: l_max or n not a positive integer (a bool is not
-            one), coefficient count mismatch, or n < l_max.
+        BadShapeError: no coefficients, n not a positive integer (a bool
+            is not one), or n < l_max.
         NonFiniteError: any coefficient is NaN or infinite.
     """
-    if not is_int_in(model.l_max, 1):
-        raise BadShapeError(f"l_max must be a positive integer, got {model.l_max!r}")
-    if len(model.c) != model.l_max:
-        raise BadShapeError(
-            f"expected {model.l_max} coefficients, got {len(model.c)}"
-        )
+    if not model.c:
+        raise BadShapeError("a model needs at least the coefficient C_1")
     for l, value in enumerate(model.c, start=1):
         if not math.isfinite(value):
             raise NonFiniteError(f"C_{l} = {value!r} is not finite")
@@ -283,17 +297,16 @@ class ExchangeableJoint(Record):
     """Joint distribution of N exchangeable binary events.
 
     ``mass[m]`` is the probability that exactly m events occur, the total
-    of the C(N, m) outcome patterns with m ones, which share it equally.
+    of the C(N, m) outcome patterns with m ones, which share it equally;
+    N is ``len(mass) - 1``.
     """
 
-    _fields = ("n", "mass")
+    _fields = ("mass",)
 
-    def __init__(self, n: int, mass):
-        if not is_int_in(n, 1):
-            raise BadShapeError(f"n must be a positive integer, got {n!r}")
+    def __init__(self, mass):
         mass = tuple(float(x) for x in mass)
-        if len(mass) != n + 1:
-            raise BadShapeError(f"n = {n} needs {n + 1} class masses, got {len(mass)}")
+        if len(mass) < 2:
+            raise BadShapeError(f"a joint needs n >= 1 events, got {len(mass)} class masses")
         for q in mass:
             if not math.isfinite(q):
                 raise NonFiniteError(f"class mass {q!r} is not finite")
@@ -302,15 +315,20 @@ class ExchangeableJoint(Record):
         total = math.fsum(mass)
         if abs(total - 1.0) > TABLE_TOL:
             raise InvalidDistributionError(f"joint mass sums to {total!r}, not 1")
-        super().__init__(n, mass)
+        super().__init__(mass)
+
+    @property
+    def n(self) -> int:
+        return len(self.mass) - 1
 
 
 class Pmf(Record):
     """Count distribution on {0, ..., s_max} with an explicit tail bound.
 
-    ``admissible`` is False when some entry falls below -ADMISSIBILITY_TOL,
-    which signals that the producing coefficient vector does not define a
-    probability model; the signed values are kept for inspection.
+    ``admissible`` is not an argument: it is False when some entry is not
+    finite or falls below -ADMISSIBILITY_TOL, which signals that the
+    producing coefficient vector does not define a probability model; the
+    signed values are kept for inspection.
     ``error_estimate`` is eps * sum |p(s)| of the computed entries for the
     finite-N law (its budget is N times that), the drift |1 - sum p| for
     the limit law, and 0 for a pmf read off a joint.
@@ -318,30 +336,16 @@ class Pmf(Record):
 
     _fields = ("values", "tail_bound", "admissible", "error_estimate")
 
-    def __init__(
-        self,
-        values,
-        tail_bound: float = 0.0,
-        admissible: bool = True,
-        error_estimate: float = 0.0,
-    ):
+    def __init__(self, values, tail_bound: float = 0.0, error_estimate: float = 0.0):
         values = tuple(float(x) for x in values)
         if not values:
             raise BadShapeError("pmf needs at least one entry")
-        super().__init__(values, tail_bound, admissible, error_estimate)
+        admissible = all(map(math.isfinite, values)) and min(values) >= -ADMISSIBILITY_TOL
+        super().__init__(values, float(tail_bound), admissible, float(error_estimate))
 
     @classmethod
     def from_values(cls, values, tail_bound=0.0, error_estimate=0.0) -> "Pmf":
-        pmf = cls(
-            values=values,
-            tail_bound=float(tail_bound),
-            error_estimate=float(error_estimate),
-        )
-        # __init__ has converted the values; flag them without a copy.
-        finite = all(math.isfinite(v) for v in pmf.values)
-        admissible = finite and min(pmf.values) >= -ADMISSIBILITY_TOL
-        object.__setattr__(pmf, "admissible", admissible)
-        return pmf
+        return cls(values, tail_bound, error_estimate)
 
     @property
     def s_max(self) -> int:

@@ -12,8 +12,8 @@ generated by the standard recurrence for the exponential of a polynomial
 (exp(Q) is entire, so Cauchy's estimate bounds the omitted tail, even for
 coefficient vectors that are not admissible).  log of the generating
 function at z = 1 + w is sum_l C_l w^l / l!, so the factorial cumulants
-of the limiting law are exactly the C_l; the moment-side extractor
-recovers them from any sufficiently tail-light pmf.
+of the limiting law are exactly the C_l; :func:`factorial_cumulants`
+reads them off a pmf or a histogram of counts.
 """
 import math
 import sys
@@ -26,21 +26,17 @@ from .core import (
     NonFiniteError,
     OutOfRangeError,
     Pmf,
-    TailTooHeavyError,
     fsum_or_inf,
-    is_int_in,
     validate_model,
 )
 
 __all__ = [
     "SUPPORT_CAP",
     "MAX_ORDER",
-    "MAX_CUMULANT_ORDER",
     "exponent_polynomial",
     "char_fn",
     "limit_pmf",
     "factorial_cumulants",
-    "factorial_cumulants_from_pmf",
 ]
 
 # Adaptive support search refuses past this many pmf entries.
@@ -51,8 +47,6 @@ MAX_ORDER = 170
 _LOG_MAX = math.log(sys.float_info.max)
 # ln 2 split so that e * _LN2_HI is exact for |e| < 2^21 (Cody & Waite).
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
-# Moment-to-cumulant combinatorics beyond this order only amplifies tail noise.
-MAX_CUMULANT_ORDER = 6
 
 
 def exponent_polynomial(model: CorrelationModel) -> tuple[float, ...]:
@@ -249,23 +243,3 @@ def factorial_cumulants(weights, l_max: int, total: float = 1.0) -> tuple[float,
         cumulants.append(acc)
     return tuple(cumulants)
 
-
-def factorial_cumulants_from_pmf(pmf: Pmf, l_max: int) -> tuple[float, ...]:
-    """First l_max factorial cumulants of a count pmf.
-
-    See :func:`factorial_cumulants`.  For the limiting law these cumulants
-    equal the model coefficients.
-
-    Raises:
-        OutOfRangeError: l_max outside 1..MAX_CUMULANT_ORDER.
-        TailTooHeavyError: pmf tail bound above 1e-10.
-    """
-    if not is_int_in(l_max, 1, MAX_CUMULANT_ORDER):
-        raise OutOfRangeError(
-            f"cumulant order must lie in 1..{MAX_CUMULANT_ORDER}, got {l_max!r}"
-        )
-    if pmf.tail_bound > 1e-10:
-        raise TailTooHeavyError(
-            f"tail bound {pmf.tail_bound!r} too large for cumulants of order {l_max}"
-        )
-    return factorial_cumulants(pmf.values, l_max)

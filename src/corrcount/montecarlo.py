@@ -130,9 +130,7 @@ def build_mixture_joint(spec: MixtureSpec, n: int) -> ExchangeableJoint:
             for m in range(n + 1):
                 mass[m] += term
                 term = term * odds * (n - m) / (m + 1)
-        return ExchangeableJoint(
-            n, [_round_once(spec, n, m, q) for m, q in enumerate(mass)]
-        )
+        return ExchangeableJoint(_round_once(spec, n, m, q) for m, q in enumerate(mass))
 
 
 def _round_once(spec: MixtureSpec, n: int, m: int, q, prec: int = 40) -> float:

@@ -69,7 +69,7 @@ def marginalize(joint: ExchangeableJoint, k: int) -> ExchangeableJoint:
         )
         for m in range(k + 1)
     ]
-    return ExchangeableJoint(k, mass)
+    return ExchangeableJoint(mass)
 
 
 def _check_tables(tables: Sequence, cls: type) -> list[tuple[float, ...]]:

@@ -52,12 +52,12 @@ VERIFY_MAX_N = 20
 
 
 class IdentityCheck(Record):
+    """One identity's worst deviation; it has ``passed`` when worst <= tolerance."""
+
     _fields = ("name", "tolerance", "worst", "passed", "detail")
 
-    def __init__(
-        self, name: str, tolerance: float, worst: float, passed: bool, detail: str = ""
-    ):
-        super().__init__(name, tolerance, worst, passed, detail)
+    def __init__(self, name: str, tolerance: float, worst: float, detail: str = ""):
+        super().__init__(name, tolerance, worst, bool(worst <= tolerance), detail)
 
 
 def random_mixture_spec(rng: np.random.Generator) -> MixtureSpec:
@@ -81,7 +81,7 @@ def random_model(rng: np.random.Generator, n: int | None = None) -> CorrelationM
     c = rng.uniform(-5.0, 5.0, size=l_max)
     if c[-1] == 0.0:
         c[-1] = 2.5
-    return CorrelationModel(l_max=l_max, c=tuple(c.tolist()), n=n)
+    return CorrelationModel(c.tolist(), n)
 
 
 def random_admissible_model(rng: np.random.Generator) -> CorrelationModel:
@@ -93,7 +93,7 @@ def random_admissible_model(rng: np.random.Generator) -> CorrelationModel:
             c.append(float(rng.uniform(-0.6, 0.9)) / math.factorial(l - 1))
         if c[-1] == 0.0:
             c[-1] = 0.1
-        model = CorrelationModel(l_max=l_max, c=tuple(c))
+        model = CorrelationModel(c)
         if limit_pmf(model, mass_tolerance=1e-12).admissible:
             return model
     raise RuntimeError("no admissible model found in 500 tries")
@@ -105,16 +105,6 @@ def measure_coefficients(joint, k_max: int | None = None) -> tuple[float, ...]:
     p_tables = [marginalize(joint, k) for k in range(1, k_max + 1)]
     g_tables = _correlation_orders(p_tables)
     return tuple(correlation_coefficient(g, joint.n) for g in g_tables)
-
-
-def _check(name, tolerance, worst, detail="") -> IdentityCheck:
-    return IdentityCheck(
-        name=name,
-        tolerance=tolerance,
-        worst=worst,
-        passed=bool(worst <= tolerance),
-        detail=detail,
-    )
 
 
 def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[IdentityCheck]:
@@ -160,10 +150,10 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
             worst_round,
             max(abs(a - b) for a, b in zip(rebuilt.values, p_tables[-1].mass)),
         )
-    checks.append(_check("g-recursive-vs-partition", 1e-12, worst_eq))
-    checks.append(_check("g-permutation-symmetry", 1e-12, worst_sym))
-    checks.append(_check("g-flip-antisymmetry", 1e-12, worst_flip))
-    checks.append(_check("p-g-roundtrip", 1e-12, worst_round))
+    checks.append(IdentityCheck("g-recursive-vs-partition", 1e-12, worst_eq))
+    checks.append(IdentityCheck("g-permutation-symmetry", 1e-12, worst_sym))
+    checks.append(IdentityCheck("g-flip-antisymmetry", 1e-12, worst_flip))
+    checks.append(IdentityCheck("p-g-roundtrip", 1e-12, worst_round))
 
     # iid joints carry no genuine correlation at any order >= 2.  The
     # masses C(k, m) p^m (1-p)^(k-m) of a dyadic p run through the log in
@@ -180,7 +170,7 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
         for g in _exponential_formula(p_values, log=True)[1:]:
             coeff = correlation_coefficient(SymmetricTable(g), n)
             worst_iid = max(worst_iid, abs(coeff))
-    checks.append(_check("iid-correlation-free", 1e-10, worst_iid))
+    checks.append(IdentityCheck("iid-correlation-free", 1e-10, worst_iid))
 
     # Measuring every coefficient of a joint and rerunning the counting
     # machinery at full order must reproduce the joint's own count pmf.
@@ -199,7 +189,7 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
             worst_oracle,
             max(abs(a - b) for a, b in zip(rebuilt.values, direct.values)),
         )
-    checks.append(_check("oracle-vs-finite-pmf", 1e-10, worst_oracle))
+    checks.append(IdentityCheck("oracle-vs-finite-pmf", 1e-10, worst_oracle))
 
     # Normalization and mean hold for arbitrary real coefficients.  Far
     # outside admissibility the true entries oscillate at huge amplitude,
@@ -225,7 +215,7 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
             worst_mean, e_mean / max(1e-8, 10.0 * model.n * pmf.error_estimate)
         )
     checks.append(
-        _check(
+        IdentityCheck(
             "finite-pmf-normalization",
             1.0,
             worst_norm,
@@ -235,7 +225,7 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
         )
     )
     checks.append(
-        _check(
+        IdentityCheck(
             "finite-pmf-mean-identity",
             1.0,
             worst_mean,
@@ -250,7 +240,7 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
         for s in range(min(41, len(pmf.values))):
             expected = math.exp(-lam) * lam ** s / math.factorial(s)
             worst_poisson = max(worst_poisson, abs(pmf.values[s] - expected))
-    checks.append(_check("poisson-reduction", 1e-12, worst_poisson))
+    checks.append(IdentityCheck("poisson-reduction", 1e-12, worst_poisson))
 
     # Fourier sum of the pmf matches the closed-form characteristic function.
     worst_cf = 0.0
@@ -264,6 +254,6 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
         for u, chi in zip(cf.u, cf.chi):
             series = complex(np.sum(p * np.exp(1j * u * s)))
             worst_cf = max(worst_cf, abs(series - chi))
-    checks.append(_check("cf-pmf-duality", 1e-8, worst_cf))
+    checks.append(IdentityCheck("cf-pmf-duality", 1e-8, worst_cf))
 
     return checks

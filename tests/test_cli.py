@@ -611,6 +611,31 @@ class TestBadInput:
         code, _, _ = run_cli(capsys, "limit-pmf", "--model", str(path))
         assert code == 3
 
+    @pytest.mark.parametrize("flag", ["--model", "--config"])
+    @pytest.mark.parametrize(
+        "model, cause",
+        [
+            ({"l_max": 2, "c": "12"}, "'c' must be an array of numbers, got '12'"),
+            ({"l_max": 2, "c": [True, 0.5]}, "'c' must be an array of numbers, got [True"),
+            ({"l_max": 2, "c": ["1", "0.5"]}, "'c' must be an array of numbers, got ['1'"),
+            ({"l_max": 1, "c": 5}, "'c' must be an array of numbers, got 5"),
+            ({"l_max": 3, "c": [1.0, 0.5]}, "expected 3 coefficients, got 2"),
+            ({"l_max": 1, "c": [10 ** 400]}, "too large to convert to float"),
+        ],
+        ids=["c-string", "c-bool", "c-strings", "c-number", "l_max-mismatch", "c-huge-int"],
+    )
+    def test_model_json_is_refused_not_reinterpreted(self, capsys, tmp_path, flag, model, cause):
+        # a string is iterable, a bool is an int and float() parses a
+        # string, so each could pass for some other coefficient vector
+        path = tmp_path / "job.json"
+        job = {"command": "limit-pmf", "model": model} if flag == "--config" else model
+        path.write_text(json.dumps(job))
+        argv = [flag, str(path)] if flag == "--config" else ["limit-pmf", flag, str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert cause in err
+
     @pytest.mark.parametrize(
         "model, field",
         [

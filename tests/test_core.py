@@ -29,7 +29,6 @@ from corrcount.core import (
     validate_model,
     validate_seed,
 )
-from corrcount.limit import factorial_cumulants_from_pmf
 from corrcount.ursell import correlation_recursive, marginalize
 
 from conftest import m_factor, pattern_value
@@ -37,29 +36,34 @@ from conftest import m_factor, pattern_value
 
 class TestValidateModel:
     def test_minimal_first_order_model(self):
-        model = CorrelationModel(l_max=1, c=(2.0,))
+        model = CorrelationModel.from_coefficients([2.0])
         assert validate_model(model) is model
 
     def test_zero_top_coefficient_warns(self):
-        model = CorrelationModel(l_max=2, c=(1.0, 0.0))
+        model = CorrelationModel.from_coefficients([1.0, 0.0])
         with pytest.warns(TrailingZeroWarning):
             assert validate_model(model) is model
 
     def test_nan_coefficient_rejected(self):
         with pytest.raises(NonFiniteError):
-            validate_model(CorrelationModel(l_max=2, c=(1.0, float("nan"))))
+            validate_model(CorrelationModel.from_coefficients([1.0, float("nan")]))
 
     def test_inf_coefficient_rejected(self):
         with pytest.raises(NonFiniteError):
-            validate_model(CorrelationModel(l_max=1, c=(float("inf"),)))
+            validate_model(CorrelationModel.from_coefficients([float("inf")]))
+
+    def test_empty_vector_rejected(self):
+        with pytest.raises(BadShapeError, match="at least the coefficient C_1"):
+            validate_model(CorrelationModel.from_coefficients([]))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(BadShapeError):
-            validate_model(CorrelationModel(l_max=3, c=(1.0, 2.0)))
+        # l_max is the length of c; only a model file states it separately
+        with pytest.raises(BadShapeError, match="expected 3 coefficients, got 2"):
+            CorrelationModel.from_json_dict({"l_max": 3, "c": [1.0, 2.0]})
 
     def test_n_below_l_max_rejected(self):
         with pytest.raises(BadShapeError):
-            validate_model(CorrelationModel(l_max=3, c=(1.0, 0.5, 0.2), n=2))
+            validate_model(CorrelationModel.from_coefficients([1.0, 0.5, 0.2], n=2))
 
     def test_json_round_trip(self):
         model = CorrelationModel.from_coefficients([1.0, -0.25], n=12)
@@ -130,14 +134,13 @@ HALF = Pmf.from_values([0.5, 0.5])
         (lambda v: marginalize(build_mixture_joint(MixtureSpec(((0.5, 1.0),)), 3), v), True),
         (lambda v: estimate_coefficients([1] * 10, v), True),
         (lambda v: estimate_coefficients([1] * 10, 1, n_bootstrap=v), 2.0),
-        (lambda v: factorial_cumulants_from_pmf(HALF, v), True),
         (lambda v: validate_seed(v), True),
     ],
     ids=[
         "sample_counts-n_samples", "run_identity_suite-n", "run_identity_suite-trials",
         "run_identity_suite-trials-bool", "correlation_coefficient-n", "marginalize-k",
         "estimate_coefficients-l_max", "estimate_coefficients-n_bootstrap",
-        "factorial_cumulants_from_pmf-l_max", "validate_seed",
+        "validate_seed",
     ],
 )
 def test_integer_arguments_refuse_bools_and_floats(call, value):
@@ -286,19 +289,15 @@ class TestSymmetricTable:
 
 class TestJointAndPmf:
     def test_joint_validation(self):
-        ExchangeableJoint(2, (0.25, 0.5, 0.25))
+        assert ExchangeableJoint((0.25, 0.5, 0.25)).n == 2
         with pytest.raises(InvalidDistributionError):
-            ExchangeableJoint(2, (0.5, 0.5, 0.25))
+            ExchangeableJoint((0.5, 0.5, 0.25))
         with pytest.raises(InvalidDistributionError):
-            ExchangeableJoint(2, (0.75, -0.5, 0.75))
-        with pytest.raises(BadShapeError):
-            ExchangeableJoint(2, (0.5, 0.5))
+            ExchangeableJoint((0.75, -0.5, 0.75))
+        with pytest.raises(BadShapeError, match="n >= 1 events"):
+            ExchangeableJoint((1.0,))
         with pytest.raises(NonFiniteError):
-            ExchangeableJoint(1, (float("nan"), 0.5))
-
-    def test_joint_refuses_a_bool_n(self):
-        with pytest.raises(BadShapeError, match="n must be a positive integer"):
-            ExchangeableJoint(True, (0.5, 0.5))
+            ExchangeableJoint((float("nan"), 0.5))
 
     def test_pmf_helpers(self):
         pmf = Pmf.from_values([0.25, 0.5, 0.25])

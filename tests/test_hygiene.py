@@ -1,0 +1,124 @@
+"""Dead-code checks on the package source, from the standard library alone.
+
+Two kinds of leftovers are refused: an import that its scope never reads
+and a module-level private name (``_x``) that nothing in the package
+refers to outside its own definition.  Removing a function tends to leave
+both behind.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "corrcount"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+
+
+def references(node) -> Counter:
+    """Names read under ``node``: loaded names and attributes."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+    return found
+
+
+def exported(tree) -> set[str]:
+    """The names listed in a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(tree) -> list[str]:
+    """Names bound by an import that nothing in the import's scope reads.
+
+    The scope is the innermost enclosing function, or the module, where
+    ``__all__`` counts as a read.
+    """
+    scope_of = {}
+    for scope in ast.walk(tree):  # outer functions first, so inner ones win
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for sub in ast.walk(scope):
+                scope_of[id(sub)] = scope
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        scope = scope_of.get(id(node), tree)
+        read = references(scope)
+        if scope is tree:
+            read.update(exported(tree))
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if not read[name]:
+                unused.append(f"{name} (line {node.lineno})")
+    return unused
+
+
+def private_definitions():
+    """(module, name, defining node) for each module-level ``_name``."""
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [e.id for t in targets for e in ast.walk(t) if isinstance(e, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield module, name, node
+
+
+# Another module's ``from .x import _name`` refers to ``_name`` too.
+PACKAGE_REFERENCES = sum(
+    (
+        references(tree)
+        + Counter(
+            alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        )
+        for tree in TREES.values()
+    ),
+    Counter(),
+)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_every_import_is_used(module):
+    assert unused_imports(TREES[module]) == []
+
+
+def test_every_private_name_is_referenced():
+    dead = [
+        f"{module}:{name}"
+        for module, name, node in private_definitions()
+        if PACKAGE_REFERENCES[name] <= references(node)[name]
+    ]
+    assert dead == []
+
+
+def test_the_checks_see_a_leftover():
+    tree = ast.parse(
+        "import math\n"
+        "from .core import is_int_in, Pmf\n"
+        "def _dead():\n    return _dead()\n"
+        "def f() -> Pmf:\n    import json\n    def g():\n        import sys\n"
+        "    return math.pi, sys\n"
+    )
+    assert unused_imports(tree) == ["is_int_in (line 2)", "json (line 6)", "sys (line 8)"]
+    dead = tree.body[2]
+    assert references(tree)["_dead"] == references(dead)["_dead"] == 1

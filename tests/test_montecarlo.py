@@ -166,6 +166,13 @@ class TestSampleCounts:
         with pytest.raises(InadmissiblePmfError):
             sample_counts(pmf, 10, seed=0)
 
+    def test_hand_built_signed_pmf_rejected(self):
+        # the flag is read off the values, so a direct construction cannot lie
+        pmf = Pmf((-0.5, 1.5))
+        assert not pmf.admissible
+        with pytest.raises(InadmissiblePmfError, match=r"p\(0\) = -0.5"):
+            sample_counts(pmf, 5, seed=0)
+
     def test_sample_count_domain(self):
         pmf = Pmf.from_values([1.0])
         with pytest.raises(OutOfRangeError):

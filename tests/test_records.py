@@ -25,10 +25,10 @@ from corrcount.verify import IdentityCheck
 RECORDS = [
     (
         CorrelationModel,
-        (2, (1, 0.5), 10),
-        {"l_max": 2, "c": [1, 0.5], "n": 10},
-        (2, (1, 0.5)),
-        "CorrelationModel(l_max=2, c=(1.0, 0.5), n=10)",
+        ((1, 0.5), 10),
+        {"c": [1, 0.5], "n": 10},
+        ((1, 0.5),),
+        "CorrelationModel(c=(1.0, 0.5), n=10)",
     ),
     (
         SymmetricTable,
@@ -39,18 +39,17 @@ RECORDS = [
     ),
     (
         ExchangeableJoint,
-        (1, (0.5, 0.5)),
-        {"n": 1, "mass": [0.5, 0.5]},
-        (1, (0.25, 0.75)),
-        "ExchangeableJoint(n=1, mass=(0.5, 0.5))",
+        ((0.5, 0.5),),
+        {"mass": [0.5, 0.5]},
+        ((0.25, 0.75),),
+        "ExchangeableJoint(mass=(0.5, 0.5))",
     ),
     (
         Pmf,
-        ((0.25, 0.75), 1e-13, False, 2e-16),
-        {"values": [0.25, 0.75], "tail_bound": 1e-13, "admissible": False,
-         "error_estimate": 2e-16},
+        ((0.25, 0.75), 1e-13, 2e-16),
+        {"values": [0.25, 0.75], "tail_bound": 1e-13, "error_estimate": 2e-16},
         ((0.25, 0.75),),
-        "Pmf(values=(0.25, 0.75), tail_bound=1e-13, admissible=False, "
+        "Pmf(values=(0.25, 0.75), tail_bound=1e-13, admissible=True, "
         "error_estimate=2e-16)",
     ),
     (
@@ -78,11 +77,10 @@ RECORDS = [
     ),
     (
         IdentityCheck,
-        ("pmf-mass", 1e-10, 0.0, False, "at s = 3"),
-        {"name": "pmf-mass", "tolerance": 1e-10, "worst": 0.0, "passed": False,
-         "detail": "at s = 3"},
-        ("pmf-mass", 1e-10, 0.0, True),
-        "IdentityCheck(name='pmf-mass', tolerance=1e-10, worst=0.0, passed=False, "
+        ("pmf-mass", 1e-10, 0.0, "at s = 3"),
+        {"name": "pmf-mass", "tolerance": 1e-10, "worst": 0.0, "detail": "at s = 3"},
+        ("pmf-mass", 1e-10, 0.0),
+        "IdentityCheck(name='pmf-mass', tolerance=1e-10, worst=0.0, passed=True, "
         "detail='at s = 3')",
     ),
 ]
@@ -132,13 +130,24 @@ class TestRecord:
 
 
 def test_defaults_match_the_documented_ones():
-    assert CorrelationModel(1, (2.0,)).n is None
+    assert CorrelationModel((2.0,)).n is None
     pmf = Pmf((1.0,))
     assert (pmf.tail_bound, pmf.admissible, pmf.error_estimate) == (0.0, True, 0.0)
-    assert IdentityCheck("x", 1.0, 0.0, True).detail == ""
+    assert IdentityCheck("x", 1.0, 0.0).detail == ""
+
+
+def test_derived_fields_follow_the_stored_ones():
+    assert CorrelationModel((1, 0.5, 0.1), 10).l_max == 3
+    assert ExchangeableJoint((0.25, 0.5, 0.25)).n == 2
+    assert Pmf((0.25, 0.75)).admissible
+    assert not Pmf((-0.5, 1.5)).admissible
+    assert not Pmf((0.5, float("nan"))).admissible
+    assert IdentityCheck("x", 1e-10, 1e-10).passed
+    assert not IdentityCheck("x", 1e-10, 1e-9).passed
+    assert not IdentityCheck("x", 1e-10, float("nan")).passed
 
 
 def test_records_are_usable_as_keys():
-    models = {CorrelationModel(2, (1, 0.5)): "a", CorrelationModel(2, (1.0, 0.5)): "b"}
+    models = {CorrelationModel((1, 0.5)): "a", CorrelationModel((1.0, 0.5)): "b"}
     assert len(models) == 1
     assert models[CorrelationModel.from_coefficients([1, 0.5])] == "b"
