@@ -24,7 +24,7 @@ def main():
     args = parser.parse_args()
 
     coeffs = [float(x) for x in args.c.split(",")]
-    p_inf = np.array(limit_pmf(CorrelationModel.from_coefficients(coeffs)).values)
+    p_inf = np.array(limit_pmf(CorrelationModel(coeffs)).values)
 
     print(f"model C = {tuple(coeffs)}")
     print(f"{'N':>8}  {'max|p_N - p_inf|':>18}  {'ratio to previous':>18}")
@@ -32,7 +32,7 @@ def main():
     for i in range(args.doublings):
         n = args.n0 * 2 ** i
         p_n = np.array(
-            finite_count_pmf(CorrelationModel.from_coefficients(coeffs, n=n)).values
+            finite_count_pmf(CorrelationModel(coeffs, n=n)).values
         )
         length = max(p_n.size, p_inf.size)
         a = np.zeros(length)

@@ -28,7 +28,7 @@ def main():
     args = parser.parse_args()
 
     coeffs = [float(x) for x in args.c.split(",")]
-    pmf = limit_pmf(CorrelationModel.from_coefficients(coeffs))
+    pmf = limit_pmf(CorrelationModel(coeffs))
     print(f"model C = {tuple(coeffs)}, support 0..{pmf.s_max}")
 
     for size in (int(s) for s in args.sizes.split(",")):

@@ -60,16 +60,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_coefficients(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise _UsageError(f"bad coefficient list {text!r}: {exc}") from exc
-    if not values:
-        raise _UsageError("empty coefficient list")
-    return values
-
-
 def _parse_mixture(text: str) -> MixtureSpec:
     atoms = []
     try:
@@ -106,31 +96,42 @@ def _parse_ugrid(text: str) -> list[float]:
 
 
 def _resolve_model(args, need_n: bool | None) -> CorrelationModel:
-    """The model of --c or --model, with --n applied.
+    """The model of --c, of --model or of a --config model object, with --n applied.
 
     ``need_n`` True requires an event count, False refuses one (the
-    command computes the N -> infinity law) and None accepts either.
+    command computes the N -> infinity law) and None accepts either.  The
+    count is checked before the model is built, so its refusal comes ahead
+    of the model's own and of its warning.
     """
-    if getattr(args, "model", None):
+    if isinstance(args.model, dict):
+        data = args.model
+    elif args.model:
+        import json
+
         try:
             with open(args.model, encoding="utf-8") as fh:
-                model = CorrelationModel.from_json(fh.read())
+                data = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise _UsageError(f"cannot read model file {args.model}: {exc}") from exc
-    elif getattr(args, "c", None):
-        model = CorrelationModel.from_coefficients(_parse_coefficients(args.c))
+        if not isinstance(data, dict):  # refused, naming the fields it lacks
+            return CorrelationModel.from_json_dict(data)
+    elif args.c:
+        try:
+            c = [float(tok) for tok in args.c.split(",")]
+        except ValueError as exc:
+            raise _UsageError(f"bad coefficient list {args.c!r}: {exc}") from exc
+        data = {"l_max": len(c), "c": c}
     else:
         raise _UsageError("a model is required: pass --c or --model")
-    if getattr(args, "n", None) is not None:
-        model = CorrelationModel(model.c, args.n)
-    if need_n and model.n is None:
+    n = data.get("n") if args.n is None else args.n
+    if need_n and n is None:
         raise _UsageError("this command requires an event count: pass --n")
-    if need_n is False and model.n is not None:
+    if need_n is False and n is not None:
         raise _UsageError(
             f"{args.command} computes the N -> infinity law and takes no event "
-            f"count, got n = {model.n}: use finite-pmf for a finite N"
+            f"count, got n = {n}: use finite-pmf for a finite N"
         )
-    return model
+    return CorrelationModel.from_json_dict({**data, "n": n})
 
 
 def _write_rows(rows) -> None:
@@ -362,7 +363,8 @@ _CONFIG_FLAGS = {
 }
 
 
-def _argv_from_config(path: str) -> list[str]:
+def _argv_from_config(path: str) -> tuple[list[str], dict | None]:
+    """The argv of a config file's job, and its model object if it has one."""
     import json
 
     try:
@@ -372,21 +374,24 @@ def _argv_from_config(path: str) -> list[str]:
         raise _UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict) or "command" not in config:
         raise _UsageError(f"config {path} must be an object with a 'command' key")
+    model = config.get("model")
+    if not isinstance(model, dict):
+        model = None
+    elif config.get("c") is not None:
+        raise _UsageError(f"config {path} sets the coefficients twice: by 'model' and by 'c'")
+    elif model.get("n") is not None and config.get("n") is not None:
+        raise _UsageError(
+            f"config {path} sets the event count twice: by the 'n' of 'model' and by 'n'"
+        )
     argv = [str(config["command"])]
     for key, value in config.items():
-        if key == "command" or value is None:
-            continue
-        if key == "model" and isinstance(value, dict):
-            model = CorrelationModel.from_json_dict(value)
-            argv += ["--c", ",".join(repr(x) for x in model.c)]
-            if model.n is not None:
-                argv += ["--n", str(model.n)]
+        if key == "command" or value is None or value is model:
             continue
         flag = _CONFIG_FLAGS.get(key)
         if flag is None:
             raise _UsageError(f"unknown config key {key!r}")
         argv += [flag, str(value)]
-    return argv
+    return argv, model
 
 
 def main(argv=None) -> int:
@@ -409,9 +414,14 @@ def main(argv=None) -> int:
             if args.command is None:
                 if not args.config:
                     raise _UsageError("a subcommand or --config is required")
-                args = parser.parse_args(_argv_from_config(args.config))
+                argv, model = _argv_from_config(args.config)
+                args = parser.parse_args(argv)
                 if args.command is None:
                     raise _UsageError("config did not name a subcommand")
+                if model is not None:
+                    if not hasattr(args, "model"):
+                        raise _UsageError(f"{args.command} takes no model")
+                    args.model = model
             code = args.func(args)
             sys.stdout.flush()  # so that a closed pipe raises here, not at exit
             return code

@@ -11,7 +11,8 @@ of N events likewise as its count law, the mass of each class
 (:class:`ExchangeableJoint`).  Count distributions carry an
 explicit tail bound and flag their own admissibility (:class:`Pmf`).
 A record stores only what it cannot derive: the order l_max of a model
-and the event count of a joint are lengths, read as properties.
+and the event count of a joint are lengths, read as properties.  Every
+record checks its fields when built, so each value is valid wherever used.
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe for unrestricted concurrent use.
@@ -20,6 +21,7 @@ so everything here is safe for unrestricted concurrent use.
 import math
 import operator
 import warnings
+from collections.abc import Iterable, Mapping
 
 __all__ = [
     "ADMISSIBILITY_TOL",
@@ -44,7 +46,6 @@ __all__ = [
     "CfGrid",
     "is_int_in",
     "fsum_or_inf",
-    "validate_model",
     "validate_seed",
     "correlation_coefficient",
 ]
@@ -146,18 +147,40 @@ class CorrelationModel(Record):
     ``c`` is ordered C_1, ..., C_{l_max}, so the order ``l_max`` is its
     length; use :meth:`coefficient` for 1-based access.  ``n`` is None for
     limit-law computations and a positive integer >= l_max for finite-N
-    ones.
+    ones.  The model is checked when built, and warns with
+    :class:`TrailingZeroWarning` when C_{l_max} is exactly zero.
+
+    Raises:
+        BadShapeError: ``c`` is not a nonempty array of ints and floats,
+            numpy's included (a string, a mapping, a bool or None is not
+            one); or ``n`` is not a positive int (nor a bool) >= l_max.
+        NonFiniteError: some C_l is NaN, infinite or past the double range.
     """
 
     _fields = ("c", "n")
 
     def __init__(self, c, n: int | None = None):
-        super().__init__(tuple(float(x) for x in c), n)
-
-    @classmethod
-    def from_coefficients(cls, c, n=None) -> "CorrelationModel":
-        """The same as ``CorrelationModel(c, n)``."""
-        return cls(c, n)
+        array = isinstance(c, Iterable) and not isinstance(c, (str, bytes, Mapping))
+        values = tuple(c) if array else ()
+        if not array or not all(map(_is_real, values)):
+            raise BadShapeError(f"'c' must be an array of numbers, got {c!r}")
+        if not values:
+            raise BadShapeError("a model needs at least the coefficient C_1")
+        try:
+            c = tuple(map(float, values))
+        except OverflowError as exc:  # an integer past the double range
+            raise NonFiniteError(f"a coefficient is not a finite double: {exc}") from exc
+        for l, value in enumerate(c, start=1):
+            if not math.isfinite(value):
+                raise NonFiniteError(f"C_{l} = {value!r} is not finite")
+        if n is not None and not is_int_in(n, 1):
+            raise BadShapeError(f"n must be a positive integer, got {n!r}")
+        if n is not None and n < len(c):
+            raise BadShapeError(f"n = {n} is below l_max = {len(c)}")
+        if c[-1] == 0.0:
+            message = f"C_{len(c)} = 0: model is correlated to an order below its declared l_max"
+            warnings.warn(message, TrailingZeroWarning, stacklevel=2)
+        super().__init__(c, n)
 
     @property
     def l_max(self) -> int:
@@ -182,28 +205,22 @@ class CorrelationModel(Record):
         """The model of a JSON object, whose ``l_max`` must be the length of ``c``.
 
         Raises:
-            BadShapeError: a field is missing, ``c`` is not an array of
-                numbers (a bool or a string is not one), or ``l_max`` is
-                not a positive integer equal to its length.
-            NonFiniteError: an integer entry is too large for a double.
+            BadShapeError: a field is missing, ``c`` is not an array, or
+                ``l_max`` is not a positive integer equal to its length.
+            And what the constructor raises for ``c`` and ``n``.
         """
         try:
             l_max = data["l_max"]
             c = data["c"]
         except (KeyError, TypeError) as exc:
             raise BadShapeError(f"model JSON needs 'l_max' and 'c': {exc}") from exc
-        if not isinstance(c, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in c
-        ):
+        if not isinstance(c, list):
             raise BadShapeError(f"model JSON 'c' must be an array of numbers, got {c!r}")
         if not is_int_in(l_max, 1):
             raise BadShapeError(f"l_max must be a positive integer, got {l_max!r}")
         if l_max != len(c):
             raise BadShapeError(f"expected {l_max} coefficients, got {len(c)}")
-        try:
-            return cls(c, data.get("n"))
-        except OverflowError as exc:  # an integer past the double range
-            raise NonFiniteError(f"bad model JSON contents: {exc}") from exc
+        return cls(c, data.get("n"))
 
     @classmethod
     def from_json(cls, text: str) -> "CorrelationModel":
@@ -217,42 +234,19 @@ def is_int_in(value, low: int, high: float = math.inf) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
 
 
+def _is_real(x) -> bool:
+    """Whether ``x`` is an int or a float, numpy's scalars included, and not a bool."""
+    if hasattr(x, "dtype"):  # a numpy value: a bool's kind is "b", an array's shape not ()
+        return x.shape == () and x.dtype.kind in "iuf"
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def fsum_or_inf(terms) -> float:
     """math.fsum of nonnegative terms; inf where their sum overflows a double."""
     try:
         return math.fsum(terms)
     except OverflowError:  # finite terms whose running sum passed the range
         return math.inf
-
-
-def validate_model(model: CorrelationModel) -> CorrelationModel:
-    """Check the model invariants and return the model unchanged.
-
-    Emits :class:`TrailingZeroWarning` when C_{l_max} is exactly zero.
-
-    Raises:
-        BadShapeError: no coefficients, n not a positive integer (a bool
-            is not one), or n < l_max.
-        NonFiniteError: any coefficient is NaN or infinite.
-    """
-    if not model.c:
-        raise BadShapeError("a model needs at least the coefficient C_1")
-    for l, value in enumerate(model.c, start=1):
-        if not math.isfinite(value):
-            raise NonFiniteError(f"C_{l} = {value!r} is not finite")
-    if model.n is not None:
-        if not is_int_in(model.n, 1):
-            raise BadShapeError(f"n must be a positive integer, got {model.n!r}")
-        if model.n < model.l_max:
-            raise BadShapeError(f"n = {model.n} is below l_max = {model.l_max}")
-    if model.c[-1] == 0.0:
-        warnings.warn(
-            f"C_{model.l_max} = 0: model is correlated to an order below its "
-            "declared l_max",
-            TrailingZeroWarning,
-            stacklevel=2,
-        )
-    return model
 
 
 def validate_seed(seed: int) -> None:

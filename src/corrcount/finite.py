@@ -38,7 +38,6 @@ from .core import (
     SeriesOverflowError,
     fsum_or_inf,
     is_int_in,
-    validate_model,
 )
 
 if TYPE_CHECKING:
@@ -80,7 +79,6 @@ def build_exponent(model: CorrelationModel) -> tuple[tuple[float, ...], ...]:
     Raises:
         SeriesOverflowError: N^l overflows a double for some order l.
     """
-    model = validate_model(model)
     n = model.n
     if n is None:
         raise BadShapeError("finite-N computation requires a model with n")

@@ -27,7 +27,6 @@ from .core import (
     OutOfRangeError,
     Pmf,
     fsum_or_inf,
-    validate_model,
 )
 
 __all__ = [
@@ -60,7 +59,6 @@ def exponent_polynomial(model: CorrelationModel) -> tuple[float, ...]:
         OutOfRangeError: l_max above MAX_ORDER, where l! overflows a double.
         NonFiniteError: some q_t overflows a double.
     """
-    model = validate_model(model)
     l_max = model.l_max
     if l_max > MAX_ORDER:
         raise OutOfRangeError(f"order l = {l_max}: l! = {l_max}! overflows a double")

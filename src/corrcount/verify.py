@@ -181,9 +181,7 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
         coeffs = measure_coefficients(joint)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TrailingZeroWarning)
-            rebuilt = finite_count_pmf(
-                CorrelationModel.from_coefficients(coeffs, n=joint.n)
-            )
+            rebuilt = finite_count_pmf(CorrelationModel(coeffs, n=joint.n))
         direct = count_pmf_from_joint(joint)
         worst_oracle = max(
             worst_oracle,
@@ -236,7 +234,7 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
     # First-order models reduce to the Poisson law.
     worst_poisson = 0.0
     for lam in (0.5, 1.0, 2.0, 4.0):
-        pmf = limit_pmf(CorrelationModel.from_coefficients([lam]))
+        pmf = limit_pmf(CorrelationModel([lam]))
         for s in range(min(41, len(pmf.values))):
             expected = math.exp(-lam) * lam ** s / math.factorial(s)
             worst_poisson = max(worst_poisson, abs(pmf.values[s] - expected))

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 from pathlib import Path
@@ -23,6 +24,15 @@ def subprocess_env():
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return env
+
+
+def load_tracer():
+    """``perfbench/tracer.py``, loaded by path: perfbench is not a package."""
+    path = ROOT / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

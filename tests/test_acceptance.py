@@ -100,7 +100,7 @@ def test_c03_full_oracle_equivalence():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TrailingZeroWarning)
                 rebuilt = finite_count_pmf(
-                    CorrelationModel.from_coefficients(coeffs, n=joint.n)
+                    CorrelationModel(coeffs, n=joint.n)
                 )
             direct = count_pmf_from_joint(joint)
             worst = max(
@@ -176,11 +176,11 @@ def test_c05_normalization_and_mean():
 def test_c06_convergence_rate():
     with criterion(6, "finite-to-limit error halves with N for C = (1, 0.3)"):
         start = time.perf_counter()
-        model_inf = CorrelationModel.from_coefficients([1.0, 0.3])
+        model_inf = CorrelationModel([1.0, 0.3])
         p_inf = np.array(limit_pmf(model_inf, mass_tolerance=1e-12).values)
         errors = {}
         for n in (125, 250, 500, 1000):
-            pmf = finite_count_pmf(CorrelationModel.from_coefficients([1.0, 0.3], n=n))
+            pmf = finite_count_pmf(CorrelationModel([1.0, 0.3], n=n))
             p_n = np.array(pmf.values)
             length = max(p_n.size, p_inf.size)
             a = np.zeros(length)
@@ -226,7 +226,7 @@ def test_c08_coefficient_round_trip():
 def test_c09_estimator_consistency():
     with criterion(9, "10^6 samples from C = (2, 0.5) recover both coefficients within 4 SE"):
         start = time.perf_counter()
-        pmf = limit_pmf(CorrelationModel.from_coefficients([2.0, 0.5]))
+        pmf = limit_pmf(CorrelationModel([2.0, 0.5]))
         counts = sample_counts(pmf, 10 ** 6, seed=42)
         report = estimate_coefficients(counts, l_max=2, n_bootstrap=200, seed=7)
         for got, want, se in zip(report.c_hat, (2.0, 0.5), report.std_err):

@@ -216,7 +216,7 @@ class TestSampleAndEstimate:
             capsys, "sample", "--c", "12", "--count", "70000", "--seed", "5"
         )
         assert code == 0
-        pmf = limit_pmf(CorrelationModel.from_coefficients([12.0]), mass_tolerance=1e-12)
+        pmf = limit_pmf(CorrelationModel([12.0]), mass_tolerance=1e-12)
         counts = sample_counts(pmf, 70000, 5).tolist()
         assert min(counts) < 10 <= max(counts)
         assert out == "".join(str(k) + "\n" for k in counts)
@@ -687,6 +687,47 @@ class TestBadInput:
         assert code == 3
         assert out == ""
         assert "takes no event count, got n = 10: use finite-pmf" in err
+
+    @pytest.mark.parametrize(
+        "argv, n",
+        [
+            (["limit-pmf", "--c", "nan", "--n", "5"], 5),
+            (["limit-pmf", "--c", "1,2,3", "--n", "2"], 2),
+            (["cf", "--c", "1,0", "--n", "4", "--u", "0:1:2"], 4),
+        ],
+        ids=["non-finite-c", "n-below-l_max", "trailing-zero"],
+    )
+    def test_limit_law_refuses_an_event_count_before_the_model(self, capsys, argv, n):
+        # the count is refused ahead of the model's own faults and warning
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: {argv[0]} computes the N -> infinity law and takes no event "
+            f"count, got n = {n}: use finite-pmf for a finite N\n"
+        )
+
+    @pytest.mark.parametrize(
+        "job, cause",
+        [
+            (
+                {"command": "limit-pmf", "model": {"l_max": 1, "c": [2.0]}, "c": "5"},
+                "coefficients twice: by 'model' and by 'c'",
+            ),
+            (
+                {"command": "finite-pmf", "model": {"l_max": 1, "c": [2.0], "n": 10}, "n": 20},
+                "event count twice: by the 'n' of 'model' and by 'n'",
+            ),
+        ],
+        ids=["c", "n"],
+    )
+    def test_config_setting_one_flag_twice_exit_3(self, capsys, tmp_path, job, cause):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(job))
+        code, out, err = run_cli(capsys, "--config", str(path))
+        assert code == 3
+        assert out == ""
+        assert cause in err
 
     def test_config_and_subcommand_conflict(self, capsys, tmp_path):
         path = tmp_path / "job.json"

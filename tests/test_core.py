@@ -1,10 +1,11 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrcount import (
@@ -19,6 +20,7 @@ from corrcount import (
 from corrcount.core import (
     BadShapeError,
     CfGrid,
+    CorrcountError,
     ExchangeableJoint,
     InvalidDistributionError,
     NonFiniteError,
@@ -26,7 +28,6 @@ from corrcount.core import (
     SymmetricTable,
     TrailingZeroWarning,
     correlation_coefficient,
-    validate_model,
     validate_seed,
 )
 from corrcount.ursell import correlation_recursive, marginalize
@@ -36,25 +37,25 @@ from conftest import m_factor, pattern_value
 
 class TestValidateModel:
     def test_minimal_first_order_model(self):
-        model = CorrelationModel.from_coefficients([2.0])
-        assert validate_model(model) is model
+        model = CorrelationModel([2.0])
+        assert model.c == (2.0,) and model.n is None
 
     def test_zero_top_coefficient_warns(self):
-        model = CorrelationModel.from_coefficients([1.0, 0.0])
         with pytest.warns(TrailingZeroWarning):
-            assert validate_model(model) is model
+            model = CorrelationModel([1.0, 0.0])
+        assert model.c == (1.0, 0.0)
 
     def test_nan_coefficient_rejected(self):
         with pytest.raises(NonFiniteError):
-            validate_model(CorrelationModel.from_coefficients([1.0, float("nan")]))
+            CorrelationModel([1.0, float("nan")])
 
     def test_inf_coefficient_rejected(self):
         with pytest.raises(NonFiniteError):
-            validate_model(CorrelationModel.from_coefficients([float("inf")]))
+            CorrelationModel([float("inf")])
 
     def test_empty_vector_rejected(self):
         with pytest.raises(BadShapeError, match="at least the coefficient C_1"):
-            validate_model(CorrelationModel.from_coefficients([]))
+            CorrelationModel([])
 
     def test_length_mismatch_rejected(self):
         # l_max is the length of c; only a model file states it separately
@@ -63,14 +64,74 @@ class TestValidateModel:
 
     def test_n_below_l_max_rejected(self):
         with pytest.raises(BadShapeError):
-            validate_model(CorrelationModel.from_coefficients([1.0, 0.5, 0.2], n=2))
+            CorrelationModel([1.0, 0.5, 0.2], n=2)
 
     def test_json_round_trip(self):
-        model = CorrelationModel.from_coefficients([1.0, -0.25], n=12)
+        model = CorrelationModel([1.0, -0.25], n=12)
         back = CorrelationModel.from_json(model.to_json())
         assert back == model
         raw = json.loads(model.to_json())
         assert raw == {"l_max": 2, "c": [1.0, -0.25], "n": 12}
+
+
+# JSON-like values, with numpy's bools and ints, integers past the double
+# range, and floats that include NaN and +-inf.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.integers(-(2 ** 1100), 2 ** 1100),
+    st.floats(),
+    st.sampled_from([np.True_, np.False_]),
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+EVENT_COUNTS = st.one_of(
+    st.none(), st.integers(-2, 8), st.floats(), st.text(max_size=2), st.booleans(),
+    st.just(np.True_),
+)
+
+
+def is_number(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(
+        x, (bool, np.bool_)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=st.one_of(JSON_VALUES, st.lists(JSON_SCALARS, max_size=5)),
+    n=EVENT_COUNTS,
+    l_max=st.one_of(st.none(), st.just("len"), EVENT_COUNTS),
+)
+@example(c="12", n=None, l_max=None)
+@example(c=[True, 0.5], n=None, l_max=None)
+@example(c=[None], n=None, l_max=None)
+@example(c=[10 ** 400], n=None, l_max=None)
+def test_model_is_valid_or_refused(c, n, l_max):
+    # l_max None calls the constructor; otherwise from_json_dict, with the
+    # true length of c when l_max is the string "len"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TrailingZeroWarning)
+        try:
+            if l_max is None:
+                model = CorrelationModel(c, n)
+            else:
+                if l_max == "len" and isinstance(c, list):
+                    l_max = len(c)
+                model = CorrelationModel.from_json_dict({"l_max": l_max, "c": c, "n": n})
+        except CorrcountError:
+            return
+    assert isinstance(c, list) and c and all(map(is_number, c))
+    assert model.c == tuple(map(float, c))
+    assert all(map(math.isfinite, model.c))
+    assert model.n is None or (type(model.n) is int and model.n >= model.l_max)
+    assert model.n == n
 
 
 def reduced_correlation(model: CorrelationModel, k: int, q: int) -> float:
@@ -151,19 +212,19 @@ def test_integer_arguments_refuse_bools_and_floats(call, value):
 
 class TestReducedCorrelation:
     def test_plain_value(self):
-        model = CorrelationModel.from_coefficients([1.0, 0.5], n=10)
+        model = CorrelationModel([1.0, 0.5], n=10)
         assert reduced_correlation(model, k=2, q=0) == pytest.approx(0.005, abs=0)
 
     def test_one_zero_argument_flips_sign(self):
-        model = CorrelationModel.from_coefficients([1.0, 0.5], n=10)
+        model = CorrelationModel([1.0, 0.5], n=10)
         assert reduced_correlation(model, k=2, q=1) == pytest.approx(-0.005, abs=0)
 
     def test_two_zero_arguments(self):
-        model = CorrelationModel.from_coefficients([1.0, 0.5, 2.0], n=10)
+        model = CorrelationModel([1.0, 0.5, 2.0], n=10)
         assert reduced_correlation(model, k=3, q=2) == pytest.approx(0.002, abs=0)
 
     def test_bounds(self):
-        model = CorrelationModel.from_coefficients([1.0, 0.5], n=10)
+        model = CorrelationModel([1.0, 0.5], n=10)
         with pytest.raises(OutOfRangeError):
             reduced_correlation(model, k=3, q=0)
         with pytest.raises(OutOfRangeError):
@@ -171,7 +232,7 @@ class TestReducedCorrelation:
         with pytest.raises(OutOfRangeError):
             reduced_correlation(model, k=2, q=3)
         with pytest.raises(BadShapeError):
-            reduced_correlation(CorrelationModel.from_coefficients([1.0, 0.5]), 2, 0)
+            reduced_correlation(CorrelationModel([1.0, 0.5]), 2, 0)
 
     @given(
         c=st.floats(-100, 100, allow_nan=False),
@@ -181,7 +242,7 @@ class TestReducedCorrelation:
     )
     def test_flip_antisymmetry_is_exact(self, c, k, q, n):
         q = min(q, k - 1)
-        model = CorrelationModel.from_coefficients([1.0] * (k - 1) + [c], n=n)
+        model = CorrelationModel([1.0] * (k - 1) + [c], n=n)
         assert reduced_correlation(model, k, q) == -reduced_correlation(model, k, q + 1)
 
 
@@ -221,7 +282,7 @@ class TestCorrelationCoefficient:
     def test_round_trip_exact_for_power_of_two_n(self):
         # scaling by 2^j is exact, so the round trip must be bitwise
         for n, k, c in ((8, 2, 0.7), (16, 3, -2.317), (32, 4, 5.5)):
-            model = CorrelationModel.from_coefficients([1.0] * (k - 1) + [c], n=n)
+            model = CorrelationModel([1.0] * (k - 1) + [c], n=n)
             vals = [reduced_correlation(model, k, q=k - m) for m in range(k + 1)]
             assert correlation_coefficient(SymmetricTable(vals), n) == c
 
@@ -232,7 +293,7 @@ class TestCorrelationCoefficient:
     )
     def test_round_trip_within_one_ulp(self, c, k, n):
         # dividing by N^k and multiplying back rounds at most once each way
-        model = CorrelationModel.from_coefficients([1.0] * (k - 1) + [c], n=n)
+        model = CorrelationModel([1.0] * (k - 1) + [c], n=n)
         vals = [reduced_correlation(model, k, q=k - m) for m in range(k + 1)]
         back = correlation_coefficient(SymmetricTable(vals), n)
         assert back == pytest.approx(c, rel=3e-16)
@@ -322,14 +383,14 @@ def test_reduced_table_matches_lemma_on_random_models(data):
     k = data.draw(st.integers(2, 5))
     n = data.draw(st.integers(k, 40))
     c = data.draw(st.floats(-5, 5, allow_nan=False))
-    model = CorrelationModel.from_coefficients([0.5] * (k - 1) + [c], n=n)
+    model = CorrelationModel([0.5] * (k - 1) + [c], n=n)
     base = model.coefficient(k) / float(n) ** k
     for q in range(k + 1):
         assert reduced_correlation(model, k, q) == (-1) ** q * base
 
 
 def test_numpy_inputs_coerce_cleanly():
-    model = CorrelationModel.from_coefficients(np.array([1.0, 0.5]), n=10)
+    model = CorrelationModel(np.array([1.0, 0.5]), n=10)
     assert model.c == (1.0, 0.5)
     pmf = Pmf.from_values(np.array([0.5, 0.5]))
     assert pmf.values == (0.5, 0.5)

@@ -70,19 +70,19 @@ class TestCountPmfFromJoint:
 
 class TestBuildExponent:
     def test_two_order_example(self):
-        rows = build_exponent(CorrelationModel.from_coefficients([1.5, 2.25], n=3))
+        rows = build_exponent(CorrelationModel([1.5, 2.25], n=3))
         assert rows[0] == (0.5, 0.5)
         assert rows[1] == pytest.approx((0.125, -0.25, 0.125), abs=1e-16)
 
     def test_first_order_only(self):
-        rows = build_exponent(CorrelationModel.from_coefficients([3.0], n=10))
+        rows = build_exponent(CorrelationModel([3.0], n=10))
         assert rows == ((0.7, 0.3),)
 
     def test_rows_telescope(self, rng):
         for _ in range(20):
             l_max = int(rng.integers(1, 6))
             c = rng.uniform(-5, 5, size=l_max).tolist()
-            model = CorrelationModel.from_coefficients(c, n=int(rng.integers(l_max, 50)))
+            model = CorrelationModel(c, n=int(rng.integers(l_max, 50)))
             rows = build_exponent(model)
             assert [len(row) for row in rows] == list(range(2, l_max + 2))
             assert abs(math.fsum(rows[0]) - 1.0) <= 1e-14
@@ -91,17 +91,17 @@ class TestBuildExponent:
 
     def test_requires_event_count(self):
         with pytest.raises(BadShapeError):
-            build_exponent(CorrelationModel.from_coefficients([1.0, 0.5]))
+            build_exponent(CorrelationModel([1.0, 0.5]))
 
     def test_huge_first_coefficient_row_sums_to_one(self):
         # (1 - 1e18, 1e18): the sum is exact only relative to the magnitude.
-        rows = build_exponent(CorrelationModel.from_coefficients([1e20], n=100))
+        rows = build_exponent(CorrelationModel([1e20], n=100))
         assert rows[0] == (1.0 - 1e18, 1e18)
 
 
 class TestFiniteCountPmf:
     def test_first_order_is_binomial(self):
-        pmf = finite_count_pmf(CorrelationModel.from_coefficients([1.0], n=2))
+        pmf = finite_count_pmf(CorrelationModel([1.0], n=2))
         assert pmf.values == pytest.approx((0.25, 0.5, 0.25), abs=1e-15)
 
     def test_all_or_nothing_coefficients(self):
@@ -110,35 +110,34 @@ class TestFiniteCountPmf:
         assert measured[0] == pytest.approx(1.5, abs=1e-14)
         assert measured[1] == pytest.approx(2.25, abs=1e-14)
         assert measured[2] == pytest.approx(0.0, abs=1e-13)
-        pmf = finite_count_pmf(CorrelationModel.from_coefficients([1.5, 2.25], n=3))
+        pmf = finite_count_pmf(CorrelationModel([1.5, 2.25], n=3))
         assert pmf.values == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-14)
 
     def test_model_is_validated_once(self):
-        model = CorrelationModel.from_coefficients([1.0, 0.0], n=5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            finite_count_pmf(model)
+            finite_count_pmf(CorrelationModel([1.0, 0.0], n=5))
         assert [w.category for w in caught] == [TrailingZeroWarning]
 
     def test_truncation_consistency(self):
         # a joint correlation-free beyond l_max is reproduced by truncation
         truncated = finite_count_pmf(
-            CorrelationModel.from_coefficients([1.5, 2.25], n=3)
+            CorrelationModel([1.5, 2.25], n=3)
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TrailingZeroWarning)
             full = finite_count_pmf(
-                CorrelationModel.from_coefficients([1.5, 2.25, 0.0], n=3)
+                CorrelationModel([1.5, 2.25, 0.0], n=3)
             )
         assert truncated.values == pytest.approx(full.values, abs=1e-15)
 
     def test_large_n_approaches_limit(self):
-        p_inf = limit_pmf(CorrelationModel.from_coefficients([1.0, 0.3]))
+        p_inf = limit_pmf(CorrelationModel([1.0, 0.3]))
         expected0 = math.exp(-1.0 + 0.15)
         assert p_inf.values[0] == pytest.approx(expected0, abs=1e-13)
         err = {}
         for n in (1000, 2000):
-            pmf = finite_count_pmf(CorrelationModel.from_coefficients([1.0, 0.3], n=n))
+            pmf = finite_count_pmf(CorrelationModel([1.0, 0.3], n=n))
             err[n] = abs(pmf.values[0] - p_inf.values[0])
         assert err[1000] < 5.0 / 1000
         assert 1.6 < err[1000] / err[2000] < 2.4
@@ -150,7 +149,7 @@ class TestFiniteCountPmf:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", TrailingZeroWarning)
                 rebuilt = finite_count_pmf(
-                    CorrelationModel.from_coefficients(coeffs, n=joint.n)
+                    CorrelationModel(coeffs, n=joint.n)
                 )
             direct = count_pmf_from_joint(joint)
             assert max(
@@ -158,9 +157,9 @@ class TestFiniteCountPmf:
             ) < 1e-10
 
     def test_error_estimate_tracks_conditioning(self):
-        benign = finite_count_pmf(CorrelationModel.from_coefficients([1.0, 0.2], n=50))
+        benign = finite_count_pmf(CorrelationModel([1.0, 0.2], n=50))
         assert 0.0 < benign.error_estimate < 1e-12
-        wild = finite_count_pmf(CorrelationModel.from_coefficients([1.0, 40.0], n=50))
+        wild = finite_count_pmf(CorrelationModel([1.0, 40.0], n=50))
         assert wild.error_estimate > benign.error_estimate
 
     @pytest.mark.parametrize("c, n", ORACLE_MODELS)
@@ -170,7 +169,7 @@ class TestFiniteCountPmf:
         # recurrence's own rounding.  It overstates the error by at most
         # 10^3, counting an error below one rounding of the largest entry
         # as that rounding.
-        model = CorrelationModel.from_coefficients(list(c), n=n)
+        model = CorrelationModel(list(c), n=n)
         pmf = finite_count_pmf(model)
         want = closed_form_count_pmf(model)
         got = np.asarray(pmf.values)
@@ -180,7 +179,7 @@ class TestFiniteCountPmf:
         assert budget <= 1e3 * max(err, np.finfo(float).eps * np.max(np.abs(got)))
 
     def test_entries_match_full_range_loop(self, rng):
-        models = [CorrelationModel.from_coefficients([2.0, -3.0, 4.0], n=3000)]
+        models = [CorrelationModel([2.0, -3.0, 4.0], n=3000)]
         for i in range(30):
             l_max = 1 + i % 5
             scale = (0.5, 3.0, 20.0)[i % 3]
@@ -190,7 +189,7 @@ class TestFiniteCountPmf:
             if c[-1] == 0.0:
                 c[-1] = 1.0
             n = (l_max, 9, 60, 300, 1000)[i % 5]
-            models.append(CorrelationModel.from_coefficients(c.tolist(), n=n))
+            models.append(CorrelationModel(c.tolist(), n=n))
         for model in models:
             pmf = finite_count_pmf(model)
             values = np.asarray(pmf.values)
@@ -201,7 +200,7 @@ class TestFiniteCountPmf:
 
     def test_large_n_mass_and_mean(self):
         pmf = finite_count_pmf(
-            CorrelationModel.from_coefficients([2.0, 0.5, 0.1], n=20_000)
+            CorrelationModel([2.0, 0.5, 0.1], n=20_000)
         )
         assert len(pmf.values) == 20_001
         assert abs(pmf.total_mass() - 1.0) <= 1e-10
@@ -209,7 +208,7 @@ class TestFiniteCountPmf:
 
     @pytest.mark.parametrize("c", [[1e20], [1.0, 1e40]])
     def test_overflowing_entries_raise_non_finite(self, c):
-        model = CorrelationModel.from_coefficients(c, n=100)
+        model = CorrelationModel(c, n=100)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteError, match=r"p_N\(0\) = (inf|nan) "):
@@ -217,11 +216,11 @@ class TestFiniteCountPmf:
 
     def test_event_count_ceiling(self):
         with pytest.raises(SeriesOverflowError):
-            finite_count_pmf(CorrelationModel.from_coefficients([1.0], n=100_001))
+            finite_count_pmf(CorrelationModel([1.0], n=100_001))
 
     def test_requires_n_at_least_l_max(self):
         with pytest.raises(BadShapeError):
-            finite_count_pmf(CorrelationModel.from_coefficients([1.0, 0.5, 0.1], n=2))
+            finite_count_pmf(CorrelationModel([1.0, 0.5, 0.1], n=2))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -233,7 +232,7 @@ class TestFiniteCountPmf:
         # amplitude; accuracy there is governed by the shipped cancellation
         # estimate rather than the absolute tolerance.
         n = max(n, len(c))
-        model = CorrelationModel.from_coefficients(c, n=n)
+        model = CorrelationModel(c, n=n)
         pmf = finite_count_pmf(model)
         norm_tol = max(1e-9, n * pmf.error_estimate)
         mean_tol = max(
@@ -250,7 +249,7 @@ class TestFiniteCountPmf:
             if c[-1] == 0.0:
                 c[-1] = 1.0
             n = (10, 100, 1000)[i % 3]
-            model = CorrelationModel.from_coefficients(c.tolist(), n=max(n, l_max))
+            model = CorrelationModel(c.tolist(), n=max(n, l_max))
             pmf = finite_count_pmf(model)
             assert abs(pmf.total_mass() - 1.0) <= 1e-9
             assert abs(pmf.mean() - c[0]) <= 1e-9 * max(1.0, abs(c[0]))
@@ -323,16 +322,16 @@ def p_full_count(model):
 
 class TestPFullCount:
     def test_independent_case(self):
-        model = CorrelationModel.from_coefficients([1.0], n=4)
+        model = CorrelationModel([1.0], n=4)
         assert p_full_count(model) == pytest.approx(0.25 ** 4, abs=1e-18)
 
     def test_all_or_nothing(self):
-        model = CorrelationModel.from_coefficients([1.5, 2.25], n=3)
+        model = CorrelationModel([1.5, 2.25], n=3)
         assert p_full_count(model) == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_pmf_tail_entry(self):
         for c, n in (((2.0, 0.5), 6), ((1.0, -0.3, 0.2), 9), ((4.0,), 12)):
-            model = CorrelationModel.from_coefficients(c, n=n)
+            model = CorrelationModel(c, n=n)
             assert abs(p_full_count(model) - finite_count_pmf(model).values[n]) < 1e-12
 
     def test_matches_multiplicity_enumeration(self, rng):
@@ -341,7 +340,7 @@ class TestPFullCount:
             l_max = int(rng.integers(1, 4))
             n = int(rng.integers(l_max, 9))
             c = rng.uniform(-3, 3, size=l_max).tolist()
-            model = CorrelationModel.from_coefficients(c, n=n)
+            model = CorrelationModel(c, n=n)
             assert p_full_count(model) == pytest.approx(
                 p_full_by_enumeration(model), abs=1e-13
             )

@@ -1,9 +1,11 @@
 """Dead-code checks on the package source, from the standard library alone.
 
-Two kinds of leftovers are refused: an import that its scope never reads
-and a module-level private name (``_x``) that nothing in the package
-refers to outside its own definition.  Removing a function tends to leave
-both behind.
+Three kinds of leftovers are refused: an import that its scope never
+reads, a module-level private name (``_x``) that nothing in the package
+refers to outside its own definition, and a module-level public function
+or class that nothing in the package refers to, unless the package root
+exports it or the benchmark's tracer wraps it.  Removing a function tends
+to leave such names behind.
 """
 
 import ast
@@ -11,6 +13,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from conftest import load_tracer
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "corrcount"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -66,8 +70,8 @@ def unused_imports(tree) -> list[str]:
     return unused
 
 
-def private_definitions():
-    """(module, name, defining node) for each module-level ``_name``."""
+def definitions():
+    """(module, name, defining node) for each name bound at module level."""
     for module, tree in TREES.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -78,8 +82,7 @@ def private_definitions():
             else:
                 continue
             for name in names:
-                if name.startswith("_") and not name.startswith("__"):
-                    yield module, name, node
+                yield module, name, node
 
 
 # Another module's ``from .x import _name`` refers to ``_name`` too.
@@ -102,11 +105,28 @@ def test_every_import_is_used(module):
     assert unused_imports(TREES[module]) == []
 
 
+def unreferenced(node, name) -> bool:
+    return PACKAGE_REFERENCES[name] <= references(node)[name]
+
+
 def test_every_private_name_is_referenced():
     dead = [
         f"{module}:{name}"
-        for module, name, node in private_definitions()
-        if PACKAGE_REFERENCES[name] <= references(node)[name]
+        for module, name, node in definitions()
+        if name.startswith("_") and not name.startswith("__") and unreferenced(node, name)
+    ]
+    assert dead == []
+
+
+def test_every_public_function_and_class_is_referenced():
+    entry_points = exported(TREES["__init__.py"]) | {t.function for t in load_tracer().TARGETS}
+    dead = [
+        f"{module}:{name}"
+        for module, name, node in definitions()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not name.startswith("_")
+        and name not in entry_points
+        and unreferenced(node, name)
     ]
     assert dead == []
 

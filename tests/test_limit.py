@@ -37,11 +37,11 @@ def binomial_form(model):
 
 class TestExponentPolynomial:
     def test_two_order_example(self):
-        poly = exponent_polynomial(CorrelationModel.from_coefficients([2.0, 0.5]))
+        poly = exponent_polynomial(CorrelationModel([2.0, 0.5]))
         assert poly == pytest.approx((-1.75, 1.5, 0.25), abs=1e-16)
 
     def test_poisson_exponent(self):
-        poly = exponent_polynomial(CorrelationModel.from_coefficients([3.0]))
+        poly = exponent_polynomial(CorrelationModel([3.0]))
         assert poly == (-3.0, 3.0)
 
     def test_pure_second_order(self):
@@ -51,21 +51,21 @@ class TestExponentPolynomial:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TrailingZeroWarning)
-            poly = exponent_polynomial(CorrelationModel.from_coefficients([0.0, 1.0]))
+            poly = exponent_polynomial(CorrelationModel([0.0, 1.0]))
         assert poly == pytest.approx((0.5, -1.0, 0.5), abs=1e-16)
 
     def test_q_at_one_vanishes(self, rng):
         for _ in range(1000):
             l_max = int(rng.integers(1, 7))
             c = rng.uniform(-10, 10, size=l_max).tolist()
-            poly = exponent_polynomial(CorrelationModel.from_coefficients(c))
+            poly = exponent_polynomial(CorrelationModel(c))
             assert abs(math.fsum(poly)) <= 1e-14
 
     def test_double_sum_matches_binomial_form(self, rng):
         for _ in range(1000):
             l_max = int(rng.integers(1, 7))
             c = rng.uniform(-10, 10, size=l_max).tolist()
-            model = CorrelationModel.from_coefficients(c)
+            model = CorrelationModel(c)
             q = exponent_polynomial(model)
             assert max(abs(a - b) for a, b in zip(q, binomial_form(model))) <= 1e-14
 
@@ -74,30 +74,30 @@ class TestCharFn:
     def test_value_at_zero(self, rng):
         for _ in range(10):
             c = rng.uniform(-3, 3, size=int(rng.integers(1, 5))).tolist()
-            grid = char_fn(CorrelationModel.from_coefficients(c), [0.0])
+            grid = char_fn(CorrelationModel(c), [0.0])
             assert abs(grid.chi[0] - 1.0) <= 1e-14
 
     def test_poisson_at_pi(self):
-        grid = char_fn(CorrelationModel.from_coefficients([1.0]), [math.pi])
+        grid = char_fn(CorrelationModel([1.0]), [math.pi])
         assert grid.chi[0].real == pytest.approx(math.exp(-2.0), abs=1e-15)
         assert abs(grid.chi[0].imag) < 1e-15
 
     def test_grid_ceiling(self, monkeypatch):
         monkeypatch.setattr("corrcount.limit.MAX_POINTS", 3)
-        model = CorrelationModel.from_coefficients([1.0])
+        model = CorrelationModel([1.0])
         assert len(char_fn(model, [0.0, 1.0, 2.0]).chi) == 3
         with pytest.raises(OutOfRangeError, match="ceiling 3"):
             char_fn(model, [0.0, 1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_refused(self, bad):
-        model = CorrelationModel.from_coefficients([1.0])
+        model = CorrelationModel([1.0])
         with pytest.raises(NonFiniteError, match=rf"u\[1\] = {bad!r} is not finite"):
             char_fn(model, [0.0, bad, 1.0, math.nan])
 
     def test_overflowing_chi_refused(self):
         # Q(e^{iu}) = -1000 (e^{iu} - 1), so Re Q(e^{1.5i}) = 929 > log(max double)
-        model = CorrelationModel.from_coefficients([-1000.0])
+        model = CorrelationModel([-1000.0])
         assert char_fn(model, [0.0]).chi == (1.0,)
         with pytest.raises(NonFiniteError, match=r"chi\(u\[1\] = 1\.5\) = .* is not finite"):
             char_fn(model, [0.0, 1.5, 3.0])
@@ -120,7 +120,7 @@ class TestCharFn:
     def test_matches_mpmath_oracle(self, c):
         # Q(e^{iu}) from the same rounded q in 200-bit arithmetic: what is
         # left is the rounding of Horner's rule and of exp.
-        model = CorrelationModel.from_coefficients(c)
+        model = CorrelationModel(c)
         q = exponent_polynomial(model)
         grid = char_fn(model, np.linspace(-7.0, 7.0, 701))
         budget = 2.0 * sys.float_info.epsilon * (1.0 + math.fsum(map(abs, q)))
@@ -137,7 +137,7 @@ class TestCharFn:
             assert max(abs(z) for z in grid.chi) <= 1.0 + 1e-12
 
     def test_duality_with_pmf_fourier_sum(self):
-        model = CorrelationModel.from_coefficients([2.0, 0.5])
+        model = CorrelationModel([2.0, 0.5])
         pmf = limit_pmf(model, mass_tolerance=1e-12)
         u = math.pi / 2
         series = sum(
@@ -190,20 +190,20 @@ def invert_cf_by_dft(model, n_grid=4096, keep=64):
 
 class TestLimitPmf:
     def test_poisson_one(self):
-        pmf = limit_pmf(CorrelationModel.from_coefficients([1.0]))
+        pmf = limit_pmf(CorrelationModel([1.0]))
         e = math.exp(-1.0)
         assert pmf.values[0] == pytest.approx(e, abs=1e-16)
         assert pmf.values[1] == pytest.approx(e, abs=1e-16)
         assert pmf.values[2] == pytest.approx(e / 2, abs=1e-16)
 
     def test_poisson_all_entries_to_40(self):
-        pmf = limit_pmf(CorrelationModel.from_coefficients([2.0]))
+        pmf = limit_pmf(CorrelationModel([2.0]))
         for s in range(41):
             value = pmf.values[s] if s < len(pmf.values) else 0.0
             assert abs(value - poisson_pmf(2.0, s)) < 1e-12
 
     def test_second_order_example_by_hand(self):
-        pmf = limit_pmf(CorrelationModel.from_coefficients([2.0, 0.5]))
+        pmf = limit_pmf(CorrelationModel([2.0, 0.5]))
         p0 = math.exp(-1.75)
         p1 = 1.5 * p0
         p2 = 0.5 * (1.5 * p1 + 2 * 0.25 * p0)
@@ -215,7 +215,7 @@ class TestLimitPmf:
         assert pmf.values[2] == pytest.approx(0.2389392, abs=1e-6)
 
     def test_against_dft_inversion(self):
-        model = CorrelationModel.from_coefficients([2.0, 0.5])
+        model = CorrelationModel([2.0, 0.5])
         pmf = limit_pmf(model, mass_tolerance=1e-12)
         folded = invert_cf_by_dft(model)
         for s in range(min(len(pmf.values), len(folded))):
@@ -225,12 +225,12 @@ class TestLimitPmf:
         from corrcount.core import TrailingZeroWarning
 
         with pytest.warns(TrailingZeroWarning):
-            pmf = limit_pmf(CorrelationModel.from_coefficients([0.0]))
+            pmf = limit_pmf(CorrelationModel([0.0]))
         assert pmf.values == (1.0,)
         assert pmf.tail_bound == 0.0
 
     def test_mass_tolerance_domain(self):
-        model = CorrelationModel.from_coefficients([1.0])
+        model = CorrelationModel([1.0])
         with pytest.raises(OutOfRangeError):
             limit_pmf(model, mass_tolerance=1e-3)
         with pytest.raises(OutOfRangeError):
@@ -238,18 +238,18 @@ class TestLimitPmf:
 
     def test_wild_coefficients_refuse(self):
         with pytest.raises(NonConvergentError):
-            limit_pmf(CorrelationModel.from_coefficients([5e6]))
+            limit_pmf(CorrelationModel([5e6]))
 
     def test_refusal_messages_name_their_cause(self):
         # An admissible Poisson law beyond the support cap is not blamed on
         # admissibility; only the drift of a signed vector is.
         with pytest.raises(NonConvergentError) as cap:
-            limit_pmf(CorrelationModel.from_coefficients([5e6]))
+            limit_pmf(CorrelationModel([5e6]))
         # The start, 5.02e6, is past the cap, but the bound there is finite.
         assert "cap of 1000000 entries: the tail bound there is 1.087e+07" in str(cap.value)
         assert "admissib" not in str(cap.value)
         with pytest.raises(NonConvergentError) as drift:
-            limit_pmf(CorrelationModel.from_coefficients([1.0, 40.0]))
+            limit_pmf(CorrelationModel([1.0, 40.0]))
         assert "mass drifts from 1 by 1.41" in str(drift.value)
         assert "far from admissible" in str(drift.value)
 
@@ -258,7 +258,7 @@ class TestLimitPmf:
         # p(0) = exp(C_2 / 2 - C_1) is above 1e216 and later entries pass the
         # double range: a drift of inf, not a raw OverflowError or ValueError.
         with pytest.raises(NonConvergentError, match="drifts from 1 by inf"):
-            limit_pmf(CorrelationModel.from_coefficients(c))
+            limit_pmf(CorrelationModel(c))
 
     @pytest.mark.parametrize(
         "c",
@@ -267,7 +267,7 @@ class TestLimitPmf:
     )
     def test_large_mean_matches_dft_inversion(self, c):
         # p(0) underflows to 0.0 here; the scaled recurrence keeps the rest.
-        model = CorrelationModel.from_coefficients(c)
+        model = CorrelationModel(c)
         pmf = limit_pmf(model)
         size = len(pmf.values)
         assert pmf.values[0] == 0.0 and pmf.admissible
@@ -281,7 +281,7 @@ class TestLimitPmf:
         # Every q_j >= 0, so nothing cancels; but the rounded q sum to
         # Q(1) = 3.54e-12, and the exact series of exp(Q) has mass exp(Q(1)).
         c = [9831.9101, 490.687988, 10.11039, 0.505686]
-        model = CorrelationModel.from_coefficients(c)
+        model = CorrelationModel(c)
         q = exponent_polynomial(model)
         assert min(q[1:]) >= 0.0
         shift = math.expm1(math.fsum(q))
@@ -302,7 +302,7 @@ class TestLimitPmf:
     )
     def test_cancelling_vectors_still_refused(self, c, drift):
         # Q(1) rounds to exactly 0 here, so the budget is the one before.
-        model = CorrelationModel.from_coefficients(c)
+        model = CorrelationModel(c)
         assert math.fsum(exponent_polynomial(model)) == 0.0
         with pytest.raises(NonConvergentError) as exc:
             limit_pmf(model)
@@ -314,18 +314,18 @@ class TestLimitPmf:
     @pytest.mark.parametrize("c", [[1.0, 0.0, 0.0, 1e5], [1.0, 1e300]])
     def test_p0_overflow_refused(self, c):
         with pytest.raises(OutOfRangeError, match=r"overflows: q_0 = .* 709\.78"):
-            limit_pmf(CorrelationModel.from_coefficients(c))
+            limit_pmf(CorrelationModel(c))
 
     def test_large_mean_near_underflow_still_computed(self):
         # C_1 = 700 starts the recurrence at p(0) = exp(-700), about 1e-304.
-        pmf = limit_pmf(CorrelationModel.from_coefficients([700.0]))
+        pmf = limit_pmf(CorrelationModel([700.0]))
         assert pmf.values[0] == math.exp(-700.0)
         assert abs(pmf.mean() - 700.0) <= 1e-8
         assert pmf.admissible
 
     def test_subnormal_p0_still_computed_when_mass_is_kept(self):
         # p(0) = exp(-716) is subnormal, yet the missing mass is 2e-13.
-        pmf = limit_pmf(CorrelationModel.from_coefficients([716.0]))
+        pmf = limit_pmf(CorrelationModel([716.0]))
         assert pmf.values[0] < sys.float_info.min
         poisson = [
             math.exp(s * math.log(716.0) - 716.0 - math.lgamma(s + 1))
@@ -336,7 +336,7 @@ class TestLimitPmf:
     @pytest.mark.parametrize("c1", [718.0, 740.0, 800.0, 5000.0, 10000.0])
     def test_large_mean_matches_poisson(self, c1):
         # p(0) = exp(-c1) is subnormal or 0.0 in doubles.
-        pmf = limit_pmf(CorrelationModel.from_coefficients([c1]))
+        pmf = limit_pmf(CorrelationModel([c1]))
         assert pmf.values[0] < sys.float_info.min
         assert pmf.tail_bound <= 1e-12
         poisson = [log_space_poisson(c1, s) for s in range(len(pmf.values))]
@@ -348,7 +348,7 @@ class TestLimitPmf:
         for i in range(120):
             if i % 3 == 0:  # large means, p(0) still normal
                 c1 = float(rng.uniform(50, 700))
-                model = CorrelationModel.from_coefficients([c1])
+                model = CorrelationModel([c1])
             else:  # signed vectors included
                 model = random_model(rng) if i % 2 else random_admissible_model(rng)
             reference = unscaled_limit_pmf(model)
@@ -379,7 +379,7 @@ class TestLimitPmf:
             assert abs(second - mean ** 2 - (c1 + c2)) <= 1e-8
 
     def test_inadmissible_flagged_not_raised(self):
-        pmf = limit_pmf(CorrelationModel.from_coefficients([0.1, -5.0]))
+        pmf = limit_pmf(CorrelationModel([0.1, -5.0]))
         assert not pmf.admissible
         s, value = pmf.most_negative()
         assert value < -1e-9
@@ -387,7 +387,7 @@ class TestLimitPmf:
 
 class TestFactorialCumulants:
     def test_poisson_cumulants_vanish_beyond_first(self):
-        pmf = limit_pmf(CorrelationModel.from_coefficients([2.0]))
+        pmf = limit_pmf(CorrelationModel([2.0]))
         cumulants = factorial_cumulants(pmf.values, 3)
         assert cumulants[0] == pytest.approx(2.0, abs=1e-10)
         assert cumulants[1] == pytest.approx(0.0, abs=1e-10)
@@ -395,7 +395,7 @@ class TestFactorialCumulants:
 
     def test_round_trip_through_generating_function(self):
         target = (2.0, 0.5, -0.1)
-        pmf = limit_pmf(CorrelationModel.from_coefficients(target))
+        pmf = limit_pmf(CorrelationModel(target))
         cumulants = factorial_cumulants(pmf.values, 3)
         for got, want in zip(cumulants, target):
             assert got == pytest.approx(want, abs=1e-8)
@@ -435,7 +435,7 @@ class TestFactorialCumulants:
 def test_exponent_forms_agree_property(c):
     if c[-1] == 0.0:
         c[-1] = 1.0
-    model = CorrelationModel.from_coefficients(c)
+    model = CorrelationModel(c)
     poly = exponent_polynomial(model)
     scale = max(
         1.0,
@@ -470,7 +470,7 @@ def test_limit_law_across_the_domain_property(q):
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TrailingZeroWarning)
-        pmf = limit_pmf(CorrelationModel.from_coefficients(c))
+        pmf = limit_pmf(CorrelationModel(c))
     assert pmf.admissible
     rounding = len(pmf.values) * sys.float_info.epsilon
     assert abs(pmf.total_mass() - 1.0) <= 1e-12 + rounding
@@ -498,8 +498,8 @@ def test_limit_law_across_the_domain_property(q):
 @example(c=[1e308], n=1)
 def test_edge_of_double_range_property(c, n):
     # Each law returns or raises a CorrcountError; no raw Python exception.
-    model = CorrelationModel.from_coefficients(c)
-    finite_model = CorrelationModel.from_coefficients(c, n=max(n, len(c)))
+    model = CorrelationModel(c)
+    finite_model = CorrelationModel(c, n=max(n, len(c)))
     for compute in (
         lambda: limit_pmf(model),
         lambda: char_fn(model, [0.0, 1.5, 3.0]),

@@ -143,7 +143,7 @@ class TestMixtureMassesAreCorrectlyRounded:
 
 class TestSampleCounts:
     def test_determinism(self):
-        pmf = limit_pmf(CorrelationModel.from_coefficients([2.0]))
+        pmf = limit_pmf(CorrelationModel([2.0]))
         a = sample_counts(pmf, 1000, seed=42)
         b = sample_counts(pmf, 1000, seed=42)
         assert np.array_equal(a, b)
@@ -151,7 +151,7 @@ class TestSampleCounts:
         assert not np.array_equal(a, c)
 
     def test_poisson_mean_within_standard_error(self):
-        pmf = limit_pmf(CorrelationModel.from_coefficients([2.0]))
+        pmf = limit_pmf(CorrelationModel([2.0]))
         counts = sample_counts(pmf, 10 ** 6, seed=7)
         se = math.sqrt(2.0 / 10 ** 6)
         assert abs(counts.mean() - 2.0) < 4 * se
@@ -162,7 +162,7 @@ class TestSampleCounts:
         assert counts.tolist() == [0, 0, 0, 0, 0]
 
     def test_inadmissible_rejected(self):
-        pmf = limit_pmf(CorrelationModel.from_coefficients([0.1, -5.0]))
+        pmf = limit_pmf(CorrelationModel([0.1, -5.0]))
         with pytest.raises(InadmissiblePmfError):
             sample_counts(pmf, 10, seed=0)
 
@@ -206,14 +206,14 @@ class TestEstimateCoefficients:
             estimate_coefficients([3] * 99 + [-1], l_max=1)
 
     def test_determinism(self):
-        pmf = limit_pmf(CorrelationModel.from_coefficients([2.0, 0.5]))
+        pmf = limit_pmf(CorrelationModel([2.0, 0.5]))
         counts = sample_counts(pmf, 20000, seed=3)
         a = estimate_coefficients(counts, l_max=2, seed=11)
         b = estimate_coefficients(counts, l_max=2, seed=11)
         assert a == b
 
     def test_consistency_with_growing_samples(self):
-        pmf = limit_pmf(CorrelationModel.from_coefficients([2.0]))
+        pmf = limit_pmf(CorrelationModel([2.0]))
         spread = {}
         for size in (10 ** 4, 10 ** 5, 10 ** 6):
             counts = sample_counts(pmf, size, seed=5)
@@ -257,7 +257,7 @@ class TestEstimateCoefficients:
         # Multinomial histograms and index resamples are the same law, so
         # at B = 2000 the two std_err values differ by bootstrap noise alone
         # (about 2.3% relative); 10% is over four times that.
-        pmf = limit_pmf(CorrelationModel.from_coefficients([2.0, 0.5]))
+        pmf = limit_pmf(CorrelationModel([2.0, 0.5]))
         counts = sample_counts(pmf, 5000, seed=4)
         got = estimate_coefficients(counts, l_max=3, n_bootstrap=2000, seed=4)
         want = int64_gather_estimate(counts, l_max=3, n_bootstrap=2000, seed=4)

@@ -150,4 +150,4 @@ def test_derived_fields_follow_the_stored_ones():
 def test_records_are_usable_as_keys():
     models = {CorrelationModel((1, 0.5)): "a", CorrelationModel((1.0, 0.5)): "b"}
     assert len(models) == 1
-    assert models[CorrelationModel.from_coefficients([1, 0.5])] == "b"
+    assert models[CorrelationModel([1, 0.5])] == "b"

@@ -10,17 +10,15 @@ nor the other modules in ``START_UP_FREE``, which every job would pay for.
 """
 
 import importlib
-import importlib.util
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import corrcount
 from corrcount.core import Pmf
 
-from conftest import subprocess_env
+from conftest import load_tracer, subprocess_env
 
 ROOT_EXPORTS = {
     "CorrelationModel",
@@ -36,14 +34,6 @@ ROOT_EXPORTS = {
     "estimate_coefficients",
     "run_identity_suite",
 }
-
-
-def load_tracer():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_root_exports_exactly_the_entry_points():
@@ -73,7 +63,7 @@ def test_benchmark_trace_installs_and_restores():
     trace = tracer.Trace()
     trace.install()
     try:
-        corrcount.limit_pmf(corrcount.CorrelationModel.from_coefficients([1.0]))
+        corrcount.limit_pmf(corrcount.CorrelationModel([1.0]))
     finally:
         trace.uninstall()
     assert trace.counts["limit.pmf_calls"] == 1
