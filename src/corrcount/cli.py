@@ -103,6 +103,8 @@ def _resolve_model(args, need_n: bool | None) -> CorrelationModel:
     count is checked before the model is built, so its refusal comes ahead
     of the model's own and of its warning.
     """
+    if args.model is not None and args.c is not None:
+        raise _UsageError("--model and --c both set the coefficients: pass one of them")
     if isinstance(args.model, dict):
         data = args.model
     elif args.model:

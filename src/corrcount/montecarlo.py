@@ -48,6 +48,8 @@ __all__ = [
 DEFAULT_BOOTSTRAP = 200
 # Sampling noise in higher factorial moments explodes past this order.
 MAX_ESTIMATE_ORDER = 4
+# Uniforms drawn per Generator.random call in sample_counts.
+_SAMPLE_BLOCK = 65536
 
 
 class MixtureSpec(Record):
@@ -166,6 +168,10 @@ def sample_counts(pmf: Pmf, n_samples: int, seed: int) -> np.ndarray:
     double per sample via Generator.random, mapped through searchsorted on
     the cumulative masses (entries clipped at zero; the at-most-tail_bound
     sliver of uniforms beyond the last cumulative value lands on s_max).
+    The uniforms are drawn in blocks of 65,536; successive Generator.random
+    calls continue one PCG64 stream, so the counts equal those of a single
+    ``random(n_samples)`` call, and memory beyond the returned int64 array
+    stays bounded by one block.
     """
     import numpy as np
 
@@ -181,9 +187,13 @@ def sample_counts(pmf: Pmf, n_samples: int, seed: int) -> np.ndarray:
         )
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(np.clip(np.asarray(pmf.values), 0.0, None))
-    u = rng.random(n_samples)
-    counts = np.searchsorted(cdf, u, side="right")
-    return np.minimum(counts, len(pmf.values) - 1).astype(np.int64)
+    # One int64 array of n_samples counts is the only n-sized buffer: each
+    # block's uniforms and indices are freed before the next block's draw.
+    counts = np.empty(n_samples, dtype=np.int64)
+    for start in range(0, n_samples, _SAMPLE_BLOCK):
+        block = counts[start : start + _SAMPLE_BLOCK]
+        block[:] = np.searchsorted(cdf, rng.random(block.size), side="right")
+    return np.minimum(counts, len(pmf.values) - 1, out=counts)
 
 
 def estimate_coefficients(
@@ -225,7 +235,8 @@ def estimate_coefficients(
         raise OutOfRangeError(
             f"count {raw.max()} exceeds the supported ceiling {SUPPORT_CAP}"
         )
-    data = raw.astype(np.int64)
+    # An int64 input is used as is; a float input is copied for the check.
+    data = raw.astype(np.int64, copy=False)
     if raw.dtype.kind == "f" and not np.array_equal(raw, data):
         raise OutOfRangeError("counts must be integers")
     n_total = int(data.size)

@@ -729,6 +729,17 @@ class TestBadInput:
         assert out == ""
         assert cause in err
 
+    @pytest.mark.parametrize("model_first", [True, False], ids=["model-c", "c-model"])
+    def test_model_and_c_flags_both_given_exit_3(self, capsys, tmp_path, model_first):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"l_max": 1, "c": [2.0]}))
+        flags = [["--model", str(path)], ["--c", "5"]]
+        if not model_first:
+            flags.reverse()
+        code, out, err = run_cli(capsys, "limit-pmf", *flags[0], *flags[1])
+        assert (code, out) == (3, "")
+        assert err == "error: --model and --c both set the coefficients: pass one of them\n"
+
     def test_config_and_subcommand_conflict(self, capsys, tmp_path):
         path = tmp_path / "job.json"
         path.write_text(json.dumps({"command": "limit-pmf", "c": "1.0"}))

@@ -64,6 +64,12 @@ two lines whose budgets use it (``finite-pmf-normalization``,
 ``finite-pmf-mean-identity``) moved, and they still pass; ``VERIFY_REST``
 pins every other line, recorded before that switch.
 
+``sample-blocks`` draws 200,001 counts: three of the sampler's full
+65,536-uniform blocks and part of a fourth.  Its digest was recorded before
+the sampler drew in blocks, when it made one ``Generator.random`` call.
+The other ``sample-*`` cases draw 2000 and 500 counts, inside one block,
+so they cannot show that the blocked stream is byte-identical.
+
 ``{plain}``, ``{csv}`` and ``{bare_csv}`` in an argv stand for counts files
 the test writes: plain lines, CSV with a ``sample_index,count`` header,
 and CSV without one, all holding the same 2000 counts.  ``{wide}`` is a
@@ -122,6 +128,10 @@ CASES = {
     "sample-finite": (
         ["sample", "--n", "50", "--c", "1.0,0.3", "--count", "500", "--seed", "3"],
         0, "1ee9c8f6d1f7a8226481da0cb8ad84e493d8aa0883fa0db4e9cc317c714b55d6",
+    ),
+    "sample-blocks": (
+        ["sample", "--c", "2.0,0.5", "--count", "200001", "--seed", "42"],
+        0, "a25205126ce27943eeeb97d44b61c2cebc2d412f746bd1672e96041b96fdea00",
     ),
     "estimate-plain": (
         ["estimate", "--input", "{plain}", "--lmax", "3", "--bootstrap", "50", "--seed", "7"],

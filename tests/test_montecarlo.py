@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,38 @@ class TestSampleCounts:
         with pytest.raises(OutOfRangeError, match="1..10000000"):
             sample_counts(pmf, MAX_POINTS + 1, seed=0)
 
+    # Masses summing to 0.75 send a quarter of the uniforms past the last
+    # cumulative value, so the clip to s_max is exercised.
+    SHORT_PMF = Pmf((0.25, 0.125, 0.375))
+
+    @pytest.mark.parametrize("n", [1, 65535, 65536, 65537, 196609])
+    @pytest.mark.parametrize("short", [False, True], ids=["limit", "short"])
+    def test_blocks_continue_the_one_call_stream(self, n, short):
+        pmf = self.SHORT_PMF if short else limit_pmf(CorrelationModel([2.0, 0.5]))
+        cdf = np.cumsum(np.clip(np.asarray(pmf.values), 0.0, None))
+        u = np.random.Generator(np.random.PCG64(n)).random(n)
+        want = np.minimum(np.searchsorted(cdf, u, "right"), len(pmf.values) - 1)
+        got = sample_counts(pmf, n, seed=n)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        if short and n > 1:
+            assert np.count_nonzero(u >= cdf[-1]) > 0
+            assert got.max() == len(pmf.values) - 1
+
+    def test_memory_is_one_count_array(self):
+        # One int64 array of the counts plus one block's uniforms and
+        # indices (2 * 65,536 * 8 B = 1 MiB), with 1 MiB to spare.
+        pmf = limit_pmf(CorrelationModel([2.0, 0.5]))
+        sample_counts(pmf, 10, seed=0)  # lazy numpy set-up is not the sampler's
+        tracemalloc.start()
+        try:
+            counts = sample_counts(pmf, 10 ** 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.size == 10 ** 6
+        assert peak <= 8 * 10 ** 6 + 2 * 2 ** 20
+
 
 class TestEstimateCoefficients:
     def test_constant_counts(self):
@@ -270,6 +303,17 @@ class TestEstimateCoefficients:
             estimate_coefficients([3] * 199 + [10 ** 12], l_max=1)
         counts = [3] * 199 + [SUPPORT_CAP]
         assert estimate_coefficients(counts, l_max=1, n_bootstrap=5).n_samples == 200
+
+    def test_int64_counts_are_not_copied(self):
+        counts = np.arange(10 ** 6, dtype=np.int64) % 7
+        estimate_coefficients(counts, l_max=2, n_bootstrap=5, seed=0)  # lazy set-up
+        tracemalloc.start()
+        try:
+            estimate_coefficients(counts, l_max=2, n_bootstrap=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
 
     def test_report_json_schema(self):
         import json
