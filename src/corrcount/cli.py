@@ -14,6 +14,7 @@ import argparse
 import itertools
 import math
 import os
+import re
 import sys
 import warnings
 from typing import TYPE_CHECKING
@@ -33,11 +34,13 @@ from .montecarlo import (
     MixtureSpec,
     build_mixture_joint,
     estimate_coefficients,
-    sample_counts,
+    sample_blocks,
 )
 from .verify import run_identity_suite
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 EXIT_OK = 0
@@ -47,6 +50,8 @@ EXIT_BAD_INPUT = 3
 EXIT_VERIFY_FAILED = 4
 
 DEFAULT_MASS_TOL = 1e-12
+# Characters of a counts file parsed per np.loadtxt call.
+_READ_CHARS = 32768
 
 
 class _UsageError(Exception):
@@ -219,14 +224,13 @@ def _cmd_sample(args) -> int:
         pmf = finite_count_pmf(model)
     else:
         pmf = limit_pmf(model, mass_tolerance=args.tol)
-    counts = sample_counts(pmf, args.count, args.seed)
-    # Counts lie in the pmf support, so one line per possible count is a
-    # small table, and looking lines up beats formatting each count.
-    lines = [f"{k}\n" for k in range(int(counts.max()) + 1)]
-    out = sys.stdout
-    for chunk_start in range(0, len(counts), 65536):
-        chunk = counts[chunk_start : chunk_start + 65536]
-        out.write("".join(map(lines.__getitem__, chunk.tolist())))
+    # Counts lie in the pmf support, so one line per count up to the largest
+    # seen so far is a small table, and looking lines up beats formatting
+    # each count.
+    lines: list[str] = []
+    for block in sample_blocks(pmf, args.count, args.seed):
+        lines += (f"{k}\n" for k in range(len(lines), int(block.max()) + 1))
+        sys.stdout.write("".join(map(lines.__getitem__, block.tolist())))
     return EXIT_OK
 
 
@@ -238,9 +242,13 @@ def _is_number(field: str) -> bool:
     return True
 
 
-def _read_counts(path: str) -> np.ndarray:
-    import numpy as np
+def _read_counts(path: str) -> Iterator[np.ndarray]:
+    """The counts of a counts file, as an iterator over int64 blocks.
 
+    An unreadable or empty file, or a header with no rows, is refused
+    here.  The rows are parsed as the blocks are read, so memory stays
+    bounded by one block whatever the length of the file.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             rows = ((i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip())
@@ -254,14 +262,58 @@ def _read_counts(path: str) -> np.ndarray:
                 raise _UsageError(f"counts file {path} is empty")
             if header and next(rows, None) is None:
                 raise _UsageError(f"counts file {path} has a header but no count rows")
-        return np.loadtxt(
-            path, dtype=np.int64, comments=None, delimiter=",", ndmin=1,
-            skiprows=skip if header else 0, usecols=1 if csv else None, encoding="utf-8",
-        )
     except OSError as exc:
         raise _UsageError(f"cannot read counts file {path}: {exc}") from exc
     except ValueError as exc:
         raise _UsageError(f"bad counts file {path}: {exc}") from exc
+    return _parse_counts(path, skip if header else 0, csv)
+
+
+def _parse_counts(path: str, skip: int, csv: bool) -> Iterator[np.ndarray]:
+    """Yield the counts of a file past its first ``skip`` lines, one read at a time.
+
+    np.loadtxt parses the lines of each read behind one sentinel row.  The
+    sentinel holds a plain file to one column, as its first row does in one
+    pass over the file, and keeps a read of blank lines from being an empty
+    input.  The row numbers in loadtxt's errors are moved past the sentinel
+    and the rows of earlier reads, so they count from the first line after
+    ``skip``, as they would in one pass.
+    """
+    import numpy as np
+
+    sentinel = "0,0\n" if csv else "0\n"
+    done = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for _ in range(skip):
+                fh.readline()
+            for text in _whole_lines(fh):
+                block = np.loadtxt(
+                    (sentinel + text).split("\n"), dtype=np.int64, comments=None,
+                    delimiter=",", ndmin=1, usecols=1 if csv else None, encoding="utf-8",
+                )[1:]
+                done += block.size
+                yield block
+    except OSError as exc:
+        raise _UsageError(f"cannot read counts file {path}: {exc}") from exc
+    except ValueError as exc:
+        message = str(exc)
+        head, at, rest = message.rpartition(" at row ")
+        row = re.match(r"\d+", rest)
+        if at and row:
+            message = f"{head}{at}{int(row[0]) - 1 + done}{rest[row.end():]}"
+        raise _UsageError(f"bad counts file {path}: {message}") from exc
+
+
+def _whole_lines(fh) -> Iterator[str]:
+    """The text of an open file in reads of about _READ_CHARS, each cut after a newline."""
+    tail = ""
+    while chunk := fh.read(_READ_CHARS):
+        text = tail + chunk
+        cut = text.rfind("\n") + 1
+        yield text[:cut]
+        tail = text[cut:]
+    yield tail
 
 
 def _cmd_estimate(args) -> int:

@@ -10,11 +10,16 @@ bootstrap standard errors: each replicate histogram is one multinomial
 draw on the observed histogram, from a generator seeded with the first
 child of the user seed's SeedSequence, so it never replays the sampler's
 PCG64(seed) stream.
+
+Both ends stream: ``sample_blocks`` yields the counts in blocks of 65,536,
+and the estimator needs only the histogram of the counts, which it
+gathers block by block, so neither holds all the counts at once.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -41,6 +46,7 @@ __all__ = [
     "MixtureSpec",
     "EstimateReport",
     "build_mixture_joint",
+    "sample_blocks",
     "sample_counts",
     "estimate_coefficients",
 ]
@@ -48,7 +54,7 @@ __all__ = [
 DEFAULT_BOOTSTRAP = 200
 # Sampling noise in higher factorial moments explodes past this order.
 MAX_ESTIMATE_ORDER = 4
-# Uniforms drawn per Generator.random call in sample_counts.
+# Uniforms drawn per Generator.random call, and counts per block, in sample_blocks.
 _SAMPLE_BLOCK = 65536
 
 
@@ -161,17 +167,19 @@ def _round_once(spec: MixtureSpec, n: int, m: int, q, prec: int = 40) -> float:
         return float(q) if exact else _round_once(spec, n, m, q, 2 * prec)
 
 
-def sample_counts(pmf: Pmf, n_samples: int, seed: int) -> np.ndarray:
-    """Draw counts from a pmf by inverse CDF; deterministic in (pmf, seed).
+def sample_blocks(pmf: Pmf, n_samples: int, seed: int) -> Iterator[np.ndarray]:
+    """Draw counts from a pmf by inverse CDF, in blocks; deterministic in (pmf, seed).
+
+    The arguments are checked here, before the first block is drawn; the
+    returned iterator then yields int64 blocks of at most 65,536 counts,
+    n_samples in all.
 
     Generator contract, frozen: PCG64 seeded with ``seed``, one uniform
     double per sample via Generator.random, mapped through searchsorted on
     the cumulative masses (entries clipped at zero; the at-most-tail_bound
     sliver of uniforms beyond the last cumulative value lands on s_max).
-    The uniforms are drawn in blocks of 65,536; successive Generator.random
-    calls continue one PCG64 stream, so the counts equal those of a single
-    ``random(n_samples)`` call, and memory beyond the returned int64 array
-    stays bounded by one block.
+    Successive Generator.random calls continue one PCG64 stream, so the
+    blocks joined equal the counts of a single ``random(n_samples)`` call.
     """
     import numpy as np
 
@@ -187,13 +195,31 @@ def sample_counts(pmf: Pmf, n_samples: int, seed: int) -> np.ndarray:
         )
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(np.clip(np.asarray(pmf.values), 0.0, None))
-    # One int64 array of n_samples counts is the only n-sized buffer: each
-    # block's uniforms and indices are freed before the next block's draw.
+    s_max = len(pmf.values) - 1
+
+    def blocks():
+        for start in range(0, n_samples, _SAMPLE_BLOCK):
+            size = min(_SAMPLE_BLOCK, n_samples - start)
+            block = np.searchsorted(cdf, rng.random(size), side="right")
+            yield np.minimum(block, s_max, out=block).astype(np.int64, copy=False)
+
+    return blocks()
+
+
+def sample_counts(pmf: Pmf, n_samples: int, seed: int) -> np.ndarray:
+    """The counts of :func:`sample_blocks` joined in one int64 array.
+
+    Memory beyond the returned array stays bounded by one block.
+    """
+    import numpy as np
+
+    blocks = sample_blocks(pmf, n_samples, seed)
     counts = np.empty(n_samples, dtype=np.int64)
-    for start in range(0, n_samples, _SAMPLE_BLOCK):
-        block = counts[start : start + _SAMPLE_BLOCK]
-        block[:] = np.searchsorted(cdf, rng.random(block.size), side="right")
-    return np.minimum(counts, len(pmf.values) - 1, out=counts)
+    start = 0
+    for block in blocks:
+        counts[start : start + block.size] = block
+        start += block.size
+    return counts
 
 
 def estimate_coefficients(
@@ -204,17 +230,20 @@ def estimate_coefficients(
 ) -> EstimateReport:
     """Estimate (C_1, ..., C_l_max) from observed counts.
 
-    The point estimate is the empirical factorial cumulants; standard
-    errors come from ``n_bootstrap`` resamples with replacement.  The
-    histogram of a resample of all n counts is a Multinomial(n, histogram
-    / n) draw (Efron & Tibshirani, 1993), so each replicate costs
-    O(support), not O(n).  All replicates come from one generator seeded
-    with the first child of np.random.SeedSequence(seed).
+    ``counts`` is a 1-d array-like of counts, or an iterator over such
+    blocks, which is read once: the estimate needs only the histogram of
+    the counts, so memory is bounded by one block plus the support.  The
+    point estimate is the empirical factorial cumulants; standard errors
+    come from ``n_bootstrap`` resamples with replacement.  The histogram
+    of a resample of all n counts is a Multinomial(n, histogram / n) draw
+    (Efron & Tibshirani, 1993), so each replicate costs O(support), not
+    O(n).  All replicates come from one generator seeded with the first
+    child of np.random.SeedSequence(seed).
 
     Raises:
         OutOfRangeError: l_max outside 1..MAX_ESTIMATE_ORDER, n_bootstrap < 2,
-            a negative seed, or a count that is negative, above SUPPORT_CAP
-            or not an integer.
+            a negative seed, counts that are not numbers (bools included),
+            or a count that is negative, above SUPPORT_CAP or not an integer.
         TooFewSamplesError: fewer than 10^l_max observations.
     """
     import numpy as np
@@ -226,27 +255,14 @@ def estimate_coefficients(
     if not is_int_in(n_bootstrap, 2):
         raise OutOfRangeError(f"n_bootstrap must be >= 2, got {n_bootstrap!r}")
     validate_seed(seed)
-    raw = np.asarray(counts)
-    if raw.ndim != 1 or raw.size == 0:
-        raise OutOfRangeError("counts must be a nonempty 1-d sequence")
-    if raw.min() < 0:
-        raise OutOfRangeError(f"negative count {raw.min()} in input")
-    if raw.max() > SUPPORT_CAP:
-        raise OutOfRangeError(
-            f"count {raw.max()} exceeds the supported ceiling {SUPPORT_CAP}"
-        )
-    # An int64 input is used as is; a float input is copied for the check.
-    data = raw.astype(np.int64, copy=False)
-    if raw.dtype.kind == "f" and not np.array_equal(raw, data):
-        raise OutOfRangeError("counts must be integers")
-    n_total = int(data.size)
+    histogram, n_total = _count_histogram(counts if isinstance(counts, Iterator) else [counts])
     floor = 10 ** l_max
     if n_total < floor:
         raise TooFewSamplesError(
             f"order {l_max} needs at least {floor} samples, got {n_total}"
         )
 
-    histogram = np.bincount(data).astype(float)
+    histogram = histogram.astype(float)
     c_hat = factorial_cumulants(histogram, l_max, total=n_total)
 
     # The histogram of n counts resampled with replacement is one
@@ -265,3 +281,50 @@ def estimate_coefficients(
         n_samples=n_total,
         n_bootstrap=n_bootstrap,
     )
+
+
+def _count_histogram(blocks) -> tuple[np.ndarray, int]:
+    """The int64 histogram of the counts in an iterable of 1-d blocks, and their number.
+
+    A block that is not 1-d, or not of integers or floats, is refused at
+    once.  The value checks use the running minimum and maximum, so they
+    are made, in this order, once every block is read: the first refusal
+    names the smallest count, then the largest, as a check of all counts
+    at once would.  Blocks after a refused value are checked but not
+    counted, and a float block is cast only once it holds integers.
+    """
+    import numpy as np
+
+    histogram = np.zeros(0, dtype=np.int64)
+    n_total = 0
+    low = high = None
+    integral = True
+    for block in blocks:
+        raw = np.asarray(block)
+        if raw.ndim != 1:
+            raise OutOfRangeError("counts must be a nonempty 1-d sequence")
+        if raw.dtype.kind not in "iuf":
+            raise OutOfRangeError(f"counts must be integers or floats, got dtype {raw.dtype}")
+        if raw.size == 0:
+            continue
+        n_total += raw.size
+        # np.minimum and np.maximum keep a NaN, as raw.min() over all counts would.
+        low = raw.min() if low is None else np.minimum(low, raw.min())
+        high = raw.max() if high is None else np.maximum(high, raw.max())
+        if raw.dtype.kind == "f":
+            integral = integral and bool(np.all(raw == np.trunc(raw)))
+        if low >= 0 and high <= SUPPORT_CAP and integral:
+            counts = np.bincount(raw.astype(np.int64, copy=False))
+            if counts.size < histogram.size:
+                counts, histogram = histogram, counts
+            counts[: histogram.size] += histogram
+            histogram = counts
+    if n_total == 0:
+        raise OutOfRangeError("counts must be a nonempty 1-d sequence")
+    if low < 0:
+        raise OutOfRangeError(f"negative count {low} in input")
+    if high > SUPPORT_CAP:
+        raise OutOfRangeError(f"count {high} exceeds the supported ceiling {SUPPORT_CAP}")
+    if not integral:
+        raise OutOfRangeError("counts must be integers")
+    return histogram, n_total

@@ -1,8 +1,10 @@
+import contextlib
 import json
 import math
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -272,7 +274,7 @@ class TestSampleAndEstimate:
     ):
         path = tmp_path / "counts.csv"
         path.write_text(text)
-        assert _read_counts(str(path)).tolist() == counts
+        assert np.concatenate(list(_read_counts(str(path)))).tolist() == counts
 
     def test_estimate_keeps_first_row_with_signed_index(self, capsys, tmp_path):
         counts = [7] + [i % 5 for i in range(149)]
@@ -335,6 +337,78 @@ class TestSampleAndEstimate:
         data = json.loads(out)
         for got, want, se in zip(data["c_hat"], (2.0, 0.5), data["std_err"]):
             assert abs(got - want) < 4 * se
+
+
+# Runs ``python -m corrcount ARGV...`` with stdout to OUT and prints its exit
+# code and peak RSS in KiB.  A child's peak starts at the RSS of the process
+# that spawns it, so the jobs are spawned from this small interpreter, not
+# from the test process.
+SPAWN_AND_MEASURE = """
+import os, subprocess, sys
+with open(sys.argv[1], "wb") as out:
+    proc = subprocess.Popen([sys.executable, "-m", "corrcount", *sys.argv[2:]], stdout=out)
+    _, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+class TestMemory:
+    """sample and estimate hold one block of counts, not all of them."""
+
+    MODEL = ("--c", "2.0,0.5")
+
+    @staticmethod
+    def traced_peak(argv, stdout_path) -> int:
+        with open(stdout_path, "w") as out, contextlib.redirect_stdout(out):
+            assert main(argv) == 0  # lazy numpy set-up is not the job's
+            out.seek(0)
+            out.truncate()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    def support_bytes(self) -> int:
+        from corrcount import limit_pmf
+        from corrcount.core import CorrelationModel
+
+        return 256 * len(limit_pmf(CorrelationModel([2.0, 0.5])).values)
+
+    def test_sample_peak_is_one_block(self, tmp_path):
+        argv = ["sample", *self.MODEL, "--count", str(10 ** 6), "--seed", "3"]
+        peak = self.traced_peak(argv, tmp_path / "counts.txt")
+        assert (tmp_path / "counts.txt").stat().st_size > 10 ** 6
+        assert peak <= 2 * 2 ** 20 + self.support_bytes()
+
+    def test_estimate_peak_is_one_block(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text("".join(f"{(i * i) % 7}\n" for i in range(10 ** 6)))
+        argv = ["estimate", "--input", str(path), "--lmax", "2", "--seed", "3"]
+        peak = self.traced_peak(argv, tmp_path / "report.json")
+        assert json.loads((tmp_path / "report.json").read_text())["n_samples"] == 10 ** 6
+        assert peak <= 2 * 2 ** 20 + self.support_bytes()
+
+    def test_peak_rss_does_not_grow_with_the_count(self, tmp_path):
+        peaks = {}
+        for count in (2 * 10 ** 5, 2 * 10 ** 6):
+            counts = tmp_path / f"counts-{count}.txt"
+            jobs = {
+                "sample": ["sample", *self.MODEL, "--count", str(count), "--seed", "5"],
+                "estimate": ["estimate", "--input", str(counts), "--lmax", "2", "--seed", "5"],
+            }
+            for job, argv in jobs.items():
+                out = counts if job == "sample" else tmp_path / f"report-{count}.json"
+                result = subprocess.run(
+                    [sys.executable, "-c", SPAWN_AND_MEASURE, str(out), *argv],
+                    capture_output=True, text=True, env=subprocess_env(), check=True,
+                )
+                code, kib = map(int, result.stdout.split())
+                assert code == 0, (job, count)
+                peaks[job, count] = kib
+        for job in ("sample", "estimate"):
+            assert peaks[job, 2 * 10 ** 6] <= peaks[job, 2 * 10 ** 5] + 2048, peaks
 
 
 class TestVerifyCommand:
@@ -551,6 +625,71 @@ class TestBadInput:
         assert out == ""  # no inf rows, no Infinity in JSON
         assert err.startswith("error: chi(u[")
         assert "is not finite" in err
+
+    # Each file holds 200,000 counts, read in many blocks, with its fault
+    # past the first 131,072 rows.  The stderr was recorded from the CLI
+    # when np.loadtxt parsed the whole file in one call.
+    LATE_FAULTS = {
+        "bad-token": (
+            True, {150001: "150000,4x"},
+            "bad counts file {path}: could not convert string '4x' to int64 "
+            "at row 150000, column 2.",
+        ),
+        "negative": (False, {140000: "-3"}, "negative count -3 in input"),
+        "above-ceiling": (
+            False, {150000: "1000001"}, "count 1000001 exceeds the supported ceiling 1000000"
+        ),
+        "two-negatives": (False, {10: "-2", 140000: "-7"}, "negative count -7 in input"),
+        "two-columns": (
+            False, {100000: "3,4"},
+            "bad counts file {path}: the number of columns changed from 1 to 2 "
+            "at row 100001; use `usecols` to select a subset and avoid this error",
+        ),
+        "two-columns-to-the-end": (
+            False, dict.fromkeys(range(90000, 200000), "4,4"),
+            "bad counts file {path}: the number of columns changed from 1 to 2 "
+            "at row 90001; use `usecols` to select a subset and avoid this error",
+        ),
+        "missing-column": (
+            True, {120000: "7"},
+            "bad counts file {path}: invalid column index 1 at row 120000 with 1 columns",
+        ),
+        "blank-line-then-bad-token": (
+            False, {99999: "", 100001: "x"},
+            "bad counts file {path}: could not convert string 'x' to int64 "
+            "at row 100000, column 1.",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LATE_FAULTS))
+    def test_estimate_refuses_a_late_fault_as_one_pass_did(self, capsys, tmp_path, name):
+        csv, changes, message = self.LATE_FAULTS[name]
+        rows = [f"{i},{i % 5}" if csv else str(i % 5) for i in range(200000)]
+        if csv:
+            rows.insert(0, "sample_index,count")
+        for index, row in changes.items():
+            rows[index] = row
+        path = tmp_path / "counts.txt"
+        path.write_text("".join(row + "\n" for row in rows))
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(path), "--lmax", "2", "--bootstrap", "5"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: " + message.format(path=path) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, want_code",
+        [
+            (["--c", "2", "--count", "100000", "--seed", "-1"], 3),
+            (["--c", "0.1,-5", "--count", "100000", "--seed", "1"], 2),
+            (["--c", "2", "--count", "10000001"], 3),
+        ],
+        ids=["seed", "inadmissible", "count-above-ceiling"],
+    )
+    def test_sample_refusal_writes_no_count(self, capsys, argv, want_code):
+        code, out, err = run_cli(capsys, "sample", *argv)
+        assert (code, out) == (want_code, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_estimate_count_above_ceiling_exit_3(self, capsys, tmp_path):
         path = tmp_path / "counts.txt"

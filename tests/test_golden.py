@@ -73,7 +73,13 @@ so they cannot show that the blocked stream is byte-identical.
 ``{plain}``, ``{csv}`` and ``{bare_csv}`` in an argv stand for counts files
 the test writes: plain lines, CSV with a ``sample_index,count`` header,
 and CSV without one, all holding the same 2000 counts.  ``{wide}`` is a
-plain file of 2000 counts up to 300, above the one-byte range.
+plain file of 2000 counts up to 300, above the one-byte range.  These
+files fit in one of the blocks in which ``estimate`` reads its input, so
+they cannot show that the blocked read is byte-identical.
+``{blocks}`` is a CSV file with a ``sample_index,count`` header and
+200,001 rows, so the header skip and the count column span many blocks;
+the ``estimate-blocks`` digest was recorded before ``estimate`` read in
+blocks, when np.loadtxt parsed the whole file in one call.
 """
 
 import hashlib
@@ -149,6 +155,10 @@ CASES = {
         ["finite-pmf", "--n", "2000", "--c", "2.0,0.5,0.1"],
         0, "f199d936d1aa66de7ae4053fe644d8977a8a49c2d0b107abe8ace85a77c639d2",
     ),
+    "estimate-blocks": (
+        ["estimate", "--input", "{blocks}", "--lmax", "3", "--bootstrap", "50", "--seed", "7"],
+        0, "4ff1c9f96175df96af394f4e6cba7cda8c0c47f32af05c81c9a654fdba642dde",
+    ),
     "estimate-wide": (
         ["estimate", "--input", "{wide}", "--lmax", "2", "--bootstrap", "40", "--seed", "5"],
         0, "3f77fbfc4a36a8d7dfea15caf1db7668ef63403a21ad78bc62129c96005e09ba",
@@ -204,6 +214,9 @@ def counts_files(tmp_path_factory):
         ),
         "bare_csv": "\n".join(f"{i},{c}" for i, c in enumerate(counts)),
         "wide": "\n".join(str((i * 37) % 301) for i in range(2000)),
+        "blocks": "\n".join(
+            ["sample_index,count"] + [f"{i},{(i * i + 3 * i) % 11}" for i in range(200001)]
+        ),
     }
     paths = {}
     for name, text in files.items():

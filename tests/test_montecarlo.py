@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from corrcount.core import (
 )
 from corrcount.finite import MAX_EVENT_COUNT
 from corrcount.limit import SUPPORT_CAP, factorial_cumulants
-from corrcount.montecarlo import EstimateReport
+from corrcount.montecarlo import EstimateReport, sample_blocks
 from corrcount.ursell import correlation_partition, marginalize
 from corrcount.verify import measure_coefficients
 
@@ -203,6 +204,27 @@ class TestSampleCounts:
             assert np.count_nonzero(u >= cdf[-1]) > 0
             assert got.max() == len(pmf.values) - 1
 
+    def test_blocks_join_to_the_counts(self):
+        pmf = limit_pmf(CorrelationModel([2.0, 0.5]))
+        blocks = list(sample_blocks(pmf, 3 * 65536 + 1, seed=9))
+        assert [b.size for b in blocks] == [65536, 65536, 65536, 1]
+        assert all(b.dtype == np.int64 for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), sample_counts(pmf, 3 * 65536 + 1, seed=9))
+
+    @pytest.mark.parametrize(
+        "pmf, n, seed, error",
+        [
+            (Pmf.from_values([1.0]), MAX_POINTS + 1, 0, OutOfRangeError),
+            (Pmf.from_values([1.0]), 10, -1, OutOfRangeError),
+            (Pmf((-0.5, 1.5)), 10, 0, InadmissiblePmfError),
+        ],
+        ids=["count", "seed", "inadmissible"],
+    )
+    def test_blocks_are_refused_before_the_first_draw(self, pmf, n, seed, error):
+        # The call itself raises: no block is drawn, so nothing is written.
+        with pytest.raises(error):
+            sample_blocks(pmf, n, seed)
+
     def test_memory_is_one_count_array(self):
         # One int64 array of the counts plus one block's uniforms and
         # indices (2 * 65,536 * 8 B = 1 MiB), with 1 MiB to spare.
@@ -314,6 +336,58 @@ class TestEstimateCoefficients:
         finally:
             tracemalloc.stop()
         assert peak <= 2 ** 20
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            (["3"] * 200, "got dtype <U1"),
+            ([None] * 200, "got dtype object"),
+            ([True] * 200, "got dtype bool"),
+            (np.ones(200, dtype=bool), "got dtype bool"),
+            ([3.0] * 199 + [math.nan], "counts must be integers"),
+            ([math.nan] * 200, "counts must be integers"),
+        ],
+        ids=["str", "none", "bool", "numpy-bool", "one-nan", "nan"],
+    )
+    def test_counts_that_are_not_numbers_are_refused(self, counts, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError, match=match):
+                estimate_coefficients(counts, l_max=1, n_bootstrap=5)
+
+    def test_blocks_give_the_estimate_of_their_concatenation(self):
+        pmf = limit_pmf(CorrelationModel([2.0, 0.5]))
+        counts = sample_counts(pmf, 20000, seed=3)
+        want = estimate_coefficients(counts, l_max=3, n_bootstrap=20, seed=11)
+        # Sorted counts in three blocks: the histogram grows at the second,
+        # and the third, narrower, is added into it.
+        order = np.argsort(counts, kind="stable")
+        blocks = [
+            counts[order[5000:10000]].astype(np.int32),
+            [],
+            counts[order[10000:]].astype(float),
+            counts[order[:5000]],
+        ]
+        assert estimate_coefficients(iter(blocks), l_max=3, n_bootstrap=20, seed=11) == want
+
+    @pytest.mark.parametrize(
+        "blocks, match",
+        [
+            ([[3] * 100 + [-2], [3] * 100, [-7, 10 ** 7]], "negative count -7 in input"),
+            ([[3] * 100 + [10 ** 7], [3] * 100, [2 * 10 ** 7]], "count 20000000 exceeds"),
+            ([[2.5] * 100, [3.0] * 100, [-1.0]], "negative count -1.0 in input"),
+            ([[3] * 100, [[3]]], "1-d"),
+            ([[], []], "nonempty"),
+        ],
+        ids=["global-minimum", "global-maximum", "minimum-before-integers", "2-d", "empty"],
+    )
+    def test_block_checks_are_those_of_one_array(self, blocks, match):
+        with pytest.raises(OutOfRangeError, match=match):
+            estimate_coefficients(iter(blocks), l_max=1, n_bootstrap=5)
+        if match != "1-d":
+            # One array of the same counts meets the same refusal.
+            with pytest.raises(OutOfRangeError, match=match):
+                estimate_coefficients(np.concatenate(blocks), l_max=1, n_bootstrap=5)
 
     def test_report_json_schema(self):
         import json
