@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: limit-pmf, finite-pmf, oracle-pmf, cf, sample, estimate,
-verify.  Outputs are CSV (with header) or JSON, formatted so identical
-argv gives byte-identical bytes.  Exit codes: 0 success, 1 stdout closed
-before all output was written (a broken pipe), 2 inadmissible model (the
-signed pmf is still printed), 3 invalid input or arguments, 4 an identity
-failed during verify.
+verify.  Every file format is read and written here: model and config
+files are JSON, counts files are lines or CSV, and outputs are CSV (with
+header) or JSON, formatted so identical argv gives byte-identical bytes.
+Exit codes: 0 success, 1 stdout closed before all output was written (a
+broken pipe), 2 inadmissible model (the signed pmf is still printed), 3
+invalid input or arguments, 4 an identity failed during verify.
 """
 
 from __future__ import annotations
@@ -21,11 +22,13 @@ from typing import TYPE_CHECKING
 
 from .core import (
     MAX_POINTS,
+    BadShapeError,
     CorrcountError,
     CorrelationModel,
     InadmissiblePmfError,
     Pmf,
     TrailingZeroWarning,
+    is_int_in,
 )
 from .finite import count_pmf_from_joint, finite_count_pmf
 from .limit import char_fn, limit_pmf
@@ -110,27 +113,25 @@ def _resolve_model(args, need_n: bool | None) -> CorrelationModel:
     """
     if args.model is not None and args.c is not None:
         raise _UsageError("--model and --c both set the coefficients: pass one of them")
+    data = {}
     if isinstance(args.model, dict):
         data = args.model
     elif args.model:
-        import json
-
-        try:
-            with open(args.model, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-            raise _UsageError(f"cannot read model file {args.model}: {exc}") from exc
-        if not isinstance(data, dict):  # refused, naming the fields it lacks
-            return CorrelationModel.from_json_dict(data)
+        data = _load_json(args.model, "model file")
+        if not isinstance(data, dict):
+            raise _UsageError(f"model file {args.model} must hold a JSON object")
     elif args.c:
         try:
             c = [float(tok) for tok in args.c.split(",")]
         except ValueError as exc:
             raise _UsageError(f"bad coefficient list {args.c!r}: {exc}") from exc
-        data = {"l_max": len(c), "c": c}
     else:
         raise _UsageError("a model is required: pass --c or --model")
-    n = data.get("n") if args.n is None else args.n
+    n = data.get("n")
+    if n is None:
+        n = args.n
+    elif args.n is not None:
+        raise _UsageError("--model and --n both set the event count: pass one of them")
     if need_n and n is None:
         raise _UsageError("this command requires an event count: pass --n")
     if need_n is False and n is not None:
@@ -138,7 +139,46 @@ def _resolve_model(args, need_n: bool | None) -> CorrelationModel:
             f"{args.command} computes the N -> infinity law and takes no event "
             f"count, got n = {n}: use finite-pmf for a finite N"
         )
-    return CorrelationModel.from_json_dict({**data, "n": n})
+    return _model_of(data, n) if args.c is None else CorrelationModel(c, n)
+
+
+def _model_of(data: dict, n) -> CorrelationModel:
+    """The model of a JSON model object, whose ``l_max`` must be the length of ``c``.
+
+    Raises:
+        BadShapeError: a field is missing, ``c`` is not an array, or
+            ``l_max`` is not a positive integer equal to its length.
+        And what the CorrelationModel constructor raises for ``c`` and ``n``.
+    """
+    try:
+        l_max = data["l_max"]
+        c = data["c"]
+    except KeyError as exc:
+        raise BadShapeError(f"model JSON needs 'l_max' and 'c': {exc}") from exc
+    if not isinstance(c, list):
+        raise BadShapeError(f"model JSON 'c' must be an array of numbers, got {c!r}")
+    if not is_int_in(l_max, 1):
+        raise BadShapeError(f"l_max must be a positive integer, got {l_max!r}")
+    if l_max != len(c):
+        raise BadShapeError(f"expected {l_max} coefficients, got {len(c)}")
+    return CorrelationModel(c, n)
+
+
+def _load_json(path: str, what: str):
+    """The value held by a JSON file; ``what`` names the file in a refusal."""
+    import json
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        raise _UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _print_json(payload: dict) -> None:
+    import json
+
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _write_rows(rows) -> None:
@@ -148,23 +188,18 @@ def _write_rows(rows) -> None:
         sys.stdout.write(block)
 
 
-def _emit_pmf(pmf: Pmf, fmt: str) -> None:
+def _emit_pmf(pmf: Pmf, fmt: str) -> int:
+    """Print a pmf; return 2, naming its most negative entry on stderr, if inadmissible."""
     if fmt == "json":
-        import json
-
-        payload = {
+        _print_json({
             "p": list(pmf.values),
             "tail_bound": pmf.tail_bound,
             "admissible": pmf.admissible,
-        }
-        print(json.dumps(payload, sort_keys=True))
+        })
     else:
         _write_rows(itertools.chain(
             ["s,p\n"], (f"{s},{p!r}\n" for s, p in enumerate(pmf.values))
         ))
-
-
-def _pmf_exit(pmf: Pmf) -> int:
     if pmf.admissible:
         return EXIT_OK
     s, value = pmf.most_negative()
@@ -178,15 +213,13 @@ def _pmf_exit(pmf: Pmf) -> int:
 def _cmd_limit_pmf(args) -> int:
     model = _resolve_model(args, need_n=False)
     pmf = limit_pmf(model, mass_tolerance=args.tol)
-    _emit_pmf(pmf, args.format)
-    return _pmf_exit(pmf)
+    return _emit_pmf(pmf, args.format)
 
 
 def _cmd_finite_pmf(args) -> int:
     model = _resolve_model(args, need_n=True)
     pmf = finite_count_pmf(model)
-    _emit_pmf(pmf, args.format)
-    return _pmf_exit(pmf)
+    return _emit_pmf(pmf, args.format)
 
 
 def _cmd_oracle_pmf(args) -> int:
@@ -194,22 +227,18 @@ def _cmd_oracle_pmf(args) -> int:
         raise _UsageError("oracle-pmf requires --n")
     joint = build_mixture_joint(_parse_mixture(args.mixture), args.n)
     pmf = count_pmf_from_joint(joint)
-    _emit_pmf(pmf, args.format)
-    return _pmf_exit(pmf)
+    return _emit_pmf(pmf, args.format)
 
 
 def _cmd_cf(args) -> int:
     model = _resolve_model(args, need_n=False)
     grid = char_fn(model, _parse_ugrid(args.u))
     if args.format == "json":
-        import json
-
-        payload = {
+        _print_json({
             "u": list(grid.u),
             "re": [z.real for z in grid.chi],
             "im": [z.imag for z in grid.chi],
-        }
-        print(json.dumps(payload, sort_keys=True))
+        })
     else:
         _write_rows(itertools.chain(
             ["u,re,im\n"],
@@ -296,6 +325,9 @@ def _parse_counts(path: str, skip: int, csv: bool) -> Iterator[np.ndarray]:
                 yield block
     except OSError as exc:
         raise _UsageError(f"cannot read counts file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # its position counts within one decoder read
+        where = f"byte 0x{exc.object[exc.start]:02x} past the first {done} count rows"
+        raise _UsageError(f"bad counts file {path}: {where} is not UTF-8") from exc
     except ValueError as exc:
         message = str(exc)
         head, at, rest = message.rpartition(" at row ")
@@ -321,7 +353,7 @@ def _cmd_estimate(args) -> int:
     report = estimate_coefficients(
         counts, l_max=args.lmax, n_bootstrap=args.bootstrap, seed=args.seed
     )
-    print(report.to_json())
+    _print_json(vars(report))  # its fields; json writes a tuple as an array
     return EXIT_OK
 
 
@@ -419,24 +451,12 @@ _CONFIG_FLAGS = {
 
 def _argv_from_config(path: str) -> tuple[list[str], dict | None]:
     """The argv of a config file's job, and its model object if it has one."""
-    import json
-
-    try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-        raise _UsageError(f"cannot read config {path}: {exc}") from exc
+    config = _load_json(path, "config")
     if not isinstance(config, dict) or "command" not in config:
         raise _UsageError(f"config {path} must be an object with a 'command' key")
     model = config.get("model")
     if not isinstance(model, dict):
         model = None
-    elif config.get("c") is not None:
-        raise _UsageError(f"config {path} sets the coefficients twice: by 'model' and by 'c'")
-    elif model.get("n") is not None and config.get("n") is not None:
-        raise _UsageError(
-            f"config {path} sets the event count twice: by the 'n' of 'model' and by 'n'"
-        )
     argv = [str(config["command"])]
     for key, value in config.items():
         if key == "command" or value is None or value is model:

@@ -13,6 +13,7 @@ explicit tail bound and flag their own admissibility (:class:`Pmf`).
 A record stores only what it cannot derive: the order l_max of a model
 and the event count of a joint are lengths, read as properties.  Every
 record checks its fields when built, so each value is valid wherever used.
+No record reads or writes a file format; the command line does that.
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe for unrestricted concurrent use.
@@ -191,42 +192,6 @@ class CorrelationModel(Record):
         if not 1 <= l <= self.l_max:
             raise OutOfRangeError(f"order {l} outside 1..{self.l_max}")
         return self.c[l - 1]
-
-    def to_json_dict(self) -> dict:
-        return {"l_max": self.l_max, "c": list(self.c), "n": self.n}
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CorrelationModel":
-        """The model of a JSON object, whose ``l_max`` must be the length of ``c``.
-
-        Raises:
-            BadShapeError: a field is missing, ``c`` is not an array, or
-                ``l_max`` is not a positive integer equal to its length.
-            And what the constructor raises for ``c`` and ``n``.
-        """
-        try:
-            l_max = data["l_max"]
-            c = data["c"]
-        except (KeyError, TypeError) as exc:
-            raise BadShapeError(f"model JSON needs 'l_max' and 'c': {exc}") from exc
-        if not isinstance(c, list):
-            raise BadShapeError(f"model JSON 'c' must be an array of numbers, got {c!r}")
-        if not is_int_in(l_max, 1):
-            raise BadShapeError(f"l_max must be a positive integer, got {l_max!r}")
-        if l_max != len(c):
-            raise BadShapeError(f"expected {l_max} coefficients, got {len(c)}")
-        return cls(c, data.get("n"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "CorrelationModel":
-        import json
-
-        return cls.from_json_dict(json.loads(text))
 
 
 def is_int_in(value, low: int, high: float = math.inf) -> bool:

@@ -94,19 +94,6 @@ class EstimateReport(Record):
     ):
         super().__init__(c_hat, std_err, n_samples, n_bootstrap)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "c_hat": list(self.c_hat),
-            "std_err": list(self.std_err),
-            "n_samples": self.n_samples,
-            "n_bootstrap": self.n_bootstrap,
-        }
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def build_mixture_joint(spec: MixtureSpec, n: int) -> ExchangeableJoint:
     """Exchangeable joint of n events from a Bernoulli mixture.
@@ -305,6 +292,9 @@ def _count_histogram(blocks) -> tuple[np.ndarray, int]:
             raise OutOfRangeError("counts must be a nonempty 1-d sequence")
         if raw.dtype.kind not in "iuf":
             raise OutOfRangeError(f"counts must be integers or floats, got dtype {raw.dtype}")
+        # numpy reads a bool among numbers as 0 or 1, so a list's items are looked at.
+        if raw is not block and any(isinstance(x, (bool, np.bool_)) for x in block):
+            raise OutOfRangeError("counts must be integers or floats, got a bool")
         if raw.size == 0:
             continue
         n_total += raw.size

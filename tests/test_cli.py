@@ -241,6 +241,19 @@ class TestSampleAndEstimate:
         assert data["c_hat"] == [3.0]
         assert data["n_samples"] == 150
 
+    def test_report_json_schema(self, capsys, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_text("2\n" * 150)
+        code, out, _ = run_cli(
+            capsys, "estimate", "--input", str(path), "--lmax", "1", "--bootstrap", "5"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert out == json.dumps(data, sort_keys=True) + "\n"
+        assert set(data) == {"c_hat", "std_err", "n_samples", "n_bootstrap"}
+        assert data["n_samples"] == 150
+        assert len(data["c_hat"]) == len(data["std_err"]) == 1
+
     def test_estimate_csv_input_autodetected(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
         rows = ["sample_index,count"] + [f"{i},2" for i in range(120)]
@@ -678,6 +691,38 @@ class TestBadInput:
         assert err == "error: " + message.format(path=path) + "\n"
 
     @pytest.mark.parametrize(
+        "csv, rows_read",
+        [(False, 147456), (True, 147058)],
+        ids=["plain", "csv"],
+    )
+    def test_estimate_names_a_late_byte_that_is_not_utf8_by_row(
+        self, capsys, tmp_path, csv, rows_read
+    ):
+        # The decoder's "position" counts within one read, not the file, so
+        # the refusal bounds the byte by the count rows of the reads before
+        # it, of 32,768 characters each: 9 reads of 16,384 plain rows.
+        rows = [f"{i},{i % 7}" if csv else str(i % 7) for i in range(150000)]
+        head = "sample_index,count\n" if csv else ""
+        path = tmp_path / "counts.txt"
+        path.write_bytes((head + "".join(r + "\n" for r in rows)).encode() + b"\xff\n3\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--lmax", "1")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: bad counts file {path}: byte 0xff past the first {rows_read} count rows "
+            "is not UTF-8\n"
+        )
+
+    def test_estimate_names_an_early_byte_that_is_not_utf8_by_offset(self, capsys, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_bytes(b"1\n2\n\xff\n")
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--lmax", "1")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: bad counts file {path}: 'utf-8' codec can't decode byte 0xff "
+            "in position 4: invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv, want_code",
         [
             (["--c", "2", "--count", "100000", "--seed", "-1"], 3),
@@ -851,11 +896,11 @@ class TestBadInput:
         [
             (
                 {"command": "limit-pmf", "model": {"l_max": 1, "c": [2.0]}, "c": "5"},
-                "coefficients twice: by 'model' and by 'c'",
+                "--model and --c both set the coefficients: pass one of them",
             ),
             (
                 {"command": "finite-pmf", "model": {"l_max": 1, "c": [2.0], "n": 10}, "n": 20},
-                "event count twice: by the 'n' of 'model' and by 'n'",
+                "--model and --n both set the event count: pass one of them",
             ),
         ],
         ids=["c", "n"],
@@ -867,6 +912,73 @@ class TestBadInput:
         assert code == 3
         assert out == ""
         assert cause in err
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_model_file_and_n_both_setting_the_event_count_exit_3(
+        self, capsys, tmp_path, route, n
+    ):
+        # the rule of a config's model object, even when the two counts agree
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"l_max": 1, "c": [2.0], "n": 50}))
+        if route == "flag":
+            argv = ["finite-pmf", "--model", str(path), "--n", str(n)]
+        else:
+            job = tmp_path / "job.json"
+            job.write_text(json.dumps({"command": "finite-pmf", "model": str(path), "n": n}))
+            argv = ["--config", str(job)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: --model and --n both set the event count: pass one of them\n"
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"m"', "3", "null"])
+    def test_model_file_that_is_not_an_object_exit_3(self, capsys, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "limit-pmf", "--model", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: model file {path} must hold a JSON object\n"
+
+    @pytest.mark.parametrize(
+        "argv, file, message",
+        [
+            (
+                ["estimate", "--input", "{file}", "--lmax", "1"], None,
+                "cannot read counts file {file}: [Errno 2] No such file or directory: '{file}'",
+            ),
+            (["finite-pmf", "--c", "1"], None, "this command requires an event count: pass --n"),
+            (["oracle-pmf", "--mixture", "0.5:1"], None, "oracle-pmf requires --n"),
+            ([], None, "a subcommand or --config is required"),
+            (
+                ["--config", "{file}"], {"command": "limit-pmf", "c": "1", "colour": "red"},
+                "unknown config key 'colour'",
+            ),
+            (
+                ["--config", "{file}"], {"command": "verify", "model": {"l_max": 1, "c": [1.0]}},
+                "verify takes no model",
+            ),
+            (
+                ["--config", "{file}"], {"command": "--config=x"},
+                "config did not name a subcommand",
+            ),
+            (
+                ["limit-pmf", "--model", "{file}"], {"c": [1.0]},
+                "model JSON needs 'l_max' and 'c': 'l_max'",
+            ),
+        ],
+        ids=[
+            "missing-counts-file", "finite-pmf-without-n", "oracle-pmf-without-n",
+            "no-command", "unknown-config-key", "verify-model", "config-command-is-a-flag",
+            "model-without-l_max",
+        ],
+    )
+    def test_refusal_names_its_cause(self, capsys, tmp_path, argv, file, message):
+        path = tmp_path / "job.json"
+        if file is not None:
+            path.write_text(json.dumps(file))
+        code, out, err = run_cli(capsys, *(arg.format(file=path) for arg in argv))
+        assert (code, out) == (3, "")
+        assert err == "error: " + message.format(file=path) + "\n"
 
     @pytest.mark.parametrize("model_first", [True, False], ids=["model-c", "c-model"])
     def test_model_and_c_flags_both_given_exit_3(self, capsys, tmp_path, model_first):

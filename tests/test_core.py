@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 from fractions import Fraction
@@ -17,6 +16,7 @@ from corrcount import (
     run_identity_suite,
     sample_counts,
 )
+from corrcount.cli import _model_of
 from corrcount.core import (
     BadShapeError,
     CfGrid,
@@ -58,20 +58,20 @@ class TestValidateModel:
             CorrelationModel([])
 
     def test_length_mismatch_rejected(self):
-        # l_max is the length of c; only a model file states it separately
+        # l_max is the length of c; only a model file states it separately,
+        # and the command line's check of a model file refuses a mismatch
         with pytest.raises(BadShapeError, match="expected 3 coefficients, got 2"):
-            CorrelationModel.from_json_dict({"l_max": 3, "c": [1.0, 2.0]})
+            _model_of({"l_max": 3, "c": [1.0, 2.0]}, None)
 
     def test_n_below_l_max_rejected(self):
         with pytest.raises(BadShapeError):
             CorrelationModel([1.0, 0.5, 0.2], n=2)
 
-    def test_json_round_trip(self):
-        model = CorrelationModel([1.0, -0.25], n=12)
-        back = CorrelationModel.from_json(model.to_json())
-        assert back == model
-        raw = json.loads(model.to_json())
-        assert raw == {"l_max": 2, "c": [1.0, -0.25], "n": 12}
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_coefficient_order_outside_the_model_refused(self, l):
+        with pytest.raises(OutOfRangeError) as caught:
+            CorrelationModel([1.0]).coefficient(l)
+        assert str(caught.value) == f"order {l} outside 1..1"
 
 
 # JSON-like values, with numpy's bools and ints, integers past the double
@@ -114,8 +114,8 @@ def is_number(x) -> bool:
 @example(c=[None], n=None, l_max=None)
 @example(c=[10 ** 400], n=None, l_max=None)
 def test_model_is_valid_or_refused(c, n, l_max):
-    # l_max None calls the constructor; otherwise from_json_dict, with the
-    # true length of c when l_max is the string "len"
+    # l_max None calls the constructor; otherwise the command line's check of
+    # a model object, with the true length of c when l_max is the string "len"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TrailingZeroWarning)
         try:
@@ -124,7 +124,7 @@ def test_model_is_valid_or_refused(c, n, l_max):
             else:
                 if l_max == "len" and isinstance(c, list):
                     l_max = len(c)
-                model = CorrelationModel.from_json_dict({"l_max": l_max, "c": c, "n": n})
+                model = _model_of({"l_max": l_max, "c": c}, n)
         except CorrcountError:
             return
     assert isinstance(c, list) and c and all(map(is_number, c))
@@ -369,6 +369,11 @@ class TestJointAndPmf:
         signed = Pmf.from_values([0.7, 0.5, -0.2])
         assert not signed.admissible
         assert signed.most_negative() == (2, -0.2)
+
+    def test_empty_pmf_refused(self):
+        with pytest.raises(BadShapeError) as caught:
+            Pmf(())
+        assert str(caught.value) == "pmf needs at least one entry"
 
     def test_cf_grid_shape(self):
         CfGrid((0.0, 1.0), (1 + 0j, 0.5 + 0.1j))

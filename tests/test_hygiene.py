@@ -1,4 +1,4 @@
-"""Dead-code checks on the package source, from the standard library alone.
+"""Dead-code and layering checks on the package source, from the standard library alone.
 
 Three kinds of leftovers are refused: an import that its scope never
 reads, a module-level private name (``_x``) that nothing in the package
@@ -6,6 +6,9 @@ refers to outside its own definition, and a module-level public function
 or class that nothing in the package refers to, unless the package root
 exports it or the benchmark's tracer wraps it.  Removing a function tends
 to leave such names behind.
+
+Every file format lives in ``cli.py``: no other module imports ``json``
+or calls ``open``.
 """
 
 import ast
@@ -131,6 +134,30 @@ def test_every_public_function_and_class_is_referenced():
     assert dead == []
 
 
+def file_access(tree) -> list[str]:
+    """The imports of ``json`` and the calls of an ``open`` in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(module.split(".")[0] == "json" for module in modules):
+            found.append(f"json (line {node.lineno})")
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+            if name == "open":  # open(...), or io.open(...) and the like
+                found.append(f"open (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"cli.py"}))
+def test_only_the_cli_reads_or_writes_a_file_format(module):
+    assert file_access(TREES[module]) == []
+
+
 def test_the_checks_see_a_leftover():
     tree = ast.parse(
         "import math\n"
@@ -142,3 +169,15 @@ def test_the_checks_see_a_leftover():
     assert unused_imports(tree) == ["is_int_in (line 2)", "json (line 6)", "sys (line 8)"]
     dead = tree.body[2]
     assert references(tree)["_dead"] == references(dead)["_dead"] == 1
+
+
+def test_the_format_check_sees_json_and_open():
+    tree = ast.parse(
+        "class Report:\n    def to_json(self):\n        import json\n"
+        "        return json.dumps({})\n"
+        "from json import dumps\n"
+        "def save(path):\n    with open(path) as fh, io.open(path) as raw:\n        pass\n"
+    )
+    assert file_access(tree) == [
+        "json (line 5)", "json (line 3)", "open (line 7)", "open (line 7)"
+    ]

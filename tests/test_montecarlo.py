@@ -46,6 +46,19 @@ class TestMixtureSpec:
         with pytest.raises(BadSpecError):
             MixtureSpec(())
 
+    @pytest.mark.parametrize(
+        "atoms, message",
+        [
+            (((math.nan, 1.0),), "non-finite atom (nan, 1.0)"),
+            (((0.2, 1.5), (0.8, -0.5)), "negative atom weight -0.5"),
+        ],
+        ids=["nan-atom", "negative-weight"],
+    )
+    def test_bad_atom_named(self, atoms, message):
+        with pytest.raises(BadSpecError) as caught:
+            MixtureSpec(atoms)
+        assert str(caught.value) == message
+
 
 class TestBuildMixtureJoint:
     def test_all_or_nothing(self):
@@ -344,10 +357,14 @@ class TestEstimateCoefficients:
             ([None] * 200, "got dtype object"),
             ([True] * 200, "got dtype bool"),
             (np.ones(200, dtype=bool), "got dtype bool"),
+            # numpy promotes these lists to int64, reading the bool as 1
+            ([True] + [3] * 199, "got a bool"),
+            ([np.True_] + [3] * 199, "got a bool"),
             ([3.0] * 199 + [math.nan], "counts must be integers"),
             ([math.nan] * 200, "counts must be integers"),
         ],
-        ids=["str", "none", "bool", "numpy-bool", "one-nan", "nan"],
+        ids=["str", "none", "bool", "numpy-bool", "bool-among-ints", "numpy-bool-among-ints",
+             "one-nan", "nan"],
     )
     def test_counts_that_are_not_numbers_are_refused(self, counts, match):
         with warnings.catch_warnings():
@@ -388,15 +405,6 @@ class TestEstimateCoefficients:
             # One array of the same counts meets the same refusal.
             with pytest.raises(OutOfRangeError, match=match):
                 estimate_coefficients(np.concatenate(blocks), l_max=1, n_bootstrap=5)
-
-    def test_report_json_schema(self):
-        import json
-
-        report = estimate_coefficients([2] * 150, l_max=1, n_bootstrap=5, seed=0)
-        data = json.loads(report.to_json())
-        assert set(data) == {"c_hat", "std_err", "n_samples", "n_bootstrap"}
-        assert data["n_samples"] == 150
-        assert len(data["c_hat"]) == len(data["std_err"]) == 1
 
 
 def int64_gather_estimate(counts, l_max, n_bootstrap, seed):
