@@ -7,6 +7,11 @@ header) or JSON, formatted so identical argv gives byte-identical bytes.
 Exit codes: 0 success, 1 stdout closed before all output was written (a
 broken pipe), 2 inadmissible model (the signed pmf is still printed), 3
 invalid input or arguments, 4 an identity failed during verify.
+
+A config file (--config) is a JSON object: "command" names a subcommand,
+and each other key sets one of its flags (see _FLAGS) by a value of the
+flag's JSON type, or by null to set nothing.  Any other command, key or
+value is refused before the flags are parsed, naming the key.
 """
 
 from __future__ import annotations
@@ -116,11 +121,11 @@ def _resolve_model(args, need_n: bool | None) -> CorrelationModel:
     data = {}
     if isinstance(args.model, dict):
         data = args.model
-    elif args.model:
+    elif args.model is not None:
         data = _load_json(args.model, "model file")
         if not isinstance(data, dict):
             raise _UsageError(f"model file {args.model} must hold a JSON object")
-    elif args.c:
+    elif args.c is not None:
         try:
             c = [float(tok) for tok in args.c.split(",")]
         except ValueError as exc:
@@ -370,101 +375,94 @@ def _cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="corrcount", description=__doc__)
-    parser.add_argument(
-        "--config",
-        help="JSON job file; mirrors the flags of one subcommand",
-    )
-    sub = parser.add_subparsers(dest="command")
-
-    def add_common(p, with_tol=True):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--c", help="coefficients C_1,C_2,... as a comma list")
-        p.add_argument("--model", help="JSON model file")
-        p.add_argument("--n", type=int, help="event count N")
-        if with_tol:
-            p.add_argument(
-                "--tol",
-                type=float,
-                default=DEFAULT_MASS_TOL,
-                help="mass tolerance for limiting pmfs",
-            )
-
-    p = sub.add_parser("limit-pmf", help="limiting count pmf")
-    add_common(p)
-    p.set_defaults(func=_cmd_limit_pmf)
-
-    p = sub.add_parser("finite-pmf", help="exact count pmf at finite N")
-    add_common(p, with_tol=False)
-    p.set_defaults(func=_cmd_finite_pmf)
-
-    p = sub.add_parser("oracle-pmf", help="count pmf of a Bernoulli-mixture joint")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--n", type=int, help="event count N")
-    p.add_argument("--mixture", required=True, help="atoms p:w,p:w,...")
-    p.set_defaults(func=_cmd_oracle_pmf)
-
-    p = sub.add_parser("cf", help="characteristic function on a u grid")
-    add_common(p, with_tol=False)
-    p.add_argument("--u", required=True, help="grid start:stop:count (inclusive)")
-    p.set_defaults(func=_cmd_cf)
-
-    p = sub.add_parser("sample", help="draw counts from the model's pmf")
-    add_common(p)
-    p.add_argument("--count", type=int, required=True, help="number of samples")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("estimate", help="estimate coefficients from counts")
-    p.add_argument("--input", required=True, help="counts file (lines or CSV)")
-    p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("verify", help="run the cross-module identity suite")
-    p.add_argument("--n", type=int, default=6, help="largest joint size")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(func=_cmd_verify)
-
-    return parser
-
-
-_CONFIG_FLAGS = {
-    "model": "--model",
-    "c": "--c",
-    "n": "--n",
-    "output_format": "--format",
-    "seed": "--seed",
-    "mass_tolerance": "--tol",
-    "u": "--u",
-    "count": "--count",
-    "mixture": "--mixture",
-    "input": "--input",
-    "lmax": "--lmax",
-    "n_bootstrap": "--bootstrap",
-    "trials": "--trials",
+# Each flag once: the config key that sets it, the JSON type of that key's
+# value, and its argparse keywords.
+_FLAGS = {
+    "--format": ("output_format", "string", dict(choices=("csv", "json"), default="csv")),
+    "--c": ("c", "string", dict(help="coefficients C_1,C_2,... as a comma list")),
+    "--model": ("model", "string or object", dict(help="JSON model file")),
+    "--n": ("n", "integer", dict(type=int, help="event count N")),
+    "--tol": ("mass_tolerance", "number", dict(
+        type=float, default=DEFAULT_MASS_TOL, help="mass tolerance for limiting pmfs")),
+    "--mixture": ("mixture", "string", dict(required=True, help="atoms p:w,p:w,...")),
+    "--u": ("u", "string", dict(required=True, help="grid start:stop:count (inclusive)")),
+    "--count": ("count", "integer", dict(type=int, required=True, help="number of samples")),
+    "--seed": ("seed", "integer", dict(type=int, default=0)),
+    "--input": ("input", "string", dict(required=True, help="counts file (lines or CSV)")),
+    "--lmax": ("lmax", "integer", dict(type=int, required=True)),
+    "--bootstrap": ("n_bootstrap", "integer", dict(type=int, default=DEFAULT_BOOTSTRAP)),
+    "--trials": ("trials", "integer", dict(type=int, default=50)),
+}
+# The types json.load gives each JSON type; a bool is neither integer nor number.
+_JSON_TYPES = {
+    "string": (str,), "integer": (int,), "number": (int, float), "string or object": (str, dict),
+}
+# Each subcommand: its help, its handler and the flags it takes, in --help order.
+_COMMANDS = {
+    "limit-pmf": ("limiting count pmf", _cmd_limit_pmf, "--format --c --model --n --tol"),
+    "finite-pmf": ("exact count pmf at finite N", _cmd_finite_pmf, "--format --c --model --n"),
+    "oracle-pmf": (
+        "count pmf of a Bernoulli-mixture joint", _cmd_oracle_pmf, "--format --n --mixture"
+    ),
+    "cf": ("characteristic function on a u grid", _cmd_cf, "--format --c --model --n --u"),
+    "sample": (
+        "draw counts from the model's pmf", _cmd_sample,
+        "--format --c --model --n --tol --count --seed",
+    ),
+    "estimate": (
+        "estimate coefficients from counts", _cmd_estimate, "--input --lmax --bootstrap --seed"
+    ),
+    "verify": ("run the cross-module identity suite", _cmd_verify, "--n --trials --seed"),
+}
+# The only keywords a command sets for itself.
+_OVERRIDES = {
+    ("verify", "--n"): dict(default=6, help="largest joint size"),
+    ("verify", "--seed"): dict(default=1),
 }
 
 
+def build_parser() -> _Parser:
+    # --help prints the docstring (None under -OO) up to its config paragraph.
+    parser = _Parser(prog="corrcount", description=(__doc__ or "").partition("\n\nA config")[0])
+    parser.add_argument("--config", help="JSON job file; mirrors the flags of one subcommand")
+    sub = parser.add_subparsers(dest="command")
+    for command, (help_text, func, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **{**_FLAGS[flag][2], **_OVERRIDES.get((command, flag), {})})
+        p.set_defaults(func=func)
+    return parser
+
+
 def _argv_from_config(path: str) -> tuple[list[str], dict | None]:
-    """The argv of a config file's job, and its model object if it has one."""
+    """The argv of a config file's job, and its model object if it has one.
+
+    The job is checked against _FLAGS and _COMMANDS before argparse reads
+    it, so that a refusal names the config key.
+    """
     config = _load_json(path, "config")
     if not isinstance(config, dict) or "command" not in config:
         raise _UsageError(f"config {path} must be an object with a 'command' key")
-    model = config.get("model")
-    if not isinstance(model, dict):
-        model = None
-    argv = [str(config["command"])]
+    command = config["command"]
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise _UsageError("config did not name a subcommand")
+    flag_of = {key: flag for flag, (key, _, _) in _FLAGS.items()}
+    argv, model = [command], None
     for key, value in config.items():
-        if key == "command" or value is None or value is model:
+        if key == "command" or value is None:
             continue
-        flag = _CONFIG_FLAGS.get(key)
+        flag = flag_of.get(key)
         if flag is None:
             raise _UsageError(f"unknown config key {key!r}")
-        argv += [flag, str(value)]
+        if flag not in _COMMANDS[command][2].split():
+            raise _UsageError(f"{command} takes no {key}")
+        kind = _FLAGS[flag][1]
+        if type(value) not in _JSON_TYPES[kind]:
+            raise _UsageError(f"config key {key!r} must be a JSON {kind}, got {value!r}")
+        if isinstance(value, dict):
+            model = value
+        else:  # one token, so that a value starting with "-" is not read as a flag
+            argv.append(f"{flag}={value}")
     return argv, model
 
 
@@ -490,11 +488,7 @@ def main(argv=None) -> int:
                     raise _UsageError("a subcommand or --config is required")
                 argv, model = _argv_from_config(args.config)
                 args = parser.parse_args(argv)
-                if args.command is None:
-                    raise _UsageError("config did not name a subcommand")
                 if model is not None:
-                    if not hasattr(args, "model"):
-                        raise _UsageError(f"{args.command} takes no model")
                     args.model = model
             code = args.func(args)
             sys.stdout.flush()  # so that a closed pipe raises here, not at exit

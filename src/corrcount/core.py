@@ -289,8 +289,9 @@ class Pmf(Record):
     producing coefficient vector does not define a probability model; the
     signed values are kept for inspection.
     ``error_estimate`` is eps * sum |p(s)| of the computed entries for the
-    finite-N law (its budget is N times that), the drift |1 - sum p| for
-    the limit law, and 0 for a pmf read off a joint.
+    finite-N law (N times that is no bound at full order: see
+    finite_count_pmf), the drift |1 - sum p| for the limit law, and 0 for
+    a pmf read off a joint.
     """
 
     _fields = ("values", "tail_bound", "admissible", "error_estimate")

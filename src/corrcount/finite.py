@@ -143,8 +143,10 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
     real coefficient vector; entries may be negative for inadmissible
     vectors, which the returned flag records.  ``error_estimate`` is
     eps * sum_s |p_N(s)| of the computed entries: eps for a probability
-    law, larger by the cancellation a signed one needs to sum to 1.  The
-    error budget is N * error_estimate, tested from both sides.
+    law, larger by the cancellation a signed one needs to sum to 1.  N *
+    error_estimate bounds the error on the l_max <= 5 oracle ladder, tested
+    from both sides, but not at full order: on Bernoulli mixtures with
+    l_max = N it is 300x too small at N = 15 (README, "Numerical notes").
 
     Each step is one product.  H_{n-l_max}..H_{n-1} sit in a ring of
     l_max slots, stored twice over so that the l_max slots step n reads

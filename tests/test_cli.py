@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ import pytest
 from corrcount.cli import _parse_ugrid, _read_counts, main
 
 from conftest import subprocess_env
+
+HELP = Path(__file__).resolve().parent / "help"
 
 
 def run_cli(capsys, *argv):
@@ -965,11 +968,28 @@ class TestBadInput:
                 ["limit-pmf", "--model", "{file}"], {"c": [1.0]},
                 "model JSON needs 'l_max' and 'c': 'l_max'",
             ),
+            (
+                ["limit-pmf", "--c", ""], None,
+                "bad coefficient list '': could not convert string to float: ''",
+            ),
+            (
+                ["limit-pmf", "--model", ""], None,
+                "cannot read model file : [Errno 2] No such file or directory: ''",
+            ),
+            (
+                ["--config", "{file}"], {"command": "limit-pmf", "c": ""},
+                "bad coefficient list '': could not convert string to float: ''",
+            ),
+            (
+                ["--config", "{file}"], {"command": "limit-pmf", "model": ""},
+                "cannot read model file : [Errno 2] No such file or directory: ''",
+            ),
         ],
         ids=[
             "missing-counts-file", "finite-pmf-without-n", "oracle-pmf-without-n",
             "no-command", "unknown-config-key", "verify-model", "config-command-is-a-flag",
-            "model-without-l_max",
+            "model-without-l_max", "empty-c", "empty-model", "config-empty-c",
+            "config-empty-model",
         ],
     )
     def test_refusal_names_its_cause(self, capsys, tmp_path, argv, file, message):
@@ -999,6 +1019,33 @@ class TestBadInput:
         assert "not both" in err
 
 
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "corrcount", "limit-pmf", "finite-pmf", "oracle-pmf", "cf", "sample", "estimate",
+            "verify",
+        ],
+    )
+    def test_help_is_the_recorded_screen(self, capsys, monkeypatch, command):
+        # each screen is pinned in tests/help, as argparse prints it at 80
+        # columns, so that the flag tables are shown to build the same parser
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"] if command == "corrcount" else [command, "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr() == ((HELP / f"{command}.txt").read_text(encoding="utf-8"), "")
+
+    def test_parser_builds_without_docstrings(self):
+        # python -OO sets the module docstring, the top-level help text, to None
+        proc = subprocess.run(
+            [sys.executable, "-OO", "-m", "corrcount", "limit-pmf", "--c", "2"],
+            capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("s,p\n0,0.1353352832366127\n")
+
+
 class TestConfigFile:
     def test_job_from_config(self, capsys, tmp_path):
         config = {
@@ -1014,22 +1061,118 @@ class TestConfigFile:
         pmf = parse_pmf_csv(out)
         assert pmf[0] == pytest.approx(math.exp(-1.0), abs=1e-15)
 
-    def test_config_matches_flags(self, capsys, tmp_path):
-        config = {
-            "command": "sample",
-            "model": {"l_max": 1, "c": [2.0], "n": None},
-            "seed": 42,
-            "count": 500,
-        }
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            (
+                {"c": "1,-3", "output_format": "json", "mass_tolerance": 1e-10},
+                ["limit-pmf", "--c", "1,-3", "--format", "json", "--tol", "1e-10"],
+            ),
+            (
+                {"model": "{model}", "n": 20, "output_format": "csv"},
+                ["finite-pmf", "--model", "{model}", "--n", "20", "--format", "csv"],
+            ),
+            (
+                {"n": 6, "mixture": "0.2:0.5,0.8:0.5", "output_format": "json"},
+                ["oracle-pmf", "--n", "6", "--mixture", "0.2:0.5,0.8:0.5", "--format", "json"],
+            ),
+            (
+                # a value that starts with "-" is a value, as --u=... makes it
+                {"c": "2,0.5", "u": "-1:1:5", "output_format": "json"},
+                ["cf", "--c", "2,0.5", "--u=-1:1:5", "--format", "json"],
+            ),
+            (
+                {"model": {"l_max": 1, "c": [2.0], "n": None}, "seed": 42, "count": 500},
+                ["sample", "--c", "2.0", "--count", "500", "--seed", "42"],
+            ),
+            (
+                {"c": "2", "n": 30, "count": 200, "mass_tolerance": 1, "output_format": "csv"},
+                [
+                    "sample", "--c", "2", "--n", "30", "--count", "200", "--tol", "1",
+                    "--format", "csv",
+                ],
+            ),
+            (
+                {"input": "{counts}", "lmax": 2, "n_bootstrap": 20, "seed": 5},
+                [
+                    "estimate", "--input", "{counts}", "--lmax", "2", "--bootstrap", "20",
+                    "--seed", "5",
+                ],
+            ),
+            (
+                {"n": 4, "trials": 2, "seed": 3},
+                ["verify", "--n", "4", "--trials", "2", "--seed", "3"],
+            ),
+        ],
+        ids=[
+            "limit-pmf", "finite-pmf", "oracle-pmf", "cf", "sample", "sample-n", "estimate",
+            "verify",
+        ],
+    )
+    def test_config_matches_flags(self, capsys, tmp_path, config, argv):
+        # every config key, each giving what its flag gives: exit code,
+        # stdout and stderr (limit-pmf's model is inadmissible, so exit 2)
+        files = {"model": tmp_path / "m.json", "counts": tmp_path / "counts.txt"}
+        files["model"].write_text(json.dumps({"l_max": 2, "c": [1.0, 0.3]}))
+        files["counts"].write_text("".join(f"{k % 5}\n" for k in range(300)))
+        config = {k: v.format(**files) if isinstance(v, str) else v for k, v in config.items()}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"command": argv[0], **config}))
+        from_config = run_cli(capsys, "--config", str(path))
+        from_flags = run_cli(capsys, *(arg.format(**files) for arg in argv))
+        assert from_config == from_flags
+        assert from_config[0] == (2 if argv[0] == "limit-pmf" else 0)
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {"command": "limit-pmf", "c": [2.0, 0.5]},
+                "config key 'c' must be a JSON string, got [2.0, 0.5]",
+            ),
+            (
+                {"command": "finite-pmf", "c": "2", "n": 10.0},
+                "config key 'n' must be a JSON integer, got 10.0",
+            ),
+            (
+                {"command": "limit-pmf", "c": "2", "mass_tolerance": True},
+                "config key 'mass_tolerance' must be a JSON number, got True",
+            ),
+            (
+                {"command": "limit-pmf", "model": [1, 2]},
+                "config key 'model' must be a JSON string or object, got [1, 2]",
+            ),
+            ({"command": None}, "config did not name a subcommand"),
+            ({"command": "-h"}, "config did not name a subcommand"),
+            (
+                {"command": "sample", "c": "2", "count": True},
+                "config key 'count' must be a JSON integer, got True",
+            ),
+            (
+                {"command": "sample", "c": "2", "count": "5"},
+                "config key 'count' must be a JSON integer, got '5'",
+            ),
+            (
+                {"command": "sample", "c": "2", "count": 5, "seed": 1.0},
+                "config key 'seed' must be a JSON integer, got 1.0",
+            ),
+            (
+                {"command": "cf", "c": "2", "u": "0:1:2", "mass_tolerance": 1e-12},
+                "cf takes no mass_tolerance",
+            ),
+        ],
+        ids=[
+            "c-array", "n-float", "tol-bool", "model-array", "command-null", "command-help",
+            "count-bool", "count-string", "seed-float", "cf-tol",
+        ],
+    )
+    def test_config_refusal_names_its_key(self, capsys, tmp_path, config, message):
+        # each is checked against its flag's JSON type before argparse reads it
         path = tmp_path / "job.json"
         path.write_text(json.dumps(config))
-        code, from_config, _ = run_cli(capsys, "--config", str(path))
-        assert code == 0
-        code, from_flags, _ = run_cli(
-            capsys, "sample", "--c", "2.0", "--count", "500", "--seed", "42"
-        )
-        assert code == 0
-        assert from_config == from_flags
+        code, out, err = run_cli(capsys, "--config", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
 
     def test_negative_seed_in_config_exit_3(self, capsys, tmp_path):
         config = {"command": "sample", "c": "2.0", "count": 10, "seed": -5}

@@ -9,6 +9,10 @@ to leave such names behind.
 
 Every file format lives in ``cli.py``: no other module imports ``json``
 or calls ``open``.
+
+The CLI's flag table holds no dead entry: each flag is taken by some
+command, each config key and JSON type is one the config reader knows,
+and each override is of a flag its command takes.
 """
 
 import ast
@@ -16,6 +20,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from corrcount import cli
 
 from conftest import load_tracer
 
@@ -180,4 +186,39 @@ def test_the_format_check_sees_json_and_open():
     )
     assert file_access(tree) == [
         "json (line 5)", "json (line 3)", "open (line 7)", "open (line 7)"
+    ]
+
+
+def table_faults(flags, commands, overrides, json_types) -> list[str]:
+    """The dead or doubled entries of the CLI's flag and command tables."""
+    taken = [(c, flag) for c, (_, _, names) in commands.items() for flag in names.split()]
+    keys = Counter(key for key, _, _ in flags.values())
+    return (
+        [f"{flag} is taken by no command" for flag in flags if flag not in {f for _, f in taken}]
+        + [f"{c} takes {flag}, which is not in the table" for c, flag in taken
+           if flag not in flags]
+        + [f"config key {key!r} appears {n} times" for key, n in keys.items() if n > 1]
+        + [f"{flag} has JSON type {kind!r}" for flag, (_, kind, _) in flags.items()
+           if kind not in json_types]
+        + [f"{c} overrides {flag}, which it does not take" for c, flag in overrides
+           if (c, flag) not in taken]
+    )
+
+
+def test_the_flag_table_has_no_dead_entry():
+    assert table_faults(cli._FLAGS, cli._COMMANDS, cli._OVERRIDES, cli._JSON_TYPES) == []
+
+
+def test_the_table_check_sees_a_dead_entry():
+    flags = {
+        "--a": ("a", "string", {}), "--b": ("a", "integer", {}), "--dead": ("d", "text", {}),
+    }
+    commands = {"x": ("help", None, "--a --b --gone")}
+    overrides = {("x", "--dead"): {}}
+    assert table_faults(flags, commands, overrides, {"string": (str,), "integer": (int,)}) == [
+        "--dead is taken by no command",
+        "x takes --gone, which is not in the table",
+        "config key 'a' appears 2 times",
+        "--dead has JSON type 'text'",
+        "x overrides --dead, which it does not take",
     ]
