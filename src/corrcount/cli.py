@@ -62,11 +62,16 @@ DEFAULT_MASS_TOL = 1e-12
 _READ_CHARS = 32768
 
 
-class _UsageError(Exception):
+class _UsageError(CorrcountError):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token such as -1,0.5 or -.5:1:3 is a value: no option looks like it.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with status 2 by default; this CLI reserves 2 for
     # inadmissible models, so argument problems are rerouted to exit 3.
     def error(self, message):
@@ -279,53 +284,49 @@ def _is_number(field: str) -> bool:
 def _read_counts(path: str) -> Iterator[np.ndarray]:
     """The counts of a counts file, as an iterator over int64 blocks.
 
-    An unreadable or empty file, or a header with no rows, is refused
-    here.  The rows are parsed as the blocks are read, so memory stays
-    bounded by one block whatever the length of the file.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            rows = ((i, ln.strip()) for i, ln in enumerate(fh, 1) if ln.strip())
-            skip, first = next(rows, (0, ""))
-            # CSV is detected from the first line; a first field there that
-            # does not parse as a number marks a header row
-            # ("sample_index,count"), which is skipped.
-            csv = "," in first
-            header = csv and not _is_number(first.split(",")[0])
-            if not first:
-                raise _UsageError(f"counts file {path} is empty")
-            if header and next(rows, None) is None:
-                raise _UsageError(f"counts file {path} has a header but no count rows")
-    except OSError as exc:
-        raise _UsageError(f"cannot read counts file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise _UsageError(f"bad counts file {path}: {exc}") from exc
-    return _parse_counts(path, skip if header else 0, csv)
-
-
-def _parse_counts(path: str, skip: int, csv: bool) -> Iterator[np.ndarray]:
-    """Yield the counts of a file past its first ``skip`` lines, one read at a time.
+    The file is opened and read once, one read of whole lines at a time,
+    so it may be a pipe, and memory stays bounded by one read whatever the
+    length of the file.  The first nonblank line decides the format: CSV
+    if it has a comma, and a header row ("sample_index,count"), which is
+    dropped, if its first field does not parse as a number.  Every fault
+    of the file, an unreadable or empty file and a header with no rows
+    included, is refused as the file is read.
 
     np.loadtxt parses the lines of each read behind one sentinel row.  The
     sentinel holds a plain file to one column, as its first row does in one
     pass over the file, and keeps a read of blank lines from being an empty
     input.  The row numbers in loadtxt's errors are moved past the sentinel
     and the rows of earlier reads, so they count from the first line after
-    ``skip``, as they would in one pass.
+    the header, as they would in one pass.
     """
     import numpy as np
 
-    sentinel = "0,0\n" if csv else "0\n"
+    csv = header = None  # unknown until the first nonblank line
     done = 0
     try:
         with open(path, encoding="utf-8") as fh:
-            for _ in range(skip):
-                fh.readline()
-            for text in _whole_lines(fh):
-                block = np.loadtxt(
-                    (sentinel + text).split("\n"), dtype=np.int64, comments=None,
-                    delimiter=",", ndmin=1, usecols=1 if csv else None, encoding="utf-8",
-                )[1:]
+            reads = _whole_lines(fh)
+            for text in reads:
+                if csv is None:
+                    first, _, after = text.lstrip().partition("\n")
+                    if not first:
+                        continue
+                    csv = "," in first
+                    header = csv and not _is_number(first.split(",")[0])
+                    if header:
+                        text = after
+                    sentinel = "0,0\n" if csv else "0\n"
+                try:
+                    block = np.loadtxt(
+                        (sentinel + text).split("\n"), dtype=np.int64, comments=None,
+                        delimiter=",", ndmin=1, usecols=1 if csv else None, encoding="utf-8",
+                    )[1:]
+                except ValueError:
+                    # A header with only blank lines after it, spaces or not, has no rows.
+                    unread = itertools.chain([text], reads)
+                    if header and not done and not any(map(str.strip, unread)):
+                        break
+                    raise
                 done += block.size
                 yield block
     except OSError as exc:
@@ -340,6 +341,10 @@ def _parse_counts(path: str, skip: int, csv: bool) -> Iterator[np.ndarray]:
         if at and row:
             message = f"{head}{at}{int(row[0]) - 1 + done}{rest[row.end():]}"
         raise _UsageError(f"bad counts file {path}: {message}") from exc
+    if csv is None:
+        raise _UsageError(f"counts file {path} is empty")
+    if header and not done:
+        raise _UsageError(f"counts file {path} has a header but no count rows")
 
 
 def _whole_lines(fh) -> Iterator[str]:
@@ -407,7 +412,7 @@ _COMMANDS = {
     "cf": ("characteristic function on a u grid", _cmd_cf, "--format --c --model --n --u"),
     "sample": (
         "draw counts from the model's pmf", _cmd_sample,
-        "--format --c --model --n --tol --count --seed",
+        "--c --model --n --tol --count --seed",
     ),
     "estimate": (
         "estimate coefficients from counts", _cmd_estimate, "--input --lmax --bootstrap --seed"
@@ -481,10 +486,10 @@ def main(argv=None) -> int:
         warnings.showwarning = show
         try:
             args = parser.parse_args(argv)
-            if args.command is not None and args.config:
+            if args.command is not None and args.config is not None:
                 raise _UsageError("pass either a subcommand or --config, not both")
             if args.command is None:
-                if not args.config:
+                if args.config is None:
                     raise _UsageError("a subcommand or --config is required")
                 argv, model = _argv_from_config(args.config)
                 args = parser.parse_args(argv)
@@ -501,15 +506,9 @@ def main(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
             return EXIT_BROKEN_PIPE
-        except _UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        except InadmissiblePmfError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INADMISSIBLE
         except CorrcountError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            return EXIT_INADMISSIBLE if isinstance(exc, InadmissiblePmfError) else EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

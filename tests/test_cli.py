@@ -339,6 +339,17 @@ class TestSampleAndEstimate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert cause in err
 
+    @pytest.mark.parametrize(
+        "text", ["sample_index,count", "\n\nsample_index,count\n \n"],
+        ids=["without-newline", "between-blank-lines"],
+    )
+    def test_estimate_names_a_header_without_rows(self, capsys, tmp_path, text):
+        path = tmp_path / "counts.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--lmax", "1")
+        assert (code, out) == (3, "")
+        assert err == f"error: counts file {path} has a header but no count rows\n"
+
     def test_estimate_pipeline_recovers_coefficients(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "sample", "--c", "2.0,0.5", "--count", "20000", "--seed", "9"
@@ -353,6 +364,36 @@ class TestSampleAndEstimate:
         data = json.loads(out)
         for got, want, se in zip(data["c_hat"], (2.0, 0.5), data["std_err"]):
             assert abs(got - want) < 4 * se
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["plain", "csv"])
+    def test_estimate_reads_a_pipe_as_it_reads_a_file(self, tmp_path, csv):
+        # a pipe can be read only once, so a reader that opens it twice loses rows
+        counts = [(i * i) % 7 for i in range(100003)]
+        rows = [f"{i},{k}" for i, k in enumerate(counts)] if csv else map(str, counts)
+        text = ("sample_index,count\n" if csv else "") + "".join(r + "\n" for r in rows)
+        path = tmp_path / "counts.txt"
+        path.write_text(text)
+        argv = [sys.executable, "-m", "corrcount", "estimate", "--lmax", "2", "--input"]
+        env = subprocess_env()
+        from_file = subprocess.run(
+            [*argv, str(path)], capture_output=True, text=True, env=env, timeout=120
+        )
+        from_pipe = subprocess.run(
+            [*argv, "/dev/stdin"], input=text, capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert (from_pipe.returncode, from_pipe.stderr) == (0, "")
+        assert from_pipe.stdout == from_file.stdout
+        assert json.loads(from_pipe.stdout)["n_samples"] == len(counts)
+
+    def test_estimate_counts_every_piped_row(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrcount", "estimate", "--lmax", "1", "--input",
+             "/dev/stdin"],
+            input="1\n2\n", capture_output=True, text=True, env=subprocess_env(), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: order 1 needs at least 10 samples, got 2\n"
 
 
 # Runs ``python -m corrcount ARGV...`` with stdout to OUT and prints its exit
@@ -695,7 +736,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "csv, rows_read",
-        [(False, 147456), (True, 147058)],
+        [(False, 147456), (True, 147056)],
         ids=["plain", "csv"],
     )
     def test_estimate_names_a_late_byte_that_is_not_utf8_by_row(
@@ -703,7 +744,8 @@ class TestBadInput:
     ):
         # The decoder's "position" counts within one read, not the file, so
         # the refusal bounds the byte by the count rows of the reads before
-        # it, of 32,768 characters each: 9 reads of 16,384 plain rows.
+        # it, of 32,768 characters each: 9 reads of 16,384 plain rows.  A CSV
+        # header is read with the rows, in the first read.
         rows = [f"{i},{i % 7}" if csv else str(i % 7) for i in range(150000)]
         head = "sample_index,count\n" if csv else ""
         path = tmp_path / "counts.txt"
@@ -715,14 +757,15 @@ class TestBadInput:
             "is not UTF-8\n"
         )
 
-    def test_estimate_names_an_early_byte_that_is_not_utf8_by_offset(self, capsys, tmp_path):
+    def test_estimate_names_an_early_byte_that_is_not_utf8_by_row(self, capsys, tmp_path):
+        # it lies in the first read, so no count row has been read before it
         path = tmp_path / "counts.txt"
         path.write_bytes(b"1\n2\n\xff\n")
         code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--lmax", "1")
         assert (code, out) == (3, "")
         assert err == (
-            f"error: bad counts file {path}: 'utf-8' codec can't decode byte 0xff "
-            "in position 4: invalid start byte\n"
+            f"error: bad counts file {path}: byte 0xff past the first 0 count rows "
+            "is not UTF-8\n"
         )
 
     @pytest.mark.parametrize(
@@ -984,12 +1027,26 @@ class TestBadInput:
                 ["--config", "{file}"], {"command": "limit-pmf", "model": ""},
                 "cannot read model file : [Errno 2] No such file or directory: ''",
             ),
+            (
+                ["--config", ""], None,
+                "cannot read config : [Errno 2] No such file or directory: ''",
+            ),
+            (
+                ["--config", "", "limit-pmf", "--c", "2"], None,
+                "pass either a subcommand or --config, not both",
+            ),
+            (
+                ["sample", "--c", "2", "--count", "3", "--format", "json"], None,
+                "unrecognized arguments: --format json",
+            ),
+            (["limit-pmf", "--c", "2", "--x"], None, "unrecognized arguments: --x"),
         ],
         ids=[
             "missing-counts-file", "finite-pmf-without-n", "oracle-pmf-without-n",
             "no-command", "unknown-config-key", "verify-model", "config-command-is-a-flag",
             "model-without-l_max", "empty-c", "empty-model", "config-empty-c",
-            "config-empty-model",
+            "config-empty-model", "empty-config", "empty-config-and-command",
+            "sample-format", "unknown-flag",
         ],
     )
     def test_refusal_names_its_cause(self, capsys, tmp_path, argv, file, message):
@@ -999,6 +1056,21 @@ class TestBadInput:
         code, out, err = run_cli(capsys, *(arg.format(file=path) for arg in argv))
         assert (code, out) == (3, "")
         assert err == "error: " + message.format(file=path) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["limit-pmf", "--c", "-1,0.5"],
+            ["cf", "--c", "2", "--u", "-1:1:3"],
+            ["cf", "--c", "2", "--u", "-.5:1:3"],
+            ["limit-pmf", "--c", "-1", "--n", "-2"],
+        ],
+        ids=["c", "u", "u-point", "n"],
+    )
+    def test_negative_value_is_a_value(self, capsys, argv):
+        # "--flag value" gives what "--flag=value" gives, whatever the exit code
+        joined = argv[:1] + [f"{f}={v}" for f, v in zip(argv[1::2], argv[2::2])]
+        assert run_cli(capsys, *argv) == run_cli(capsys, *joined)
 
     @pytest.mark.parametrize("model_first", [True, False], ids=["model-c", "c-model"])
     def test_model_and_c_flags_both_given_exit_3(self, capsys, tmp_path, model_first):
@@ -1086,11 +1158,8 @@ class TestConfigFile:
                 ["sample", "--c", "2.0", "--count", "500", "--seed", "42"],
             ),
             (
-                {"c": "2", "n": 30, "count": 200, "mass_tolerance": 1, "output_format": "csv"},
-                [
-                    "sample", "--c", "2", "--n", "30", "--count", "200", "--tol", "1",
-                    "--format", "csv",
-                ],
+                {"c": "2", "n": 30, "count": 200, "mass_tolerance": 1},
+                ["sample", "--c", "2", "--n", "30", "--count", "200", "--tol", "1"],
             ),
             (
                 {"input": "{counts}", "lmax": 2, "n_bootstrap": 20, "seed": 5},
@@ -1160,10 +1229,14 @@ class TestConfigFile:
                 {"command": "cf", "c": "2", "u": "0:1:2", "mass_tolerance": 1e-12},
                 "cf takes no mass_tolerance",
             ),
+            (
+                {"command": "sample", "c": "2", "count": 3, "output_format": "json"},
+                "sample takes no output_format",
+            ),
         ],
         ids=[
             "c-array", "n-float", "tol-bool", "model-array", "command-null", "command-help",
-            "count-bool", "count-string", "seed-float", "cf-tol",
+            "count-bool", "count-string", "seed-float", "cf-tol", "sample-format",
         ],
     )
     def test_config_refusal_names_its_key(self, capsys, tmp_path, config, message):

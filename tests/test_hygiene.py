@@ -12,7 +12,8 @@ or calls ``open``.
 
 The CLI's flag table holds no dead entry: each flag is taken by some
 command, each config key and JSON type is one the config reader knows,
-and each override is of a flag its command takes.
+and each override is of a flag its command takes.  Each flag a command
+takes is read by its handler.
 """
 
 import ast
@@ -221,4 +222,64 @@ def test_the_table_check_sees_a_dead_entry():
         "config key 'a' appears 2 times",
         "--dead has JSON type 'text'",
         "x overrides --dead, which it does not take",
+    ]
+
+
+def attributes_read(tree, function: str, param: str, seen=None) -> set[str]:
+    """The attributes of ``param`` that a module-level function of ``tree`` reads.
+
+    A read in a module-level function that ``function`` passes ``param``
+    to, by position or by keyword, counts too.
+    """
+    seen = set() if seen is None else seen
+    if (function, param) in seen:
+        return set()
+    seen.add((function, param))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    read = set()
+    for node in ast.walk(functions[function]):
+        if (
+            isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == param
+        ):
+            read.add(node.attr)
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions):
+            continue
+        callee = functions[node.func.id]
+        params = [a.arg for a in callee.args.posonlyargs + callee.args.args]
+        passed = [p for p, arg in zip(params, node.args) if getattr(arg, "id", None) == param]
+        passed += [k.arg for k in node.keywords if getattr(k.value, "id", None) == param]
+        for name in passed:
+            read |= attributes_read(tree, callee.name, name, seen)
+    return read
+
+
+def unread_flags(tree, commands) -> list[str]:
+    """The flags a command takes whose ``args.<dest>`` its handler never reads.
+
+    ``commands`` maps each command to its handler's name and its flags.
+    """
+    return [
+        f"{command} takes {flag}, which {handler} never reads"
+        for command, (handler, flags) in commands.items()
+        for flag in flags.split()
+        if flag.lstrip("-").replace("-", "_") not in attributes_read(tree, handler, "args")
+    ]
+
+
+def test_every_flag_is_read_by_its_handler():
+    commands = {c: (func.__name__, flags) for c, (_, func, flags) in cli._COMMANDS.items()}
+    assert unread_flags(TREES["cli.py"], commands) == []
+
+
+def test_the_read_check_sees_a_dead_flag():
+    tree = ast.parse(
+        "def _model(ns, need):\n    return ns.c, ns.n_max\n"
+        "def _show(x, *, opts):\n    return opts.fmt\n"
+        "def _cmd(args):\n    args.seed = 1\n"
+        "    return _model(args, True), _show(0, opts=args), print(args)\n"
+    )
+    assert unread_flags(tree, {"x": ("_cmd", "--c --n-max --fmt --seed --dead")}) == [
+        "x takes --seed, which _cmd never reads",
+        "x takes --dead, which _cmd never reads",
     ]
