@@ -22,7 +22,6 @@ import math
 import os
 import re
 import sys
-import warnings
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -32,7 +31,6 @@ from .core import (
     CorrelationModel,
     InadmissiblePmfError,
     Pmf,
-    TrailingZeroWarning,
     is_int_in,
 )
 from .finite import count_pmf_from_joint, finite_count_pmf
@@ -119,7 +117,8 @@ def _resolve_model(args, need_n: bool | None) -> CorrelationModel:
     ``need_n`` True requires an event count, False refuses one (the
     command computes the N -> infinity law) and None accepts either.  The
     count is checked before the model is built, so its refusal comes ahead
-    of the model's own and of its warning.
+    of the model's own.  A built model whose top coefficient is 0 is valid,
+    of lower order, and gets a one-line notice on stderr.
     """
     if args.model is not None and args.c is not None:
         raise _UsageError("--model and --c both set the coefficients: pass one of them")
@@ -149,7 +148,11 @@ def _resolve_model(args, need_n: bool | None) -> CorrelationModel:
             f"{args.command} computes the N -> infinity law and takes no event "
             f"count, got n = {n}: use finite-pmf for a finite N"
         )
-    return _model_of(data, n) if args.c is None else CorrelationModel(c, n)
+    model = _model_of(data, n) if args.c is None else CorrelationModel(c, n)
+    if model.c[-1] == 0.0:
+        notice = f"C_{model.l_max} = 0: model is correlated to an order below its declared l_max"
+        print(f"warning: {notice}", file=sys.stderr)
+    return model
 
 
 def _model_of(data: dict, n) -> CorrelationModel:
@@ -233,8 +236,6 @@ def _cmd_finite_pmf(args) -> int:
 
 
 def _cmd_oracle_pmf(args) -> int:
-    if args.n is None:
-        raise _UsageError("oracle-pmf requires --n")
     joint = build_mixture_joint(_parse_mixture(args.mixture), args.n)
     pmf = count_pmf_from_joint(joint)
     return _emit_pmf(pmf, args.format)
@@ -295,9 +296,11 @@ def _read_counts(path: str) -> Iterator[np.ndarray]:
     np.loadtxt parses the lines of each read behind one sentinel row.  The
     sentinel holds a plain file to one column, as its first row does in one
     pass over the file, and keeps a read of blank lines from being an empty
-    input.  The row numbers in loadtxt's errors are moved past the sentinel
-    and the rows of earlier reads, so they count from the first line after
-    the header, as they would in one pass.
+    input.  loadtxt numbers the rows of a conversion error from 0, the
+    sentinel's row included, and those of its other errors from 1, so a row
+    it names loses 1 in the second case only, and gains the rows of earlier
+    reads.  Each row named then counts the nonempty lines after the header
+    from 1, as in one pass.
     """
     import numpy as np
 
@@ -338,8 +341,9 @@ def _read_counts(path: str) -> Iterator[np.ndarray]:
         message = str(exc)
         head, at, rest = message.rpartition(" at row ")
         row = re.match(r"\d+", rest)
-        if at and row:
-            message = f"{head}{at}{int(row[0]) - 1 + done}{rest[row.end():]}"
+        if at and row:  # loadtxt counts rows from 0 only in a conversion error
+            number = int(row[0]) - (not message.startswith("could not convert")) + done
+            message = f"{head}{at}{number}{rest[row.end():]}"
         raise _UsageError(f"bad counts file {path}: {message}") from exc
     if csv is None:
         raise _UsageError(f"counts file {path} is empty")
@@ -421,6 +425,7 @@ _COMMANDS = {
 }
 # The only keywords a command sets for itself.
 _OVERRIDES = {
+    ("oracle-pmf", "--n"): dict(required=True),
     ("verify", "--n"): dict(default=6, help="largest joint size"),
     ("verify", "--seed"): dict(default=1),
 }
@@ -475,40 +480,31 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
-    with warnings.catch_warnings():
-        shown = warnings.showwarning
-
-        def show(message, category, *args, **kwargs):
-            if category is not TrailingZeroWarning:
-                return shown(message, category, *args, **kwargs)
-            print(f"warning: {message}", file=sys.stderr)  # one line, no source
-
-        warnings.showwarning = show
-        try:
+    try:
+        args = parser.parse_args(argv)
+        if args.command is not None and args.config is not None:
+            raise _UsageError("pass either a subcommand or --config, not both")
+        if args.command is None:
+            if args.config is None:
+                raise _UsageError("a subcommand or --config is required")
+            argv, model = _argv_from_config(args.config)
             args = parser.parse_args(argv)
-            if args.command is not None and args.config is not None:
-                raise _UsageError("pass either a subcommand or --config, not both")
-            if args.command is None:
-                if args.config is None:
-                    raise _UsageError("a subcommand or --config is required")
-                argv, model = _argv_from_config(args.config)
-                args = parser.parse_args(argv)
-                if model is not None:
-                    args.model = model
-            code = args.func(args)
-            sys.stdout.flush()  # so that a closed pipe raises here, not at exit
-            return code
-        except BrokenPipeError:
-            # The reader left (e.g. `| head`).  Point stdout at devnull so the
-            # flush at interpreter exit stays quiet, as the Python docs' note
-            # on SIGPIPE advises.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            return EXIT_BROKEN_PIPE
-        except CorrcountError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INADMISSIBLE if isinstance(exc, InadmissiblePmfError) else EXIT_BAD_INPUT
+            if model is not None:
+                args.model = model
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader left (e.g. `| head`).  Point stdout at devnull so the
+        # flush at interpreter exit stays quiet, as the Python docs' note
+        # on SIGPIPE advises.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    except CorrcountError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INADMISSIBLE if isinstance(exc, InadmissiblePmfError) else EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

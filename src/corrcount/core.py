@@ -13,7 +13,8 @@ explicit tail bound and flag their own admissibility (:class:`Pmf`).
 A record stores only what it cannot derive: the order l_max of a model
 and the event count of a joint are lengths, read as properties.  Every
 record checks its fields when built, so each value is valid wherever used.
-No record reads or writes a file format; the command line does that.
+No record reads or writes a file format, prints or warns; the command line
+does that.
 
 All types are immutable after construction and all operations are pure,
 so everything here is safe for unrestricted concurrent use.
@@ -21,7 +22,6 @@ so everything here is safe for unrestricted concurrent use.
 
 import math
 import operator
-import warnings
 from collections.abc import Iterable, Mapping
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "TooFewSamplesError",
     "BadSpecError",
     "InvalidDistributionError",
-    "TrailingZeroWarning",
     "Record",
     "CorrelationModel",
     "SymmetricTable",
@@ -100,14 +99,6 @@ class InvalidDistributionError(CorrcountError):
     """A probability table or joint violates nonnegativity or normalization."""
 
 
-class TrailingZeroWarning(UserWarning):
-    """The declared maximum order has coefficient exactly zero.
-
-    Downstream formulas remain valid; the model simply overstates its
-    genuine correlation order.
-    """
-
-
 class Record:
     """Immutable value with equality, hash and repr over ``_fields``.
 
@@ -148,8 +139,8 @@ class CorrelationModel(Record):
     ``c`` is ordered C_1, ..., C_{l_max}, so the order ``l_max`` is its
     length; use :meth:`coefficient` for 1-based access.  ``n`` is None for
     limit-law computations and a positive integer >= l_max for finite-N
-    ones.  The model is checked when built, and warns with
-    :class:`TrailingZeroWarning` when C_{l_max} is exactly zero.
+    ones.  The model is checked when built.  A C_{l_max} of exactly zero is
+    valid, a model of lower order, and is accepted silently.
 
     Raises:
         BadShapeError: ``c`` is not a nonempty array of ints and floats,
@@ -178,9 +169,6 @@ class CorrelationModel(Record):
             raise BadShapeError(f"n must be a positive integer, got {n!r}")
         if n is not None and n < len(c):
             raise BadShapeError(f"n = {n} is below l_max = {len(c)}")
-        if c[-1] == 0.0:
-            message = f"C_{len(c)} = 0: model is correlated to an order below its declared l_max"
-            warnings.warn(message, TrailingZeroWarning, stacklevel=2)
         super().__init__(c, n)
 
     @property

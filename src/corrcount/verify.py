@@ -9,7 +9,6 @@ up as a named FAIL line rather than a silent drift.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import TYPE_CHECKING
 
 from .core import (
@@ -17,7 +16,6 @@ from .core import (
     OutOfRangeError,
     Record,
     SymmetricTable,
-    TrailingZeroWarning,
     correlation_coefficient,
     is_int_in,
     validate_seed,
@@ -179,9 +177,7 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
         if joint.n > 7:
             continue
         coeffs = measure_coefficients(joint)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TrailingZeroWarning)
-            rebuilt = finite_count_pmf(CorrelationModel(coeffs, n=joint.n))
+        rebuilt = finite_count_pmf(CorrelationModel(coeffs, n=joint.n))
         direct = count_pmf_from_joint(joint)
         worst_oracle = max(
             worst_oracle,

@@ -9,7 +9,6 @@ import math
 import subprocess
 import sys
 import time
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -27,7 +26,6 @@ from corrcount import (
     sample_counts,
 )
 from corrcount.cli import main
-from corrcount.core import TrailingZeroWarning
 from corrcount.limit import factorial_cumulants
 from corrcount.ursell import (
     correlation_partition,
@@ -97,11 +95,9 @@ def test_c03_full_oracle_equivalence():
         for _ in range(100):
             joint = random_joint(rng, n_max=7)
             coeffs = measure_coefficients(joint)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TrailingZeroWarning)
-                rebuilt = finite_count_pmf(
-                    CorrelationModel(coeffs, n=joint.n)
-                )
+            rebuilt = finite_count_pmf(
+                CorrelationModel(coeffs, n=joint.n)
+            )
             direct = count_pmf_from_joint(joint)
             worst = max(
                 worst, max(abs(a - b) for a, b in zip(rebuilt.values, direct.values))

@@ -529,6 +529,56 @@ class TestWarnings:
             "declared l_max\n"
         )
 
+    NOTICE = "warning: C_2 = 0: model is correlated to an order below its declared l_max\n"
+
+    @pytest.mark.parametrize("route", ["model-file", "config-model"])
+    def test_trailing_zero_of_a_model_object_is_one_line(self, tmp_path, route):
+        model = {"l_max": 2, "c": [1, 0]}
+        path = tmp_path / "job.json"
+        if route == "model-file":
+            path.write_text(json.dumps(model))
+            argv = ["limit-pmf", "--model", str(path)]
+        else:
+            path.write_text(json.dumps({"command": "limit-pmf", "model": model}))
+            argv = ["--config", str(path)]
+        done = subprocess.run(
+            [sys.executable, "-m", "corrcount", *argv],
+            capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert (done.returncode, done.stderr) == (0, self.NOTICE)
+        assert done.stdout.startswith("s,p\n")
+
+    @pytest.mark.parametrize(
+        "flags, filters",
+        [([], "error"), ([], "ignore"), (["-W", "error"], None), (["-W", "ignore"], None)],
+        ids=["env-error", "env-ignore", "W-error", "W-ignore"],
+    )
+    def test_trailing_zero_is_not_a_python_warning(self, flags, filters):
+        # the notice is CLI output: a warning filter neither hides it nor raises it
+        env = subprocess_env()
+        env.pop("PYTHONWARNINGS", None)
+        if filters is not None:
+            env["PYTHONWARNINGS"] = filters
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "corrcount", "finite-pmf", "--n", "5", "--c", "1,0"],
+            capture_output=True, text=True, env=env,
+        )
+        assert (done.returncode, done.stderr) == (0, self.NOTICE)
+        assert done.stdout.startswith("s,p\n")
+
+    def test_trailing_zero_comes_before_the_inadmissible_line(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "corrcount", "finite-pmf", "--n", "30", "--c", "1,40,0"],
+            capture_output=True, text=True, env=subprocess_env(),
+        )
+        assert done.returncode == 2
+        assert done.stdout.startswith("s,p\n")
+        notice, inadmissible, end = done.stderr.split("\n")
+        assert notice + "\n" == self.NOTICE.replace("C_2", "C_3")
+        assert inadmissible.startswith("inadmissible model: p(9) = ")
+        assert inadmissible.endswith(" below tolerance")
+        assert end == ""
+
 
 class TestBadInput:
     def test_unknown_command(self, capsys):
@@ -685,12 +735,13 @@ class TestBadInput:
 
     # Each file holds 200,000 counts, read in many blocks, with its fault
     # past the first 131,072 rows.  The stderr was recorded from the CLI
-    # when np.loadtxt parsed the whole file in one call.
+    # when np.loadtxt parsed the whole file in one call, with a conversion
+    # error's row, which loadtxt counts from 0, counted from 1.
     LATE_FAULTS = {
         "bad-token": (
             True, {150001: "150000,4x"},
             "bad counts file {path}: could not convert string '4x' to int64 "
-            "at row 150000, column 2.",
+            "at row 150001, column 2.",
         ),
         "negative": (False, {140000: "-3"}, "negative count -3 in input"),
         "above-ceiling": (
@@ -714,7 +765,7 @@ class TestBadInput:
         "blank-line-then-bad-token": (
             False, {99999: "", 100001: "x"},
             "bad counts file {path}: could not convert string 'x' to int64 "
-            "at row 100000, column 1.",
+            "at row 100001, column 1.",
         ),
     }
 
@@ -767,6 +818,33 @@ class TestBadInput:
             f"error: bad counts file {path}: byte 0xff past the first 0 count rows "
             "is not UTF-8\n"
         )
+
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("x\n", "could not convert string 'x' to int64 at row 1, column 1."),
+            ("3\nx\n", "could not convert string 'x' to int64 at row 2, column 1."),
+            (
+                "sample_index,count\n0,3\n1,x\n",
+                "could not convert string 'x' to int64 at row 2, column 2.",
+            ),
+            ("3\n\nx\n", "could not convert string 'x' to int64 at row 2, column 1."),
+            ("3\n  \n4\n", "could not convert string '  ' to int64 at row 2, column 1."),
+            (
+                "3\n4,5\n",
+                "the number of columns changed from 1 to 2 at row 2; use `usecols` to "
+                "select a subset and avoid this error",
+            ),
+        ],
+        ids=["first", "second", "csv", "after-empty-line", "spaces", "two-columns"],
+    )
+    def test_estimate_names_a_bad_row_from_1(self, capsys, tmp_path, text, fault):
+        # every row named counts the nonempty lines after the header from 1
+        path = tmp_path / "counts.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "estimate", "--input", str(path), "--lmax", "1")
+        assert (code, out) == (3, "")
+        assert err == f"error: bad counts file {path}: {fault}\n"
 
     @pytest.mark.parametrize(
         "argv, want_code",
@@ -993,7 +1071,14 @@ class TestBadInput:
                 "cannot read counts file {file}: [Errno 2] No such file or directory: '{file}'",
             ),
             (["finite-pmf", "--c", "1"], None, "this command requires an event count: pass --n"),
-            (["oracle-pmf", "--mixture", "0.5:1"], None, "oracle-pmf requires --n"),
+            (
+                ["oracle-pmf", "--mixture", "0.5:1"], None,
+                "the following arguments are required: --n",
+            ),
+            (
+                ["--config", "{file}"], {"command": "oracle-pmf", "mixture": "0.5:1"},
+                "the following arguments are required: --n",
+            ),
             ([], None, "a subcommand or --config is required"),
             (
                 ["--config", "{file}"], {"command": "limit-pmf", "c": "1", "colour": "red"},
@@ -1043,6 +1128,7 @@ class TestBadInput:
         ],
         ids=[
             "missing-counts-file", "finite-pmf-without-n", "oracle-pmf-without-n",
+            "config-oracle-pmf-without-n",
             "no-command", "unknown-config-key", "verify-model", "config-command-is-a-flag",
             "model-without-l_max", "empty-c", "empty-model", "config-empty-c",
             "config-empty-model", "empty-config", "empty-config-and-command",

@@ -26,7 +26,6 @@ from corrcount.core import (
     NonFiniteError,
     OutOfRangeError,
     SymmetricTable,
-    TrailingZeroWarning,
     correlation_coefficient,
     validate_seed,
 )
@@ -40,8 +39,10 @@ class TestValidateModel:
         model = CorrelationModel([2.0])
         assert model.c == (2.0,) and model.n is None
 
-    def test_zero_top_coefficient_warns(self):
-        with pytest.warns(TrailingZeroWarning):
+    def test_zero_top_coefficient_is_silent(self):
+        # a model of lower order is valid: the library neither warns nor prints
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             model = CorrelationModel([1.0, 0.0])
         assert model.c == (1.0, 0.0)
 
@@ -116,17 +117,15 @@ def is_number(x) -> bool:
 def test_model_is_valid_or_refused(c, n, l_max):
     # l_max None calls the constructor; otherwise the command line's check of
     # a model object, with the true length of c when l_max is the string "len"
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TrailingZeroWarning)
-        try:
-            if l_max is None:
-                model = CorrelationModel(c, n)
-            else:
-                if l_max == "len" and isinstance(c, list):
-                    l_max = len(c)
-                model = _model_of({"l_max": l_max, "c": c}, n)
-        except CorrcountError:
-            return
+    try:
+        if l_max is None:
+            model = CorrelationModel(c, n)
+        else:
+            if l_max == "len" and isinstance(c, list):
+                l_max = len(c)
+            model = _model_of({"l_max": l_max, "c": c}, n)
+    except CorrcountError:
+        return
     assert isinstance(c, list) and c and all(map(is_number, c))
     assert model.c == tuple(map(float, c))
     assert all(map(math.isfinite, model.c))

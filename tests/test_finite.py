@@ -19,7 +19,6 @@ from corrcount.core import (
     BadShapeError,
     NonFiniteError,
     SeriesOverflowError,
-    TrailingZeroWarning,
 )
 from corrcount.finite import build_exponent
 from corrcount.verify import measure_coefficients, random_model
@@ -113,22 +112,20 @@ class TestFiniteCountPmf:
         pmf = finite_count_pmf(CorrelationModel([1.5, 2.25], n=3))
         assert pmf.values == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-14)
 
-    def test_model_is_validated_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+    def test_zero_top_coefficient_is_silent(self):
+        # a model of lower order is valid: the law neither warns nor prints
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             finite_count_pmf(CorrelationModel([1.0, 0.0], n=5))
-        assert [w.category for w in caught] == [TrailingZeroWarning]
 
     def test_truncation_consistency(self):
         # a joint correlation-free beyond l_max is reproduced by truncation
         truncated = finite_count_pmf(
             CorrelationModel([1.5, 2.25], n=3)
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TrailingZeroWarning)
-            full = finite_count_pmf(
-                CorrelationModel([1.5, 2.25, 0.0], n=3)
-            )
+        full = finite_count_pmf(
+            CorrelationModel([1.5, 2.25, 0.0], n=3)
+        )
         assert truncated.values == pytest.approx(full.values, abs=1e-15)
 
     def test_large_n_approaches_limit(self):
@@ -146,11 +143,9 @@ class TestFiniteCountPmf:
         for _ in range(20):
             joint = make_random_joint(rng, n=int(rng.integers(2, 8)))
             coeffs = measure_coefficients(joint)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", TrailingZeroWarning)
-                rebuilt = finite_count_pmf(
-                    CorrelationModel(coeffs, n=joint.n)
-                )
+            rebuilt = finite_count_pmf(
+                CorrelationModel(coeffs, n=joint.n)
+            )
             direct = count_pmf_from_joint(joint)
             assert max(
                 abs(a - b) for a, b in zip(rebuilt.values, direct.values)

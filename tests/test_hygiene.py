@@ -8,7 +8,9 @@ exports it or the benchmark's tracer wraps it.  Removing a function tends
 to leave such names behind.
 
 Every file format lives in ``cli.py``: no other module imports ``json``
-or calls ``open``.
+or calls ``open``.  Only ``cli.py`` talks to the user: no other module
+imports ``warnings``, calls ``print`` or uses ``sys.stdout`` or
+``sys.stderr``.
 
 The CLI's flag table holds no dead entry: each flag is taken by some
 command, each config key and JSON type is one the config reader knows,
@@ -141,17 +143,20 @@ def test_every_public_function_and_class_is_referenced():
     assert dead == []
 
 
+def imported_modules(node) -> list[str]:
+    """The top-level names of the modules an import node imports from."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [(node.module or "").split(".")[0]]
+    return []
+
+
 def file_access(tree) -> list[str]:
     """The imports of ``json`` and the calls of an ``open`` in a module."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""]
-        else:
-            modules = []
-        if any(module.split(".")[0] == "json" for module in modules):
+        if "json" in imported_modules(node):
             found.append(f"json (line {node.lineno})")
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", ""))
@@ -176,6 +181,45 @@ def test_the_checks_see_a_leftover():
     assert unused_imports(tree) == ["is_int_in (line 2)", "json (line 6)", "sys (line 8)"]
     dead = tree.body[2]
     assert references(tree)["_dead"] == references(dead)["_dead"] == 1
+
+
+def user_output(tree) -> list[str]:
+    """The imports of ``warnings``, the calls of ``print`` and the uses of
+    ``sys.stdout`` or ``sys.stderr`` in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if "warnings" in imported_modules(node):
+            found.append(f"warnings (line {node.lineno})")
+        if isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [f"sys.{a.name} (line {node.lineno})" for a in node.names
+                      if a.name in ("stdout", "stderr")]
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            found.append(f"print (line {node.lineno})")
+        if (
+            isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+            and getattr(node.value, "id", None) == "sys"
+        ):
+            found.append(f"sys.{node.attr} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"cli.py"}))
+def test_only_the_cli_talks_to_the_user(module):
+    assert user_output(TREES[module]) == []
+
+
+def test_the_output_check_sees_warnings_print_and_sys_streams():
+    tree = ast.parse(
+        "import warnings\n"
+        "from sys import stderr\n"
+        "def note(text):\n    print(text)\n"
+        "    sys.stdout.write(text)\n    err = sys.stderr\n"
+        "    from warnings import warn\n"
+    )
+    assert user_output(tree) == [  # in the breadth-first order of ast.walk
+        "warnings (line 1)", "sys.stderr (line 2)", "warnings (line 7)", "print (line 4)",
+        "sys.stderr (line 6)", "sys.stdout (line 5)",
+    ]
 
 
 def test_the_format_check_sees_json_and_open():

@@ -45,13 +45,7 @@ class TestExponentPolynomial:
         assert poly == (-3.0, 3.0)
 
     def test_pure_second_order(self):
-        import warnings
-
-        from corrcount.core import TrailingZeroWarning
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TrailingZeroWarning)
-            poly = exponent_polynomial(CorrelationModel([0.0, 1.0]))
+        poly = exponent_polynomial(CorrelationModel([0.0, 1.0]))
         assert poly == pytest.approx((0.5, -1.0, 0.5), abs=1e-16)
 
     def test_q_at_one_vanishes(self, rng):
@@ -222,10 +216,7 @@ class TestLimitPmf:
             assert abs(pmf.values[s] - folded[s]) < 1e-10
 
     def test_degenerate_point_mass(self):
-        from corrcount.core import TrailingZeroWarning
-
-        with pytest.warns(TrailingZeroWarning):
-            pmf = limit_pmf(CorrelationModel([0.0]))
+        pmf = limit_pmf(CorrelationModel([0.0]))
         assert pmf.values == (1.0,)
         assert pmf.tail_bound == 0.0
 
@@ -458,19 +449,13 @@ def test_exponent_forms_agree_property(c):
 def test_limit_law_across_the_domain_property(q):
     # Q(z) = sum_t q_t (z^t - 1) with q_t >= 0 is a compound Poisson law of
     # mean sum_t t q_t <= 1e4; C_l = l! sum_{t >= l} binom(t, l) q_t.
-    import warnings
-
-    from corrcount.core import TrailingZeroWarning
-
     top = len(q)
     c = [
         math.factorial(l)
         * math.fsum(math.comb(t, l) * q[t - 1] for t in range(l, top + 1))
         for l in range(1, top + 1)
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TrailingZeroWarning)
-        pmf = limit_pmf(CorrelationModel(c))
+    pmf = limit_pmf(CorrelationModel(c))
     assert pmf.admissible
     rounding = len(pmf.values) * sys.float_info.epsilon
     assert abs(pmf.total_mass() - 1.0) <= 1e-12 + rounding
