@@ -12,6 +12,12 @@ A config file (--config) is a JSON object: "command" names a subcommand,
 and each other key sets one of its flags (see _FLAGS) by a value of the
 flag's JSON type, or by null to set nothing.  Any other command, key or
 value is refused before the flags are parsed, naming the key.
+
+``python -m corrcount`` and the ``corrcount`` script run :func:`run`: it
+flushes stdout and stderr, then ends the process by ``os._exit`` without
+the interpreter's teardown, so ``atexit`` handlers do not run.  Under a
+tracer or profiler the process exits normally.  :func:`main` returns the
+exit code to a caller in process.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import math
 import os
 import re
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .core import (
     MAX_POINTS,
@@ -494,18 +500,60 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
-    except BrokenPipeError:
-        # The reader left (e.g. `| head`).  Point stdout at devnull so the
-        # flush at interpreter exit stays quiet, as the Python docs' note
-        # on SIGPIPE advises.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # the reader left (e.g. `| head`)
+        _to_devnull(sys.stdout)
         return EXIT_BROKEN_PIPE
     except CorrcountError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INADMISSIBLE if isinstance(exc, InadmissiblePmfError) else EXIT_BAD_INPUT
 
 
+def run() -> NoReturn:
+    """Run :func:`main` on ``sys.argv`` and end the process with its exit code.
+
+    The entry point of ``python -m corrcount`` and of the ``corrcount``
+    script.  argparse's SystemExit (``--help``) gives the code as well.
+    stdout and stderr are flushed, a reader that has left making the code
+    1, and the process then ends by ``os._exit``, without the interpreter's
+    teardown of every module and object, so ``atexit`` handlers do not
+    run.  Nothing is lost: the package registers no such handler, closes
+    every file it opens in a ``with``, and writes only to the two streams.
+    Under a tracer or profiler (coverage, ``python -m cProfile``) it raises
+    SystemExit instead, so that they write their results at exit.  Any
+    other exception propagates, with its traceback.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except BrokenPipeError:
+            _to_devnull(stream)
+            code = EXIT_BROKEN_PIPE
+    if sys.gettrace() or sys.getprofile() or _monitored():
+        raise SystemExit(code)
+    os._exit(code)
+
+
+def _to_devnull(stream) -> None:
+    """Point a stream whose reader left at devnull.
+
+    A later flush, such as the one at interpreter exit, then stays quiet,
+    as the Python docs' note on SIGPIPE advises.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
+def _monitored() -> bool:
+    """Whether a sys.monitoring tool is registered (Python 3.12+, where cProfile uses one)."""
+    monitoring = getattr(sys, "monitoring", None)
+    return monitoring is not None and any(map(monitoring.get_tool, range(6)))
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -70,21 +70,26 @@ def count_pmf_from_joint(joint: ExchangeableJoint) -> Pmf:
 def build_exponent(model: CorrelationModel) -> tuple[tuple[float, ...], ...]:
     """Bivariate exponent A(x, y) of the finite-N generating identity.
 
-    Row d - 1 holds the coefficients a[d][0..d] of x^d y^t, d = 1..l_max.
-    Degree-1 row: (1 - C_1/N, C_1/N).  For l >= 2 the occupancy-t entry is
-    (-1)^(l-t) C_l / (N^l (l-t)! t!).  Each row with l >= 2 sums to zero
-    and the degree-1 row sums to one (alternating binomial identity), so
-    A(x, 1) = x.
+    Row d - 1 holds the coefficients a[d][0..d] of x^d y^t, d = 1..L, L
+    the highest order above 1 whose C_l is not 0, or 1 if there is none: a
+    model and its truncation past its trailing zeros share one exponent,
+    so their laws agree bit for bit.  Degree-1 row: (1 - C_1/N, C_1/N).  For l >= 2
+    the occupancy-t entry is (-1)^(l-t) C_l / (N^l (l-t)! t!).  Each row
+    with l >= 2 sums to zero and the degree-1 row sums to one (alternating
+    binomial identity), so A(x, 1) = x.
 
     Raises:
-        SeriesOverflowError: N^l overflows a double for some order l.
+        SeriesOverflowError: N^l overflows a double for some order l <= L.
     """
     n = model.n
     if n is None:
         raise BadShapeError("finite-N computation requires a model with n")
     c1 = model.coefficient(1)
     rows = [(1.0 - c1 / n, c1 / n)]
-    for l in range(2, model.l_max + 1):
+    top = model.l_max
+    while top > 1 and model.coefficient(top) == 0.0:
+        top -= 1
+    for l in range(2, top + 1):
         try:
             scaled = model.coefficient(l) / float(n) ** l
         except OverflowError:  # float ** int raises rather than return inf

@@ -1,6 +1,10 @@
+import ast
 import contextlib
+import hashlib
 import json
 import math
+import os
+import pstats
 import subprocess
 import sys
 import time
@@ -15,7 +19,8 @@ from corrcount.cli import _parse_ugrid, _read_counts, main
 
 from conftest import subprocess_env
 
-HELP = Path(__file__).resolve().parent / "help"
+ROOT = Path(__file__).resolve().parent.parent
+HELP = ROOT / "tests" / "help"
 
 
 def run_cli(capsys, *argv):
@@ -195,9 +200,138 @@ class TestClosedStdout:
             proc.stdout.close()
             code = proc.wait(timeout=60)
             err = proc.stderr.read().decode()
-        assert code == 1
-        assert "Traceback" not in err
-        assert "BrokenPipeError" not in err
+        assert (code, err) == (1, "")
+
+
+def buffered_env(**extra):
+    """subprocess_env() and ``extra`` without PYTHONUNBUFFERED: stdout is buffered, as users run it."""
+    env = {**subprocess_env(), **extra}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def spawn(*argv, **env):
+    """Run ``python -m corrcount argv``; (exit code, stdout, stderr) as text."""
+    done = subprocess.run(
+        [sys.executable, "-m", "corrcount", *argv], capture_output=True, text=True,
+        env=buffered_env(**env), timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+# python -c RUN_WITH_ATEXIT WATCH ARGV...: register an atexit handler that
+# prints "teardown" on stderr, then run corrcount.cli.run on ARGV.  WATCH
+# "trace" sets a tracer first, "monitor" stands in a registered
+# sys.monitoring tool, and "none" does neither.
+RUN_WITH_ATEXIT = """
+import atexit, sys, types
+atexit.register(print, "teardown", file=sys.stderr)
+watch = sys.argv.pop(1)
+if watch == "trace":
+    sys.settrace(lambda *a: None)
+elif watch == "monitor":
+    sys.monitoring = types.SimpleNamespace(get_tool=lambda i: "profiler" if i == 2 else None)
+from corrcount.cli import run
+run()
+"""
+
+
+class TestProcessExit:
+    """Every way out of ``python -m corrcount``: the code and both streams are those of main."""
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["limit-pmf", "--c", "2"], 0, ""),
+            (
+                ["finite-pmf", "--n", "5", "--c", "1,40"], 2,
+                "inadmissible model: p(1) = -125.03040000000003 below tolerance\n",
+            ),
+            (
+                ["limit-pmf", "--c", "x"], 3,
+                "error: bad coefficient list 'x': could not convert string to float: 'x'\n",
+            ),
+        ],
+        ids=["ok", "inadmissible", "bad-input"],
+    )
+    def test_exit_code_and_streams_are_those_of_main(self, capsys, argv, code, err):
+        in_process = run_cli(capsys, *argv)
+        assert in_process[0] == code
+        assert in_process[2] == err
+        assert spawn(*argv) == in_process
+
+    def test_help_is_the_recorded_screen(self):
+        screen = (HELP / "corrcount.txt").read_text(encoding="utf-8")
+        assert spawn("--help", COLUMNS="80") == (0, screen, "")
+
+    @pytest.mark.parametrize(
+        "entry, err",
+        [(["-m", "corrcount"], b""), (["-c", RUN_WITH_ATEXIT, "trace"], b"teardown\n")],
+        ids=["os-exit", "traced"],
+    )
+    def test_help_to_a_closed_pipe_exits_1_quietly(self, entry, err):
+        # the screen sits in the stdout buffer until the last flush; traced,
+        # the flush at interpreter exit must not raise again
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "wb") as closed:
+            done = subprocess.run(
+                [sys.executable, *entry, "--help"], stdout=closed,
+                stderr=subprocess.PIPE, env=buffered_env(), timeout=120,
+            )
+        assert (done.returncode, done.stderr) == (1, err)
+
+    def test_piped_output_is_flushed_whole(self, tmp_path):
+        # 10^6 lines, several pipe buffers: all of them are out before os._exit
+        argv = [sys.executable, "-m", "corrcount", "sample", "--c", "2", "--count", "1000000"]
+        path = tmp_path / "counts.txt"
+        with path.open("wb") as fh:
+            to_file = subprocess.run(argv, stdout=fh, env=buffered_env(), timeout=120)
+        piped = subprocess.run(argv, capture_output=True, env=buffered_env(), timeout=120)
+        assert (to_file.returncode, piped.returncode, piped.stderr) == (0, 0, b"")
+        assert piped.stdout.count(b"\n") == 1_000_000
+        digest = hashlib.sha256(piped.stdout).hexdigest()
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_profiler_writes_its_results(self, tmp_path):
+        done = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-o", "prof.out", "-m", "corrcount",
+             "limit-pmf", "--c", "2"],
+            capture_output=True, text=True, env=buffered_env(), cwd=tmp_path, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("s,p\n0,0.1353352832366127\n")
+        assert pstats.Stats(str(tmp_path / "prof.out")).total_calls > 0
+
+    @pytest.mark.parametrize(
+        "watch, teardown", [("none", ""), ("trace", "teardown\n"), ("monitor", "teardown\n")]
+    )
+    def test_teardown_runs_only_under_a_tracer(self, watch, teardown):
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_WITH_ATEXIT, watch, "finite-pmf", "--n", "5", "--c", "1,40"],
+            capture_output=True, text=True, env=buffered_env(), timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout.startswith("s,p\n0,")
+        assert done.stderr == (
+            "inadmissible model: p(1) = -125.03040000000003 below tolerance\n" + teardown
+        )
+
+    def test_one_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        module, _, function = pyproject["project"]["scripts"]["corrcount"].partition(":")
+        assert (module, function) == ("corrcount.cli", "run")
+        tree = ast.parse((ROOT / "src" / "corrcount" / "__main__.py").read_text(encoding="utf-8"))
+        imported = {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and node.module == "cli" and node.level == 1 for alias in node.names
+        }
+        called = {
+            node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert imported == called == {function}
 
 
 class TestSampleAndEstimate:

@@ -92,6 +92,18 @@ class TestBuildExponent:
         with pytest.raises(BadShapeError):
             build_exponent(CorrelationModel([1.0, 0.5]))
 
+    def test_trailing_zero_orders_are_dropped(self):
+        # the degree-1 row always stays; a zero below a nonzero order stays too
+        assert build_exponent(CorrelationModel([1.0, 0.0, -0.0], n=5)) == ((0.8, 0.2),)
+        assert len(build_exponent(CorrelationModel([1.0, 0.0, 0.5, 0.0], n=5))) == 3
+
+    def test_a_dropped_order_cannot_overflow(self):
+        # N^l overflows a double at l = 103 for N = 1000, but C_l = 0 there
+        model = CorrelationModel([1.0] + [0.0] * 110, n=1000)
+        assert build_exponent(model) == build_exponent(CorrelationModel([1.0], n=1000))
+        with pytest.raises(SeriesOverflowError):
+            build_exponent(CorrelationModel([1.0] + [0.0] * 101 + [1e-300], n=1000))
+
     def test_huge_first_coefficient_row_sums_to_one(self):
         # (1 - 1e18, 1e18): the sum is exact only relative to the magnitude.
         rows = build_exponent(CorrelationModel([1e20], n=100))
@@ -127,6 +139,20 @@ class TestFiniteCountPmf:
             CorrelationModel([1.5, 2.25, 0.0], n=3)
         )
         assert truncated.values == pytest.approx(full.values, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "c, n", [([1.0], 5), ([2.0, 0.5], 50), ([2.0, 0.5], 3000), ([1.5, 2.25], 5)]
+    )
+    def test_trailing_zeros_keep_the_law_bit_for_bit(self, c, n):
+        # before, the zero order ran through the ring: for (2, 0.5, 0) at
+        # N = 50, 36 of the 51 entries differed from those of (2, 0.5)
+        truncated = finite_count_pmf(CorrelationModel(c, n=n))
+        for zeros in (1, 3):
+            full = finite_count_pmf(CorrelationModel(c + [0.0] * zeros, n=n))
+            assert list(map(repr, full.values)) == list(map(repr, truncated.values))
+            assert full.error_estimate == truncated.error_estimate
+        if c == [1.0]:
+            assert truncated.values[1] == 0.40960000000000013
 
     def test_large_n_approaches_limit(self):
         p_inf = limit_pmf(CorrelationModel([1.0, 0.3]))
