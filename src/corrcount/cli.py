@@ -266,10 +266,7 @@ def _cmd_cf(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = _resolve_model(args, need_n=None)
-    if model.n is not None:
-        pmf = finite_count_pmf(model)
-    else:
-        pmf = limit_pmf(model, mass_tolerance=args.tol)
+    pmf = limit_pmf(model) if model.n is None else finite_count_pmf(model)
     # Counts lie in the pmf support, so one line per count up to the largest
     # seen so far is a small table, and looking lines up beats formatting
     # each count.
@@ -420,10 +417,7 @@ _COMMANDS = {
         "count pmf of a Bernoulli-mixture joint", _cmd_oracle_pmf, "--format --n --mixture"
     ),
     "cf": ("characteristic function on a u grid", _cmd_cf, "--format --c --model --n --u"),
-    "sample": (
-        "draw counts from the model's pmf", _cmd_sample,
-        "--c --model --n --tol --count --seed",
-    ),
+    "sample": ("draw counts from the model's pmf", _cmd_sample, "--c --model --n --count --seed"),
     "estimate": (
         "estimate coefficients from counts", _cmd_estimate, "--input --lmax --bootstrap --seed"
     ),

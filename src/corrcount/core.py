@@ -32,11 +32,8 @@ __all__ = [
     "BadShapeError",
     "NonFiniteError",
     "OutOfRangeError",
-    "SeriesOverflowError",
     "NonConvergentError",
     "InadmissiblePmfError",
-    "TooFewSamplesError",
-    "BadSpecError",
     "InvalidDistributionError",
     "Record",
     "CorrelationModel",
@@ -52,7 +49,7 @@ __all__ = [
 
 # A pmf entry below -ADMISSIBILITY_TOL marks the producing model inadmissible.
 ADMISSIBILITY_TOL = 1e-9
-# Normalization slack for joints.
+# Normalization slack for joint masses and mixture weights.
 TABLE_TOL = 1e-12
 # Largest sample count or characteristic-function grid; beyond it the
 # arrays alone would take gigabytes.
@@ -64,19 +61,15 @@ class CorrcountError(Exception):
 
 
 class BadShapeError(CorrcountError):
-    """A container has the wrong length/order or a required field is missing."""
+    """A container, or an event count, of the wrong type, length or structure."""
 
 
 class NonFiniteError(CorrcountError):
-    """An input coefficient or weight is NaN or infinite."""
+    """An input that is NaN or infinite, or a result that overflows a double."""
 
 
 class OutOfRangeError(CorrcountError):
-    """An index or size argument lies outside its documented domain."""
-
-
-class SeriesOverflowError(CorrcountError):
-    """The requested event count exceeds the double-precision policy ceiling."""
+    """A number outside its documented domain or past a ceiling."""
 
 
 class NonConvergentError(CorrcountError):
@@ -87,16 +80,8 @@ class InadmissiblePmfError(CorrcountError):
     """The pmf carries negative mass beyond tolerance and cannot be sampled."""
 
 
-class TooFewSamplesError(CorrcountError):
-    """Not enough observations for the requested estimation order."""
-
-
-class BadSpecError(CorrcountError):
-    """A mixture specification violates its constraints."""
-
-
 class InvalidDistributionError(CorrcountError):
-    """A probability table or joint violates nonnegativity or normalization."""
+    """Masses or weights that are negative or do not sum to 1."""
 
 
 class Record:
@@ -332,7 +317,7 @@ def correlation_coefficient(table: SymmetricTable, n: int) -> float:
     from exact integers and rounded once.
     """
     if not is_int_in(n, 1):
-        raise OutOfRangeError(f"n must be a positive integer, got {n!r}")
+        raise BadShapeError(f"n must be a positive integer, got {n!r}")
     if table.order > n:
         raise OutOfRangeError(f"table order {table.order} exceeds n = {n}")
     try:

@@ -34,8 +34,8 @@ from .core import (
     CorrelationModel,
     ExchangeableJoint,
     NonFiniteError,
+    OutOfRangeError,
     Pmf,
-    SeriesOverflowError,
     fsum_or_inf,
     is_int_in,
 )
@@ -51,8 +51,10 @@ __all__ = [
 ]
 
 # The recurrence is N products of an (l_max * (l_max + 1)) x S block, S the
-# pmf's underflow index (a few hundred for moderate C): about 1 s at this
-# ceiling for C = (2, 0.5, 0.1) on a 2-vCPU machine.  Refuse beyond.
+# pmf's underflow index, and its ring holds 2 * l_max * (l_max + 1) * width
+# doubles, width < N + 2 + l_max: O(l_max^2 * S) memory.  At this ceiling,
+# on 2 vCPUs, C = (2, 0.5, 0.1) (S about 320) takes about 1 s, and C = (N,)
+# (S = N + 1) 12 to 15 s.  Refuse beyond.
 MAX_EVENT_COUNT = 100_000
 
 _EPS = sys.float_info.epsilon
@@ -79,7 +81,7 @@ def build_exponent(model: CorrelationModel) -> tuple[tuple[float, ...], ...]:
     binomial identity), so A(x, 1) = x.
 
     Raises:
-        SeriesOverflowError: N^l overflows a double for some order l <= L.
+        OutOfRangeError: N^l overflows a double for some order l <= L.
     """
     n = model.n
     if n is None:
@@ -93,7 +95,7 @@ def build_exponent(model: CorrelationModel) -> tuple[tuple[float, ...], ...]:
         try:
             scaled = model.coefficient(l) / float(n) ** l
         except OverflowError:  # float ** int raises rather than return inf
-            raise SeriesOverflowError(
+            raise OutOfRangeError(
                 f"order l = {l} at N = {n}: N^l overflows a double"
             ) from None
         rows.append(tuple(
@@ -170,7 +172,7 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
     in N products, and the memory O(S * l_max^2).
 
     Raises:
-        SeriesOverflowError: N above MAX_EVENT_COUNT, or N^l overflows a
+        OutOfRangeError: N above MAX_EVENT_COUNT, or N^l overflows a
             double for some order l.
         NonFiniteError: an entry overflowed to inf or nan (coefficients too
             large for double precision).
@@ -179,7 +181,7 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
 
     n_events = model.n
     if is_int_in(n_events, MAX_EVENT_COUNT + 1):
-        raise SeriesOverflowError(
+        raise OutOfRangeError(
             f"N = {n_events} exceeds the supported ceiling {MAX_EVENT_COUNT}"
         )
     exponent = build_exponent(model)

@@ -24,13 +24,15 @@ from typing import TYPE_CHECKING
 
 from .core import (
     MAX_POINTS,
-    BadSpecError,
+    TABLE_TOL,
+    BadShapeError,
     ExchangeableJoint,
     InadmissiblePmfError,
+    InvalidDistributionError,
+    NonFiniteError,
     OutOfRangeError,
     Pmf,
     Record,
-    TooFewSamplesError,
     is_int_in,
     validate_seed,
 )
@@ -59,24 +61,32 @@ _SAMPLE_BLOCK = 65536
 
 
 class MixtureSpec(Record):
-    """Atoms (p, weight) of a finite mixture of iid Bernoulli sequences."""
+    """Atoms (p, weight) of a finite mixture of iid Bernoulli sequences.
+
+    Raises:
+        BadShapeError: no atoms.
+        NonFiniteError: an atom's p or weight is NaN or infinite.
+        OutOfRangeError: an atom's p outside [0, 1].
+        InvalidDistributionError: a negative weight, or weights whose sum
+            is off 1 by more than TABLE_TOL.
+    """
 
     _fields = ("atoms",)
 
     def __init__(self, atoms):
         atoms = tuple((float(p), float(w)) for p, w in atoms)
         if not atoms:
-            raise BadSpecError("mixture needs at least one atom")
+            raise BadShapeError("mixture needs at least one atom")
         for p, w in atoms:
             if not (math.isfinite(p) and math.isfinite(w)):
-                raise BadSpecError(f"non-finite atom ({p!r}, {w!r})")
+                raise NonFiniteError(f"non-finite atom ({p!r}, {w!r})")
             if not 0.0 <= p <= 1.0:
-                raise BadSpecError(f"atom probability {p!r} outside [0, 1]")
+                raise OutOfRangeError(f"atom probability {p!r} outside [0, 1]")
             if w < 0.0:
-                raise BadSpecError(f"negative atom weight {w!r}")
+                raise InvalidDistributionError(f"negative atom weight {w!r}")
         total = math.fsum(w for _, w in atoms)
-        if abs(total - 1.0) > 1e-12:
-            raise BadSpecError(f"atom weights sum to {total!r}, not 1")
+        if abs(total - 1.0) > TABLE_TOL:
+            raise InvalidDistributionError(f"atom weights sum to {total!r}, not 1")
         super().__init__(atoms)
 
 
@@ -106,7 +116,7 @@ def build_mixture_joint(spec: MixtureSpec, n: int) -> ExchangeableJoint:
     import decimal
 
     if not is_int_in(n, 1):
-        raise BadSpecError(f"event count must be a positive integer, got {n!r}")
+        raise BadShapeError(f"event count must be a positive integer, got {n!r}")
     if n > MAX_EVENT_COUNT:
         raise OutOfRangeError(
             f"joint of n = {n} events exceeds the supported ceiling {MAX_EVENT_COUNT}"
@@ -230,8 +240,8 @@ def estimate_coefficients(
     Raises:
         OutOfRangeError: l_max outside 1..MAX_ESTIMATE_ORDER, n_bootstrap < 2,
             a negative seed, counts that are not numbers (bools included),
-            or a count that is negative, above SUPPORT_CAP or not an integer.
-        TooFewSamplesError: fewer than 10^l_max observations.
+            a count that is negative, above SUPPORT_CAP or not an integer,
+            or fewer than 10^l_max observations.
     """
     import numpy as np
 
@@ -245,7 +255,7 @@ def estimate_coefficients(
     histogram, n_total = _count_histogram(counts if isinstance(counts, Iterator) else [counts])
     floor = 10 ** l_max
     if n_total < floor:
-        raise TooFewSamplesError(
+        raise OutOfRangeError(
             f"order {l_max} needs at least {floor} samples, got {n_total}"
         )
 

@@ -97,10 +97,9 @@ def random_admissible_model(rng: np.random.Generator) -> CorrelationModel:
     raise RuntimeError("no admissible model found in 500 tries")
 
 
-def measure_coefficients(joint, k_max: int | None = None) -> tuple[float, ...]:
-    """Coefficients C_1..C_k of a joint, measured through the expansion chain."""
-    k_max = joint.n if k_max is None else k_max
-    p_tables = [marginalize(joint, k) for k in range(1, k_max + 1)]
+def measure_coefficients(joint) -> tuple[float, ...]:
+    """Coefficients C_1..C_n of a joint of n events, measured through the expansion chain."""
+    p_tables = [marginalize(joint, k) for k in range(1, joint.n + 1)]
     g_tables = _correlation_orders(p_tables)
     return tuple(correlation_coefficient(g, joint.n) for g in g_tables)
 

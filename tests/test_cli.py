@@ -1258,6 +1258,10 @@ class TestBadInput:
                 ["sample", "--c", "2", "--count", "3", "--format", "json"], None,
                 "unrecognized arguments: --format json",
             ),
+            (
+                ["sample", "--c", "2", "--n", "30", "--count", "3", "--tol", "1"], None,
+                "unrecognized arguments: --tol 1",
+            ),
             (["limit-pmf", "--c", "2", "--x"], None, "unrecognized arguments: --x"),
         ],
         ids=[
@@ -1266,7 +1270,7 @@ class TestBadInput:
             "no-command", "unknown-config-key", "verify-model", "config-command-is-a-flag",
             "model-without-l_max", "empty-c", "empty-model", "config-empty-c",
             "config-empty-model", "empty-config", "empty-config-and-command",
-            "sample-format", "unknown-flag",
+            "sample-format", "sample-tol", "unknown-flag",
         ],
     )
     def test_refusal_names_its_cause(self, capsys, tmp_path, argv, file, message):
@@ -1378,8 +1382,8 @@ class TestConfigFile:
                 ["sample", "--c", "2.0", "--count", "500", "--seed", "42"],
             ),
             (
-                {"c": "2", "n": 30, "count": 200, "mass_tolerance": 1},
-                ["sample", "--c", "2", "--n", "30", "--count", "200", "--tol", "1"],
+                {"c": "2", "n": 30, "count": 200},
+                ["sample", "--c", "2", "--n", "30", "--count", "200"],
             ),
             (
                 {"input": "{counts}", "lmax": 2, "n_bootstrap": 20, "seed": 5},
@@ -1453,10 +1457,14 @@ class TestConfigFile:
                 {"command": "sample", "c": "2", "count": 3, "output_format": "json"},
                 "sample takes no output_format",
             ),
+            (
+                {"command": "sample", "c": "2", "count": 3, "mass_tolerance": 1e-12},
+                "sample takes no mass_tolerance",
+            ),
         ],
         ids=[
             "c-array", "n-float", "tol-bool", "model-array", "command-null", "command-help",
-            "count-bool", "count-string", "seed-float", "cf-tol", "sample-format",
+            "count-bool", "count-string", "seed-float", "cf-tol", "sample-format", "sample-tol",
         ],
     )
     def test_config_refusal_names_its_key(self, capsys, tmp_path, config, message):

@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from corrcount import (
     Pmf,
     build_mixture_joint,
     estimate_coefficients,
+    finite_count_pmf,
+    limit_pmf,
     run_identity_suite,
     sample_counts,
 )
@@ -29,6 +32,7 @@ from corrcount.core import (
     correlation_coefficient,
     validate_seed,
 )
+from corrcount.finite import build_exponent
 from corrcount.ursell import correlation_recursive, marginalize
 
 from conftest import m_factor, pattern_value
@@ -184,17 +188,21 @@ HALF = Pmf.from_values([0.5, 0.5])
 
 
 @pytest.mark.parametrize(
-    "call, value",
+    "call, value, error",
     [
-        (lambda v: sample_counts(HALF, v, 0), True),
-        (lambda v: run_identity_suite(n=v, trials=1), 2.5),
-        (lambda v: run_identity_suite(n=2, trials=v), 2.5),
-        (lambda v: run_identity_suite(n=2, trials=v), True),
-        (lambda v: correlation_coefficient(SymmetricTable([0.5, 0.5]), v), True),
-        (lambda v: marginalize(build_mixture_joint(MixtureSpec(((0.5, 1.0),)), 3), v), True),
-        (lambda v: estimate_coefficients([1] * 10, v), True),
-        (lambda v: estimate_coefficients([1] * 10, 1, n_bootstrap=v), 2.0),
-        (lambda v: validate_seed(v), True),
+        (lambda v: sample_counts(HALF, v, 0), True, OutOfRangeError),
+        (lambda v: run_identity_suite(n=v, trials=1), 2.5, OutOfRangeError),
+        (lambda v: run_identity_suite(n=2, trials=v), 2.5, OutOfRangeError),
+        (lambda v: run_identity_suite(n=2, trials=v), True, OutOfRangeError),
+        # an event count, refused as CorrelationModel refuses its n
+        (lambda v: correlation_coefficient(SymmetricTable([0.5, 0.5]), v), True, BadShapeError),
+        (
+            lambda v: marginalize(build_mixture_joint(MixtureSpec(((0.5, 1.0),)), 3), v),
+            True, OutOfRangeError,
+        ),
+        (lambda v: estimate_coefficients([1] * 10, v), True, OutOfRangeError),
+        (lambda v: estimate_coefficients([1] * 10, 1, n_bootstrap=v), 2.0, OutOfRangeError),
+        (lambda v: validate_seed(v), True, OutOfRangeError),
     ],
     ids=[
         "sample_counts-n_samples", "run_identity_suite-n", "run_identity_suite-trials",
@@ -203,10 +211,78 @@ HALF = Pmf.from_values([0.5, 0.5])
         "validate_seed",
     ],
 )
-def test_integer_arguments_refuse_bools_and_floats(call, value):
+def test_integer_arguments_refuse_bools_and_floats(call, value, error):
     # a bool is an int to Python, and a float slips past range checks
-    with pytest.raises(OutOfRangeError, match=repr(value)):
+    with pytest.raises(error, match=repr(value)):
         call(value)
+
+
+ONE_ATOM = MixtureSpec(((0.5, 1.0),))
+
+
+@pytest.mark.parametrize(
+    "error, site, sibling",
+    [
+        (
+            OutOfRangeError,
+            partial(finite_count_pmf, CorrelationModel([1.0], n=100_001)),
+            partial(build_mixture_joint, ONE_ATOM, 100_001),
+        ),
+        (
+            OutOfRangeError,  # 1000^103 and 171! leave the double range
+            partial(build_exponent, CorrelationModel([1.0] * 103, n=1000)),
+            partial(limit_pmf, CorrelationModel([1.0] * 171)),
+        ),
+        (
+            OutOfRangeError,
+            partial(estimate_coefficients, [1] * 99, l_max=2),
+            partial(estimate_coefficients, [1] * 100, l_max=5),
+        ),
+        (
+            BadShapeError,
+            partial(build_mixture_joint, ONE_ATOM, 0),
+            partial(CorrelationModel, [1.0], n=0),
+        ),
+        (
+            BadShapeError,
+            partial(correlation_coefficient, SymmetricTable([0.5, 0.5]), 0),
+            partial(CorrelationModel, [1.0], n=0),
+        ),
+        (BadShapeError, partial(MixtureSpec, ()), partial(CorrelationModel, [])),
+        (
+            NonFiniteError,
+            partial(MixtureSpec, ((math.nan, 1.0),)),
+            partial(CorrelationModel, [math.nan]),
+        ),
+        (
+            OutOfRangeError,
+            partial(MixtureSpec, ((1.5, 1.0),)),
+            partial(limit_pmf, CorrelationModel([1.0]), mass_tolerance=1.5),
+        ),
+        (
+            InvalidDistributionError,
+            partial(MixtureSpec, ((0.2, 1.5), (0.8, -0.5))),
+            partial(ExchangeableJoint, [1.5, -0.5]),
+        ),
+        (
+            InvalidDistributionError,
+            partial(MixtureSpec, ((0.5, 0.4), (0.4, 0.4))),
+            partial(ExchangeableJoint, [0.4, 0.4]),
+        ),
+    ],
+    ids=[
+        "event-count-ceiling", "n-to-the-l-overflows", "too-few-samples",
+        "mixture-event-count", "coefficient-event-count", "no-atoms", "non-finite-atom",
+        "atom-probability", "negative-weight", "weight-sum",
+    ],
+)
+def test_one_class_per_cause(error, site, sibling):
+    # a refusal raises the class its sibling of the same cause raises, and
+    # no subclass of it
+    for call in (site, sibling):
+        with pytest.raises(CorrcountError) as caught:
+            call()
+        assert type(caught.value) is error
 
 
 class TestReducedCorrelation:

@@ -18,7 +18,7 @@ from corrcount import (
 from corrcount.core import (
     BadShapeError,
     NonFiniteError,
-    SeriesOverflowError,
+    OutOfRangeError,
 )
 from corrcount.finite import build_exponent
 from corrcount.verify import measure_coefficients, random_model
@@ -101,7 +101,7 @@ class TestBuildExponent:
         # N^l overflows a double at l = 103 for N = 1000, but C_l = 0 there
         model = CorrelationModel([1.0] + [0.0] * 110, n=1000)
         assert build_exponent(model) == build_exponent(CorrelationModel([1.0], n=1000))
-        with pytest.raises(SeriesOverflowError):
+        with pytest.raises(OutOfRangeError):
             build_exponent(CorrelationModel([1.0] + [0.0] * 101 + [1e-300], n=1000))
 
     def test_huge_first_coefficient_row_sums_to_one(self):
@@ -236,7 +236,7 @@ class TestFiniteCountPmf:
                 finite_count_pmf(model)
 
     def test_event_count_ceiling(self):
-        with pytest.raises(SeriesOverflowError):
+        with pytest.raises(OutOfRangeError):
             finite_count_pmf(CorrelationModel([1.0], n=100_001))
 
     def test_requires_n_at_least_l_max(self):

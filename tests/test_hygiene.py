@@ -12,6 +12,10 @@ or calls ``open``.  Only ``cli.py`` talks to the user: no other module
 imports ``warnings``, calls ``print`` or uses ``sys.stdout`` or
 ``sys.stderr``.
 
+Each subclass of ``CorrcountError``, at any depth, is raised somewhere in
+the package, so that a class whose cause another class took over does
+not linger.
+
 The CLI's flag table holds no dead entry: each flag is taken by some
 command, each config key and JSON type is one the config reader knows,
 and each override is of a flag its command takes.  Each flag a command
@@ -232,6 +236,51 @@ def test_the_format_check_sees_json_and_open():
     assert file_access(tree) == [
         "json (line 5)", "json (line 3)", "open (line 7)", "open (line 7)"
     ]
+
+
+def unraised_errors(trees) -> list[str]:
+    """The subclasses of ``CorrcountError``, at any depth, that no ``raise`` names."""
+    classes = [
+        node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    ]
+    errors = {"CorrcountError"}
+    while True:
+        found = {
+            c.name for c in classes if any(getattr(b, "id", None) in errors for b in c.bases)
+        }
+        if found <= errors:
+            break
+        errors |= found
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    return sorted(errors - raised - {"CorrcountError"})
+
+
+def test_every_error_class_is_raised():
+    assert unraised_errors(TREES.values()) == []
+
+
+def test_the_raise_check_sees_a_dead_error_class():
+    trees = [
+        ast.parse(
+            "class CorrcountError(Exception):\n    pass\n"
+            "class Shape(CorrcountError):\n    pass\n"
+            "class Deep(Shape):\n    pass\n"
+            "class Dead(CorrcountError):\n    pass\n"
+            "class DeadDeep(Dead):\n    pass\n"
+            "class Other(Exception):\n    pass\n"
+        ),
+        ast.parse(
+            "def f(x):\n    if x:\n        raise Shape('x')\n"
+            "    raise core.Deep\n"
+            "def g():\n    raise Other from None\n"
+        ),
+    ]
+    assert unraised_errors(trees) == ["Dead", "DeadDeep"]
 
 
 def table_faults(flags, commands, overrides, json_types) -> list[str]:

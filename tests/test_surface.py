@@ -1,4 +1,5 @@
-"""The public surface: the package root's exports and the benchmark's hooks.
+"""The public surface: the package root's exports, the documented ceilings
+and the benchmark's hooks.
 
 ``perfbench/tracer.py`` wraps functions by module and name; a rename or a
 move in the package would make the traced benchmark pass fail, so each of
@@ -7,11 +8,15 @@ its targets is resolved here.  The tracer finds the modules in
 corrcount.cli``, so those imports must load all of them; and they must
 not load numpy, which only the commands that compute with arrays import,
 nor the other modules in ``START_UP_FREE``, which every job would pay for.
+
+Each ceiling constant stands in README "Ceilings" as ``module.NAME = value``,
+with the value the code holds.
 """
 
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +46,22 @@ def test_root_exports_exactly_the_entry_points():
     assert set(corrcount.__all__) == ROOT_EXPORTS
     for name in corrcount.__all__:
         assert getattr(corrcount, name) is not None
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+CEILINGS = [
+    "finite.MAX_EVENT_COUNT", "limit.SUPPORT_CAP", "limit.MAX_ORDER", "core.MAX_POINTS",
+    "verify.VERIFY_MAX_N", "ursell.RECURSION_MAX_ORDER", "montecarlo.MAX_ESTIMATE_ORDER",
+]
+
+
+@pytest.mark.parametrize("constant", CEILINGS)
+def test_every_ceiling_is_documented_with_its_value(constant):
+    module, name = constant.split(".")
+    value = getattr(importlib.import_module(f"corrcount.{module}"), name)
+    section = README.read_text(encoding="utf-8").partition("\n## Ceilings\n")[2]
+    section = " ".join(section.partition("\n## ")[0].split())  # lines joined
+    assert f"`{constant} = {value:_}`" in section
 
 
 def test_benchmark_trace_targets_resolve():
