@@ -165,8 +165,8 @@ def _model_of(data: dict, n) -> CorrelationModel:
     """The model of a JSON model object, whose ``l_max`` must be the length of ``c``.
 
     Raises:
-        BadShapeError: a field is missing, ``c`` is not an array, or
-            ``l_max`` is not a positive integer equal to its length.
+        BadShapeError: a field is missing, or ``l_max`` is not a positive
+            integer equal to the length of ``c``.
         And what the CorrelationModel constructor raises for ``c`` and ``n``.
     """
     try:
@@ -174,13 +174,12 @@ def _model_of(data: dict, n) -> CorrelationModel:
         c = data["c"]
     except KeyError as exc:
         raise BadShapeError(f"model JSON needs 'l_max' and 'c': {exc}") from exc
-    if not isinstance(c, list):
-        raise BadShapeError(f"model JSON 'c' must be an array of numbers, got {c!r}")
     if not is_int_in(l_max, 1):
         raise BadShapeError(f"l_max must be a positive integer, got {l_max!r}")
-    if l_max != len(c):
-        raise BadShapeError(f"expected {l_max} coefficients, got {len(c)}")
-    return CorrelationModel(c, n)
+    model = CorrelationModel(c, n)
+    if l_max != model.l_max:
+        raise BadShapeError(f"expected {l_max} coefficients, got {model.l_max}")
+    return model
 
 
 def _load_json(path: str, what: str):

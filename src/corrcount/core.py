@@ -13,6 +13,9 @@ explicit tail bound and flag their own admissibility (:class:`Pmf`).
 A record stores only what it cannot derive: the order l_max of a model
 and the event count of a joint are lengths, read as properties.  Every
 record checks its fields when built, so each value is valid wherever used.
+One rule, :func:`_numbers`, reads every numeric field: those of the records
+here, the atoms of ``montecarlo.MixtureSpec`` and the grid of
+``limit.char_fn``.
 No record reads or writes a file format, prints or warns; the command line
 does that.
 
@@ -54,6 +57,8 @@ TABLE_TOL = 1e-12
 # Largest sample count or characteristic-function grid; beyond it the
 # arrays alone would take gigabytes.
 MAX_POINTS = 10 ** 7
+# The numpy dtype kinds (ints, unsigned ints, floats, complex) of each kind of number.
+_KINDS = {float: "iuf", complex: "iufc"}
 
 
 class CorrcountError(Exception):
@@ -128,25 +133,18 @@ class CorrelationModel(Record):
     valid, a model of lower order, and is accepted silently.
 
     Raises:
-        BadShapeError: ``c`` is not a nonempty array of ints and floats,
-            numpy's included (a string, a mapping, a bool or None is not
-            one); or ``n`` is not a positive int (nor a bool) >= l_max.
+        BadShapeError: ``c`` is not a nonempty array of numbers (see
+            :func:`_numbers`); or ``n`` is not a positive int (nor a bool)
+            >= l_max.
         NonFiniteError: some C_l is NaN, infinite or past the double range.
     """
 
     _fields = ("c", "n")
 
     def __init__(self, c, n: int | None = None):
-        array = isinstance(c, Iterable) and not isinstance(c, (str, bytes, Mapping))
-        values = tuple(c) if array else ()
-        if not array or not all(map(_is_real, values)):
-            raise BadShapeError(f"'c' must be an array of numbers, got {c!r}")
-        if not values:
+        c = _numbers(c, "c")
+        if not c:
             raise BadShapeError("a model needs at least the coefficient C_1")
-        try:
-            c = tuple(map(float, values))
-        except OverflowError as exc:  # an integer past the double range
-            raise NonFiniteError(f"a coefficient is not a finite double: {exc}") from exc
         for l, value in enumerate(c, start=1):
             if not math.isfinite(value):
                 raise NonFiniteError(f"C_{l} = {value!r} is not finite")
@@ -172,11 +170,46 @@ def is_int_in(value, low: int, high: float = math.inf) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
 
 
-def _is_real(x) -> bool:
-    """Whether ``x`` is an int or a float, numpy's scalars included, and not a bool."""
+def _numbers(values, field: str, kind: type = float) -> tuple:
+    """The entries of an array of numbers, each converted by ``kind``.
+
+    The one check of every numeric field.  A numpy array must be 1-d and is
+    checked once by its dtype; any other iterable but a str, bytes or a
+    mapping is checked item by item, by :func:`_is_number`.
+
+    Raises:
+        BadShapeError: ``values`` is not such an array; names ``field``.
+        NonFiniteError: an int past the double range.
+    """
+    if hasattr(values, "dtype"):  # a numpy array or scalar
+        if values.ndim == 1 and values.dtype.kind in _KINDS[kind]:
+            return tuple(values.astype(kind, copy=False).tolist())
+    elif _is_array(values):
+        items = tuple(values)
+        # Plain ints and floats, the common case, need no look at each item.
+        if set(map(type, items)) <= {int, float, kind} or all(
+            _is_number(x, kind) for x in items
+        ):
+            try:
+                return tuple(map(kind, items))
+            except OverflowError as exc:  # an int past the double range
+                raise NonFiniteError(
+                    f"an entry of '{field}' is not a finite double: {exc}"
+                ) from exc
+    raise BadShapeError(f"'{field}' must be an array of numbers, got {values!r}")
+
+
+def _is_array(values) -> bool:
+    """Whether ``values`` is iterable as an array: not a str, bytes or a mapping."""
+    return isinstance(values, Iterable) and not isinstance(values, (str, bytes, Mapping))
+
+
+def _is_number(x, kind: type = float) -> bool:
+    """Whether ``x`` is an int or a float, numpy's included, or a complex for
+    ``kind=complex``; a bool is not a number."""
     if hasattr(x, "dtype"):  # a numpy value: a bool's kind is "b", an array's shape not ()
-        return x.shape == () and x.dtype.kind in "iuf"
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+        return x.shape == () and x.dtype.kind in _KINDS[kind]
+    return isinstance(x, (int, float, kind)) and not isinstance(x, bool)
 
 
 def fsum_or_inf(terms) -> float:
@@ -215,7 +248,7 @@ class SymmetricTable(Record):
     _fields = ("values",)
 
     def __init__(self, values):
-        values = tuple(float(x) for x in values)
+        values = _numbers(values, "values")
         if len(values) < 2:
             raise BadShapeError(f"a table needs order >= 1, got {len(values)} values")
         super().__init__(values)
@@ -236,7 +269,7 @@ class ExchangeableJoint(Record):
     _fields = ("mass",)
 
     def __init__(self, mass):
-        mass = tuple(float(x) for x in mass)
+        mass = _numbers(mass, "mass")
         if len(mass) < 2:
             raise BadShapeError(f"a joint needs n >= 1 events, got {len(mass)} class masses")
         for q in mass:
@@ -270,7 +303,7 @@ class Pmf(Record):
     _fields = ("values", "tail_bound", "admissible", "error_estimate")
 
     def __init__(self, values, tail_bound: float = 0.0, error_estimate: float = 0.0):
-        values = tuple(float(x) for x in values)
+        values = _numbers(values, "values")
         if not values:
             raise BadShapeError("pmf needs at least one entry")
         admissible = all(map(math.isfinite, values)) and min(values) >= -ADMISSIBILITY_TOL
@@ -302,8 +335,8 @@ class CfGrid(Record):
     _fields = ("u", "chi")
 
     def __init__(self, u, chi):
-        u = tuple(map(float, u))
-        chi = tuple(map(complex, chi))
+        u = _numbers(u, "u")
+        chi = _numbers(chi, "chi", complex)
         if len(u) != len(chi):
             raise BadShapeError(f"grid length {len(u)} != value count {len(chi)}")
         super().__init__(u, chi)

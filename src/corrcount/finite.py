@@ -12,8 +12,8 @@ factor couples, y counts how many of them occur.  Expanding the
 exponential reproduces, term by term, the sum over multiplicities of
 connected factors with its two counting constraints, so the identity is
 exact, and A(x, 1) = x forces normalization for any coefficient vector.
-N above MAX_EVENT_COUNT, and an order l whose N^l overflows a double,
-are refused.
+N above MAX_EVENT_COUNT, an order l whose N^l overflows a double, and a
+recurrence ring past MAX_RING_BYTES are refused.
 
 Coefficients of exp(A) are generated by the standard series recurrence for
 the exponential of a polynomial, run on the rescaled quantities
@@ -45,6 +45,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MAX_EVENT_COUNT",
+    "MAX_RING_BYTES",
     "count_pmf_from_joint",
     "build_exponent",
     "finite_count_pmf",
@@ -56,6 +57,9 @@ __all__ = [
 # on 2 vCPUs, C = (2, 0.5, 0.1) (S about 320) takes about 1 s, and C = (N,)
 # (S = N + 1) 12 to 15 s.  Refuse beyond.
 MAX_EVENT_COUNT = 100_000
+# The ring may not grow past this many bytes: at N = 10^5 the domain allows
+# l_max up to 61, whose ring at a support near N would need gigabytes.
+MAX_RING_BYTES = 2 ** 30
 
 _EPS = sys.float_info.epsilon
 # Starting width of the ring's rows; it doubles as the support grows.
@@ -121,6 +125,23 @@ def _ratio_table(n_events: int, l_max: int) -> np.ndarray:
     return ratio
 
 
+def _new_ring(l_max: int, width: int) -> np.ndarray:
+    """A zeroed ring of 2 l_max slots of l_max + 1 rows of ``width`` doubles.
+
+    Raises:
+        OutOfRangeError: the ring would take more than MAX_RING_BYTES.
+    """
+    import numpy as np
+
+    size = 2 * l_max * (l_max + 1) * width * 8
+    if size > MAX_RING_BYTES:
+        raise OutOfRangeError(
+            f"order l_max = {l_max} needs a ring {width} entries wide, {size} bytes, "
+            f"past the supported ceiling of {MAX_RING_BYTES} bytes"
+        )
+    return np.zeros((2 * l_max, l_max + 1, width))
+
+
 def _ring_views(ring: np.ndarray) -> tuple[list, list]:
     """Step blocks and write-back views of a doubled shift-stack ring.
 
@@ -172,8 +193,8 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
     in N products, and the memory O(S * l_max^2).
 
     Raises:
-        OutOfRangeError: N above MAX_EVENT_COUNT, or N^l overflows a
-            double for some order l.
+        OutOfRangeError: N above MAX_EVENT_COUNT, N^l overflows a double
+            for some order l, or the ring would grow past MAX_RING_BYTES.
         NonFiniteError: an entry overflowed to inf or nan (coefficients too
             large for double precision).
     """
@@ -197,7 +218,7 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
         # Slots k and k + l_max hold H_m for m = k mod l_max, so step n reads
         # slots n % l_max onward, oldest first.  H_m for m < 0 is zero.
         width = min(n_events + 1, _FIRST_WIDTH) + l_max
-        ring = np.zeros((2 * l_max, shifts, width))
+        ring = _new_ring(l_max, width)
         blocks, diagonals = _ring_views(ring)
         diagonals[0][:, 0] = diagonals[l_max][:, 0] = 1.0
         # len(H_m) - 1 - m for the last l_max values of m
@@ -209,7 +230,7 @@ def finite_count_pmf(model: CorrelationModel) -> Pmf:
                 size = n + 1 + max(reach)
                 if size + l_max > width:
                     width = min(n_events + 1, max(2 * (width - l_max), size)) + l_max
-                    wider = np.zeros((2 * l_max, shifts, width))
+                    wider = _new_ring(l_max, width)
                     wider[:, :, : ring.shape[2]] = ring
                     ring = wider
                     blocks, diagonals = _ring_views(ring)

@@ -26,6 +26,8 @@ from .core import (
     NonFiniteError,
     OutOfRangeError,
     Pmf,
+    _is_number,
+    _numbers,
     fsum_or_inf,
 )
 
@@ -81,6 +83,7 @@ def char_fn(model: CorrelationModel, u_grid) -> CfGrid:
     the loop ``numpy.polyval`` runs, in plain complex arithmetic.
 
     Raises:
+        BadShapeError: ``u_grid`` is not an array of numbers (by ``core._numbers``).
         OutOfRangeError: more than MAX_POINTS grid points.
         NonFiniteError: a grid point is NaN or infinite, or chi(u)
             overflows double precision.
@@ -88,7 +91,7 @@ def char_fn(model: CorrelationModel, u_grid) -> CfGrid:
     import cmath
 
     q = exponent_polynomial(model)[::-1]
-    u = tuple(map(float, u_grid))
+    u = _numbers(u_grid, "u_grid")
     if len(u) > MAX_POINTS:
         raise OutOfRangeError(
             f"grid of {len(u)} points exceeds the supported ceiling {MAX_POINTS}"
@@ -151,13 +154,14 @@ def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
     exp(Q(1)), and the drift budget includes |exp(Q(1)) - 1|.
 
     Raises:
-        OutOfRangeError: mass_tolerance outside (0, 1e-6] or exp(q_0) overflows.
+        OutOfRangeError: mass_tolerance not a number (a bool is not one) or
+            outside (0, 1e-6], or exp(q_0) overflows.
         NonConvergentError: the tail bound needs more than SUPPORT_CAP
             entries, or the drift exceeds mass_tolerance plus the rounding
             of q plus one rounding per entry (cancellation swamps the
             series).
     """
-    if not 0.0 < mass_tolerance <= 1e-6:
+    if not (_is_number(mass_tolerance) and 0.0 < mass_tolerance <= 1e-6):
         raise OutOfRangeError(
             f"mass_tolerance must lie in (0, 1e-6], got {mass_tolerance!r}"
         )

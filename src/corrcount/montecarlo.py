@@ -33,6 +33,8 @@ from .core import (
     OutOfRangeError,
     Pmf,
     Record,
+    _is_array,
+    _numbers,
     is_int_in,
     validate_seed,
 )
@@ -64,8 +66,10 @@ class MixtureSpec(Record):
     """Atoms (p, weight) of a finite mixture of iid Bernoulli sequences.
 
     Raises:
-        BadShapeError: no atoms.
-        NonFiniteError: an atom's p or weight is NaN or infinite.
+        BadShapeError: no atoms, or ``atoms`` is not an array of pairs of
+            numbers (by ``core._numbers``).
+        NonFiniteError: an atom's p or weight is NaN, infinite or past the
+            double range.
         OutOfRangeError: an atom's p outside [0, 1].
         InvalidDistributionError: a negative weight, or weights whose sum
             is off 1 by more than TABLE_TOL.
@@ -74,10 +78,15 @@ class MixtureSpec(Record):
     _fields = ("atoms",)
 
     def __init__(self, atoms):
-        atoms = tuple((float(p), float(w)) for p, w in atoms)
+        if not _is_array(atoms):
+            raise BadShapeError(f"'atoms' must be an array of (p, weight) pairs, got {atoms!r}")
+        atoms = tuple(_numbers(atom, "atom") for atom in atoms)
         if not atoms:
             raise BadShapeError("mixture needs at least one atom")
-        for p, w in atoms:
+        for atom in atoms:
+            if len(atom) != 2:
+                raise BadShapeError(f"an atom is a pair (p, weight), got {atom!r}")
+            p, w = atom
             if not (math.isfinite(p) and math.isfinite(w)):
                 raise NonFiniteError(f"non-finite atom ({p!r}, {w!r})")
             if not 0.0 <= p <= 1.0:

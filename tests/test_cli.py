@@ -602,6 +602,20 @@ class TestMemory:
             assert peaks[job, 2 * 10 ** 6] <= peaks[job, 2 * 10 ** 5] + 2048, peaks
 
 
+def test_ring_past_its_ceiling_is_one_error_line(capsys, monkeypatch):
+    from corrcount import finite
+
+    monkeypatch.setattr(finite, "MAX_RING_BYTES", 2 ** 20)
+    code, out, err = run_cli(
+        capsys, "finite-pmf", "--n", "2000", "--c", "1000,0.5,0.1,0.01,1e-3,1e-4,1e-5,1e-6"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: order l_max = 8 needs a ring 1032 entries wide, 1188864 bytes, "
+        "past the supported ceiling of 1048576 bytes\n"
+    )
+
+
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n", "5", "--trials", "6", "--seed", "3")

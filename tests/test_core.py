@@ -1,7 +1,9 @@
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from corrcount.core import (
     validate_seed,
 )
 from corrcount.finite import build_exponent
+from corrcount.limit import char_fn
 from corrcount.ursell import correlation_recursive, marginalize
 
 from conftest import m_factor, pattern_value
@@ -474,3 +477,127 @@ def test_numpy_inputs_coerce_cleanly():
     assert model.c == (1.0, 0.5)
     pmf = Pmf.from_values(np.array([0.5, 0.5]))
     assert pmf.values == (0.5, 0.5)
+
+
+# Every numeric field of the package, checked by one rule: (build from a value
+# of the field, read the field back, the field's name, a valid float value,
+# the type each entry is converted to).
+NUMERIC_FIELDS = {
+    "CorrelationModel.c": (CorrelationModel, attrgetter("c"), "c", [0.25, 0.75], float),
+    "SymmetricTable.values": (SymmetricTable, attrgetter("values"), "values", [0.25, 0.75], float),
+    "ExchangeableJoint.mass": (ExchangeableJoint, attrgetter("mass"), "mass", [0.25, 0.75], float),
+    "Pmf.values": (Pmf, attrgetter("values"), "values", [0.25, 0.75], float),
+    "CfGrid.u": (lambda u: CfGrid(u, [1, 1]), attrgetter("u"), "u", [0.25, 0.75], float),
+    "CfGrid.chi": (
+        lambda chi: CfGrid([0, 1], chi), attrgetter("chi"), "chi", [0.25, 0.75], complex,
+    ),
+    "MixtureSpec atom": (
+        lambda atom: MixtureSpec([atom]), lambda spec: spec.atoms[0], "atom", [0.25, 1.0], float,
+    ),
+    "char_fn u_grid": (
+        partial(char_fn, CorrelationModel([1.0, 0.5])), attrgetter("u"), "u_grid",
+        [0.25, 0.75], float,
+    ),
+}
+NOT_NUMBERS = {
+    "str": "01",
+    "bytes": b"01",
+    "dict": {0.25: 0.75},
+    "None": None,
+    "a number": 1.0,
+    "bool item": [True, 0.75],
+    "numpy bool item": [np.True_, 0.75],
+    "numpy bool array": np.array([True, False]),
+    "string item": ["0.25", 0.75],
+    "None item": [None, 0.75],
+    "Fraction item": [Fraction(1, 4), 0.75],
+    "Decimal item": [Decimal("0.25"), 0.75],
+    "2-d array": np.array([[0.25, 0.75]]),
+    "string array": np.array(["0.25", "0.75"]),
+}
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_every_numeric_field_refuses_what_is_not_an_array_of_numbers(field, value):
+    build, _, name, _, _ = NUMERIC_FIELDS[field]
+    with pytest.raises(BadShapeError) as caught:
+        build(value)
+    assert str(caught.value) == f"'{name}' must be an array of numbers, got {value!r}"
+
+
+@pytest.mark.parametrize("field", sorted(set(NUMERIC_FIELDS) - {"CfGrid.chi"}))
+def test_real_fields_refuse_complex_entries(field):
+    build, _, name, _, _ = NUMERIC_FIELDS[field]
+    for value in ([0.25j, 0.75], np.array([0.25j, 0.75])):
+        with pytest.raises(BadShapeError, match=f"'{name}' must be an array of numbers"):
+            build(value)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        list,
+        tuple,
+        lambda v: (x for x in v),
+        np.array,
+        partial(np.array, dtype=np.float32),
+        lambda v: [np.float64(x) for x in v],
+        lambda v: [np.float32(x) for x in v],
+    ],
+    ids=["list", "tuple", "generator", "float64-array", "float32-array", "float64-scalars",
+         "float32-scalars"],
+)
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_every_numeric_field_reads_floats_as_before(field, form):
+    build, read, _, valid, kind = NUMERIC_FIELDS[field]
+    got = read(build(form(valid)))
+    want = tuple(kind(x) for x in form(valid))  # each entry converted on its own
+    assert got == want and all(type(x) is kind for x in got)
+
+
+@pytest.mark.parametrize(
+    "form",
+    [list, np.array, partial(np.array, dtype=np.uint8), lambda v: [np.int64(x) for x in v]],
+    ids=["int-list", "int64-array", "uint8-array", "int64-scalars"],
+)
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_every_numeric_field_reads_ints_as_before(field, form):
+    build, read, _, _, kind = NUMERIC_FIELDS[field]
+    got = read(build(form([0, 1])))
+    assert got == (kind(0), kind(1)) and all(type(x) is kind for x in got)
+
+
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_every_numeric_field_refuses_an_int_past_the_double_range(field):
+    build, _, name, _, _ = NUMERIC_FIELDS[field]
+    with pytest.raises(NonFiniteError) as caught:
+        build([10 ** 400, 1])
+    assert str(caught.value) == (
+        f"an entry of '{name}' is not a finite double: int too large to convert to float"
+    )
+
+
+def test_the_complex_field_reads_complex_numbers():
+    chi = [0.5 + 0.25j, np.complex128(1j), 2]
+    assert CfGrid([0, 1, 2], chi).chi == (0.5 + 0.25j, 1j, 2 + 0j)
+    assert CfGrid([0, 1, 2], np.array(chi)).chi == (0.5 + 0.25j, 1j, 2 + 0j)
+
+
+@pytest.mark.parametrize("atoms", ["01", b"01", {0.5: 1.0}, None, 1.0], ids=repr)
+def test_mixture_atoms_must_be_an_array(atoms):
+    with pytest.raises(BadShapeError) as caught:
+        MixtureSpec(atoms)
+    assert str(caught.value) == f"'atoms' must be an array of (p, weight) pairs, got {atoms!r}"
+
+
+@pytest.mark.parametrize("atom", [(0.5,), (0.5, 1.0, 0.0), ()], ids=repr)
+def test_mixture_atom_is_a_pair(atom):
+    with pytest.raises(BadShapeError) as caught:
+        MixtureSpec([atom])
+    assert str(caught.value) == f"an atom is a pair (p, weight), got {tuple(map(float, atom))!r}"
+
+
+def test_mixture_atoms_may_be_rows_of_an_array():
+    spec = MixtureSpec(np.array([[0.25, 0.5], [0.75, 0.5]]))
+    assert spec == MixtureSpec([(0.25, 0.5), (0.75, 0.5)])

@@ -239,6 +239,23 @@ class TestFiniteCountPmf:
         with pytest.raises(OutOfRangeError):
             finite_count_pmf(CorrelationModel([1.0], n=100_001))
 
+    def test_ring_ceiling(self, monkeypatch):
+        # the ring widens 264 -> 520 -> 1032 columns of 2 * 8 * 9 doubles:
+        # 1,188,864 bytes at the third width, past a ceiling of 2^20
+        from corrcount import finite
+
+        monkeypatch.setattr(finite, "MAX_RING_BYTES", 2 ** 20)
+        model = CorrelationModel((1000, 0.5, 0.1, 0.01, 1e-3, 1e-4, 1e-5, 1e-6), n=2000)
+        with pytest.raises(OutOfRangeError) as caught:
+            finite_count_pmf(model)
+        assert str(caught.value) == (
+            "order l_max = 8 needs a ring 1032 entries wide, 1188864 bytes, "
+            "past the supported ceiling of 1048576 bytes"
+        )
+        # the last width, 2009 columns, fits a ceiling of exactly its bytes
+        monkeypatch.setattr(finite, "MAX_RING_BYTES", 2009 * 2 * 8 * 9 * 8)
+        assert finite_count_pmf(model).s_max == 2000
+
     def test_requires_n_at_least_l_max(self):
         with pytest.raises(BadShapeError):
             finite_count_pmf(CorrelationModel([1.0, 0.5, 0.1], n=2))

@@ -16,6 +16,10 @@ Each subclass of ``CorrcountError``, at any depth, is raised somewhere in
 the package, so that a class whose cause another class took over does
 not linger.
 
+Every numeric field is checked by one rule, ``core._numbers``: no
+``Record`` subclass's ``__init__``, nor ``char_fn``, converts the items of
+an input by ``float`` or ``complex`` itself.
+
 The CLI's flag table holds no dead entry: each flag is taken by some
 command, each config key and JSON type is one the config reader knows,
 and each override is of a flag its command takes.  Each flag a command
@@ -238,26 +242,32 @@ def test_the_format_check_sees_json_and_open():
     ]
 
 
-def unraised_errors(trees) -> list[str]:
-    """The subclasses of ``CorrcountError``, at any depth, that no ``raise`` names."""
+def subclasses(trees, root: str) -> set[str]:
+    """The names of the classes in ``trees`` that derive from ``root``, at any depth."""
     classes = [
         node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
     ]
-    errors = {"CorrcountError"}
+    found = {root}
     while True:
-        found = {
-            c.name for c in classes if any(getattr(b, "id", None) in errors for b in c.bases)
+        more = {
+            c.name for c in classes
+            if any(getattr(b, "id", getattr(b, "attr", None)) in found for b in c.bases)
         }
-        if found <= errors:
-            break
-        errors |= found
+        if more <= found:
+            return found - {root}
+        found |= more
+
+
+def unraised_errors(trees) -> list[str]:
+    """The subclasses of ``CorrcountError``, at any depth, that no ``raise`` names."""
+    errors = subclasses(trees, "CorrcountError")
     raised = set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
-    return sorted(errors - raised - {"CorrcountError"})
+    return sorted(errors - raised)
 
 
 def test_every_error_class_is_raised():
@@ -281,6 +291,67 @@ def test_the_raise_check_sees_a_dead_error_class():
         ),
     ]
     assert unraised_errors(trees) == ["Dead", "DeadDeep"]
+
+
+def per_item_conversions(trees) -> list[str]:
+    """The per-item ``float``/``complex`` conversions in a record's ``__init__`` or ``char_fn``.
+
+    A conversion is ``map(float, ...)`` or ``map(complex, ...)``, or a call
+    of ``float`` or ``complex`` inside a comprehension or a for loop.
+    """
+    records = subclasses(trees, "Record")
+    scanned = [
+        (f"{cls.name}.__init__", fn)
+        for tree in trees for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name in records
+        for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+    ] + [
+        (fn.name, fn) for tree in trees for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "char_fn"
+    ]
+    convert = ("float", "complex")
+    found = []
+    for where, fn in scanned:
+        calls = set()
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map"
+                and getattr(node.args[0], "id", None) in convert
+            ):
+                calls.add((node.lineno, f"map({node.args[0].id}, ...)"))
+            if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+                                 ast.For)):
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) in convert:
+                        calls.add((sub.lineno, f"{sub.func.id}(...)"))
+        found += [f"{where}: {call} (line {line})" for line, call in sorted(calls)]
+    return found
+
+
+def test_every_numeric_field_is_read_by_the_one_rule():
+    assert per_item_conversions(TREES.values()) == []
+
+
+def test_the_conversion_check_sees_a_per_item_conversion():
+    tree = ast.parse(
+        "class Record:\n    pass\n"
+        "class Table(Record):\n    def __init__(self, values):\n"
+        "        self.v = tuple(map(float, values))\n"
+        "class Deep(Table):\n    def __init__(self, xs, y):\n"
+        "        a = [float(x) for x in xs]\n        b = float(y)\n"
+        "        for x in xs:\n            complex(x)\n"
+        "class Other:\n    def __init__(self, xs):\n        self.v = list(map(float, xs))\n"
+        "def char_fn(model, grid):\n"
+        "    return tuple(map(complex, grid)), {float(u): u for u in grid}\n"
+        "def helper(xs):\n    return [float(x) for x in xs]\n"
+    )
+    assert per_item_conversions([tree]) == [
+        "Table.__init__: map(float, ...) (line 5)",
+        "Deep.__init__: float(...) (line 8)",
+        "Deep.__init__: complex(...) (line 11)",
+        "char_fn: float(...) (line 16)",
+        "char_fn: map(complex, ...) (line 16)",
+    ]
 
 
 def table_faults(flags, commands, overrides, json_types) -> list[str]:

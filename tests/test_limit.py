@@ -227,6 +227,12 @@ class TestLimitPmf:
         with pytest.raises(OutOfRangeError):
             limit_pmf(model, mass_tolerance=0.0)
 
+    @pytest.mark.parametrize("tol", ["1e-9", None, True, [1e-9]], ids=repr)
+    def test_mass_tolerance_must_be_a_number(self, tol):
+        with pytest.raises(OutOfRangeError) as caught:
+            limit_pmf(CorrelationModel([1.0]), mass_tolerance=tol)
+        assert str(caught.value) == f"mass_tolerance must lie in (0, 1e-6], got {tol!r}"
+
     def test_wild_coefficients_refuse(self):
         with pytest.raises(NonConvergentError):
             limit_pmf(CorrelationModel([5e6]))

@@ -50,8 +50,9 @@ def test_root_exports_exactly_the_entry_points():
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 CEILINGS = [
-    "finite.MAX_EVENT_COUNT", "limit.SUPPORT_CAP", "limit.MAX_ORDER", "core.MAX_POINTS",
-    "verify.VERIFY_MAX_N", "ursell.RECURSION_MAX_ORDER", "montecarlo.MAX_ESTIMATE_ORDER",
+    "finite.MAX_EVENT_COUNT", "finite.MAX_RING_BYTES", "limit.SUPPORT_CAP", "limit.MAX_ORDER",
+    "core.MAX_POINTS", "verify.VERIFY_MAX_N", "ursell.RECURSION_MAX_ORDER",
+    "montecarlo.MAX_ESTIMATE_ORDER",
 ]
 
 
