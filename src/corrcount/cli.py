@@ -40,7 +40,7 @@ from .core import (
     is_int_in,
 )
 from .finite import count_pmf_from_joint, finite_count_pmf
-from .limit import char_fn, limit_pmf
+from .limit import DEFAULT_MASS_TOL, char_fn, limit_pmf
 from .montecarlo import (
     DEFAULT_BOOTSTRAP,
     MixtureSpec,
@@ -61,7 +61,6 @@ EXIT_INADMISSIBLE = 2
 EXIT_BAD_INPUT = 3
 EXIT_VERIFY_FAILED = 4
 
-DEFAULT_MASS_TOL = 1e-12
 # Characters of a counts file parsed per np.loadtxt call.
 _READ_CHARS = 32768
 
@@ -276,7 +275,7 @@ def _cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _is_number(field: str) -> bool:
+def _parses_as_float(field: str) -> bool:
     try:
         float(field)
     except ValueError:
@@ -317,7 +316,7 @@ def _read_counts(path: str) -> Iterator[np.ndarray]:
                     if not first:
                         continue
                     csv = "," in first
-                    header = csv and not _is_number(first.split(",")[0])
+                    header = csv and not _parses_as_float(first.split(",")[0])
                     if header:
                         text = after
                     sentinel = "0,0\n" if csv else "0\n"

@@ -13,9 +13,9 @@ explicit tail bound and flag their own admissibility (:class:`Pmf`).
 A record stores only what it cannot derive: the order l_max of a model
 and the event count of a joint are lengths, read as properties.  Every
 record checks its fields when built, so each value is valid wherever used.
-One rule, :func:`_numbers`, reads every numeric field: those of the records
-here, the atoms of ``montecarlo.MixtureSpec`` and the grid of
-``limit.char_fn``.
+One rule, :func:`_is_number` and :func:`_array` on it, checks every number
+the package takes: arrays (each record's numeric fields, read by
+:func:`_numbers`), integer arguments (:func:`is_int_in`) and scalars.
 No record reads or writes a file format, prints or warns; the command line
 does that.
 
@@ -24,7 +24,7 @@ so everything here is safe for unrestricted concurrent use.
 """
 
 import math
-import operator
+import reprlib
 from collections.abc import Iterable, Mapping
 
 __all__ = [
@@ -57,8 +57,11 @@ TABLE_TOL = 1e-12
 # Largest sample count or characteristic-function grid; beyond it the
 # arrays alone would take gigabytes.
 MAX_POINTS = 10 ** 7
-# The numpy dtype kinds (ints, unsigned ints, floats, complex) of each kind of number.
-_KINDS = {float: "iuf", complex: "iufc"}
+# The numpy dtype kinds and the Python types of each kind of number; a bool is of none.
+_KINDS = {int: ("iu", (int,)), float: ("iuf", (int, float)),
+          complex: ("iufc", (int, float, complex))}
+# A refusal shows at most this many characters of the input it refuses.
+_SHOWN = 200
 
 
 class CorrcountError(Exception):
@@ -134,8 +137,8 @@ class CorrelationModel(Record):
 
     Raises:
         BadShapeError: ``c`` is not a nonempty array of numbers (see
-            :func:`_numbers`); or ``n`` is not a positive int (nor a bool)
-            >= l_max.
+            :func:`_numbers`); or ``n`` is not an integer (see
+            :func:`is_int_in`) >= l_max.
         NonFiniteError: some C_l is NaN, infinite or past the double range.
     """
 
@@ -152,51 +155,68 @@ class CorrelationModel(Record):
             raise BadShapeError(f"n must be a positive integer, got {n!r}")
         if n is not None and n < len(c):
             raise BadShapeError(f"n = {n} is below l_max = {len(c)}")
-        super().__init__(c, n)
+        super().__init__(c, n if n is None else int(n))
 
     @property
     def l_max(self) -> int:
         return len(self.c)
 
     def coefficient(self, l: int) -> float:
-        """C_l for 1 <= l <= l_max."""
-        if not 1 <= l <= self.l_max:
+        """C_l for an integer 1 <= l <= l_max.
+
+        Raises:
+            OutOfRangeError: ``l`` is not such an integer (see :func:`is_int_in`).
+        """
+        if not is_int_in(l, 1, self.l_max):
             raise OutOfRangeError(f"order {l} outside 1..{self.l_max}")
         return self.c[l - 1]
 
 
 def is_int_in(value, low: int, high: float = math.inf) -> bool:
-    """Whether ``value`` is a Python int, not a bool, with low <= value <= high."""
-    return isinstance(value, int) and not isinstance(value, bool) and low <= value <= high
+    """Whether ``value`` is an int, numpy's included and a bool not, with low <= value <= high."""
+    return _is_number(value, int) and low <= value <= high
 
 
 def _numbers(values, field: str, kind: type = float) -> tuple:
-    """The entries of an array of numbers, each converted by ``kind``.
-
-    The one check of every numeric field.  A numpy array must be 1-d and is
-    checked once by its dtype; any other iterable but a str, bytes or a
-    mapping is checked item by item, by :func:`_is_number`.
+    """The entries of an array of numbers (see :func:`_array`), each converted by ``kind``.
 
     Raises:
         BadShapeError: ``values`` is not such an array; names ``field``.
         NonFiniteError: an int past the double range.
     """
+    values = _array(values, field, kind)
+    if hasattr(values, "dtype"):
+        return tuple(values.astype(kind, copy=False).tolist())
+    try:
+        return tuple(map(kind, values))
+    except OverflowError as exc:  # an int past the double range
+        raise NonFiniteError(f"an entry of '{field}' is not a finite double: {exc}") from exc
+
+
+def _array(values, field: str, kind: type = float):
+    """The one check of every array: ``values`` if it is an array of numbers of
+    ``kind``, else BadShapeError naming ``field``.  A 1-d numpy array is checked
+    by its dtype and returned as it is; any other iterable but a str, bytes or a
+    mapping is checked item by item, by :func:`_is_number`, and its items returned."""
+    dtypes, types = _KINDS[kind]
     if hasattr(values, "dtype"):  # a numpy array or scalar
-        if values.ndim == 1 and values.dtype.kind in _KINDS[kind]:
-            return tuple(values.astype(kind, copy=False).tolist())
+        if values.ndim == 1 and values.dtype.kind in dtypes:
+            return values
     elif _is_array(values):
         items = tuple(values)
         # Plain ints and floats, the common case, need no look at each item.
-        if set(map(type, items)) <= {int, float, kind} or all(
-            _is_number(x, kind) for x in items
-        ):
-            try:
-                return tuple(map(kind, items))
-            except OverflowError as exc:  # an int past the double range
-                raise NonFiniteError(
-                    f"an entry of '{field}' is not a finite double: {exc}"
-                ) from exc
-    raise BadShapeError(f"'{field}' must be an array of numbers, got {values!r}")
+        if set(map(type, items)) <= set(types) or all(_is_number(x, kind) for x in items):
+            return items
+    raise BadShapeError(f"'{field}' must be an array of numbers, got {_shown(values)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)`` cut to _SHOWN characters, from a reprlib text of at most
+    _SHOWN items of each container; an uncut text is repr's, in a dict's order."""
+    cut = reprlib.Repr()
+    vars(cut).update({k: _SHOWN for k in vars(cut) if k.startswith("max") and k != "maxlevel"})
+    text = cut.repr(value)
+    return repr(value) if len(text) < _SHOWN and "..." not in text else text[:_SHOWN] + "..."
 
 
 def _is_array(values) -> bool:
@@ -205,11 +225,12 @@ def _is_array(values) -> bool:
 
 
 def _is_number(x, kind: type = float) -> bool:
-    """Whether ``x`` is an int or a float, numpy's included, or a complex for
-    ``kind=complex``; a bool is not a number."""
+    """Whether ``x`` is a number of ``kind``: an int, or for ``float`` also a float, or
+    for ``complex`` also a float or complex; numpy's included, a bool not."""
+    dtypes, types = _KINDS[kind]
     if hasattr(x, "dtype"):  # a numpy value: a bool's kind is "b", an array's shape not ()
-        return x.shape == () and x.dtype.kind in _KINDS[kind]
-    return isinstance(x, (int, float, kind)) and not isinstance(x, bool)
+        return x.shape == () and x.dtype.kind in dtypes
+    return isinstance(x, types) and not isinstance(x, bool)
 
 
 def fsum_or_inf(terms) -> float:
@@ -224,16 +245,13 @@ def validate_seed(seed: int) -> None:
     """Check that a generator seed is a non-negative integer.
 
     NumPy refuses negative seeds with a bare ValueError; this names the
-    seed as an input error instead.  NumPy's integers are seeds too.
+    seed as an input error instead.
 
     Raises:
-        OutOfRangeError: the seed is not an integer, is a bool, or is negative.
+        OutOfRangeError: the seed is not an integer (see :func:`is_int_in`)
+            or is negative.
     """
-    try:
-        valid = not isinstance(seed, bool) and is_int_in(operator.index(seed), 0)
-    except TypeError:  # not an integer: a float, a string, numpy's bool
-        valid = False
-    if not valid:
+    if not is_int_in(seed, 0):
         raise OutOfRangeError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -298,6 +316,13 @@ class Pmf(Record):
     finite-N law (N times that is no bound at full order: see
     finite_count_pmf), the drift |1 - sum p| for the limit law, and 0 for
     a pmf read off a joint.
+
+    Raises:
+        BadShapeError: ``values`` is not a nonempty array of numbers (see
+            :func:`_numbers`).
+        NonFiniteError: an entry past the double range.
+        OutOfRangeError: ``tail_bound`` or ``error_estimate`` is not a
+            number (see :func:`_is_number`) in [0, inf].
     """
 
     _fields = ("values", "tail_bound", "admissible", "error_estimate")
@@ -306,6 +331,10 @@ class Pmf(Record):
         values = _numbers(values, "values")
         if not values:
             raise BadShapeError("pmf needs at least one entry")
+        if not (_is_number(tail_bound) and 0.0 <= tail_bound <= math.inf):
+            raise OutOfRangeError(f"tail_bound must lie in [0, inf], got {tail_bound!r}")
+        if not (_is_number(error_estimate) and 0.0 <= error_estimate <= math.inf):
+            raise OutOfRangeError(f"error_estimate must lie in [0, inf], got {error_estimate!r}")
         admissible = all(map(math.isfinite, values)) and min(values) >= -ADMISSIBILITY_TOL
         super().__init__(values, float(tail_bound), admissible, float(error_estimate))
 
@@ -355,6 +384,6 @@ def correlation_coefficient(table: SymmetricTable, n: int) -> float:
         raise OutOfRangeError(f"table order {table.order} exceeds n = {n}")
     try:
         num, den = table.values[table.order].as_integer_ratio()
-        return n ** table.order * num / den
+        return int(n) ** table.order * num / den
     except (OverflowError, ValueError) as exc:  # G_k or C_k is not a finite double
         raise NonFiniteError(f"C_{table.order} is not a finite double ({exc})") from exc

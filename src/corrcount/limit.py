@@ -26,12 +26,15 @@ from .core import (
     NonFiniteError,
     OutOfRangeError,
     Pmf,
+    _array,
     _is_number,
     _numbers,
     fsum_or_inf,
+    is_int_in,
 )
 
 __all__ = [
+    "DEFAULT_MASS_TOL",
     "SUPPORT_CAP",
     "MAX_ORDER",
     "exponent_polynomial",
@@ -40,6 +43,8 @@ __all__ = [
     "factorial_cumulants",
 ]
 
+# The mass tolerance of limit_pmf, and of the CLI's --tol, unless one is given.
+DEFAULT_MASS_TOL = 1e-12
 # Adaptive support search refuses past this many pmf entries.
 SUPPORT_CAP = 10 ** 6
 # 171! exceeds the largest double, so C_l / l! has no order beyond this.
@@ -141,7 +146,7 @@ def _tail_bound(q: tuple[float, ...], support: int) -> float:
     return math.exp(log_bound) if log_bound < _LOG_MAX else math.inf
 
 
-def limit_pmf(model: CorrelationModel, mass_tolerance: float = 1e-12) -> Pmf:
+def limit_pmf(model: CorrelationModel, mass_tolerance: float = DEFAULT_MASS_TOL) -> Pmf:
     """Limiting count pmf as power-series coefficients of exp(Q(z)).
 
     n p(n) = sum_j j q_j p(n-j).  The support S starts at the mean plus ten
@@ -225,20 +230,34 @@ def factorial_cumulants(weights, l_max: int, total: float = 1.0) -> tuple[float,
     f_r = sum_s s(s-1)...(s-r+1) weights[s] / total feed the standard
     moment-to-cumulant recursion
     c_r = f_r - sum_{j<r} binom(r-1, j-1) c_j f_{r-j}.
+
+    Raises:
+        BadShapeError: ``weights`` is not an array of numbers (by ``core._array``).
+        NonFiniteError: a weight past the double range.
+        OutOfRangeError: ``l_max`` is not an integer >= 1 (by ``core.is_int_in``),
+            or ``total`` is not a number in (0, inf).
     """
     import numpy as np
 
-    weights = np.asarray(weights, dtype=float)
-    support = np.arange(weights.size, dtype=float)
+    masses = _array(weights, "weights")
+    if not is_int_in(l_max, 1):
+        raise OutOfRangeError(f"l_max must lie in 1..inf, got {l_max!r}")
+    if not (_is_number(total) and 0.0 < total < math.inf):
+        raise OutOfRangeError(f"total must lie in (0, inf), got {total!r}")
+    if not hasattr(masses, "dtype"):  # items, of which _numbers refuses an int past a double
+        masses = _numbers(masses, "weights")
+    masses = np.asarray(masses, dtype=float)
+    support = np.arange(masses.size, dtype=float)
 
-    falling = np.ones_like(weights)
+    orders = range(1, int(l_max) + 1)
+    falling = np.ones_like(masses)
     moments = [1.0]
-    for r in range(1, l_max + 1):
+    for r in orders:
         falling = falling * (support - (r - 1))
-        moments.append(float(np.dot(falling, weights)) / total)
+        moments.append(float(np.dot(falling, masses)) / total)
 
     cumulants: list[float] = []
-    for r in range(1, l_max + 1):
+    for r in orders:
         acc = moments[r]
         for j in range(1, r):
             acc -= math.comb(r - 1, j - 1) * cumulants[j - 1] * moments[r - j]

@@ -33,8 +33,10 @@ from .core import (
     OutOfRangeError,
     Pmf,
     Record,
+    _array,
     _is_array,
     _numbers,
+    _shown,
     is_int_in,
     validate_seed,
 )
@@ -79,7 +81,9 @@ class MixtureSpec(Record):
 
     def __init__(self, atoms):
         if not _is_array(atoms):
-            raise BadShapeError(f"'atoms' must be an array of (p, weight) pairs, got {atoms!r}")
+            raise BadShapeError(
+                f"'atoms' must be an array of (p, weight) pairs, got {_shown(atoms)}"
+            )
         atoms = tuple(_numbers(atom, "atom") for atom in atoms)
         if not atoms:
             raise BadShapeError("mixture needs at least one atom")
@@ -130,6 +134,7 @@ def build_mixture_joint(spec: MixtureSpec, n: int) -> ExchangeableJoint:
         raise OutOfRangeError(
             f"joint of n = {n} events exceeds the supported ceiling {MAX_EVENT_COUNT}"
         )
+    n = int(n)
     with decimal.localcontext() as ctx:
         ctx.prec = 40
         ctx.Emin = decimal.MIN_EMIN
@@ -247,10 +252,11 @@ def estimate_coefficients(
     child of np.random.SeedSequence(seed).
 
     Raises:
+        BadShapeError: counts that are not an array of numbers (by ``core._array``).
         OutOfRangeError: l_max outside 1..MAX_ESTIMATE_ORDER, n_bootstrap < 2,
-            a negative seed, counts that are not numbers (bools included),
-            a count that is negative, above SUPPORT_CAP or not an integer,
-            or fewer than 10^l_max observations.
+            a negative seed (each by ``core.is_int_in``), a count that is
+            negative, above SUPPORT_CAP or not an integer, or fewer than
+            10^l_max observations.
     """
     import numpy as np
 
@@ -262,7 +268,7 @@ def estimate_coefficients(
         raise OutOfRangeError(f"n_bootstrap must be >= 2, got {n_bootstrap!r}")
     validate_seed(seed)
     histogram, n_total = _count_histogram(counts if isinstance(counts, Iterator) else [counts])
-    floor = 10 ** l_max
+    floor = 10 ** int(l_max)
     if n_total < floor:
         raise OutOfRangeError(
             f"order {l_max} needs at least {floor} samples, got {n_total}"
@@ -285,19 +291,20 @@ def estimate_coefficients(
         c_hat=c_hat,
         std_err=std_err,
         n_samples=n_total,
-        n_bootstrap=n_bootstrap,
+        n_bootstrap=int(n_bootstrap),
     )
 
 
 def _count_histogram(blocks) -> tuple[np.ndarray, int]:
     """The int64 histogram of the counts in an iterable of 1-d blocks, and their number.
 
-    A block that is not 1-d, or not of integers or floats, is refused at
-    once.  The value checks use the running minimum and maximum, so they
-    are made, in this order, once every block is read: the first refusal
-    names the smallest count, then the largest, as a check of all counts
-    at once would.  Blocks after a refused value are checked but not
-    counted, and a float block is cast only once it holds integers.
+    A block that is not an array of numbers is refused at once, by
+    ``core._array``: a numpy block by its dtype alone.  The value checks use
+    the running minimum and maximum, so they are made, in this order, once
+    every block is read: the first refusal names the smallest count, then
+    the largest, as a check of all counts at once would.  Blocks after a
+    refused value are checked but not counted, and a float block is cast
+    only once it holds integers.
     """
     import numpy as np
 
@@ -306,14 +313,7 @@ def _count_histogram(blocks) -> tuple[np.ndarray, int]:
     low = high = None
     integral = True
     for block in blocks:
-        raw = np.asarray(block)
-        if raw.ndim != 1:
-            raise OutOfRangeError("counts must be a nonempty 1-d sequence")
-        if raw.dtype.kind not in "iuf":
-            raise OutOfRangeError(f"counts must be integers or floats, got dtype {raw.dtype}")
-        # numpy reads a bool among numbers as 0 or 1, so a list's items are looked at.
-        if raw is not block and any(isinstance(x, (bool, np.bool_)) for x in block):
-            raise OutOfRangeError("counts must be integers or floats, got a bool")
+        raw = np.asarray(_array(block, "counts"))
         if raw.size == 0:
             continue
         n_total += raw.size

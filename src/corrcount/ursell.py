@@ -60,6 +60,7 @@ def marginalize(joint: ExchangeableJoint, k: int) -> ExchangeableJoint:
     """
     if not is_int_in(k, 1, joint.n):
         raise OutOfRangeError(f"marginal order {k!r} outside 1..{joint.n}")
+    k = int(k)
     rest = joint.n - k
     c_k, c_rest, c_n = ([math.comb(t, i) for i in range(t + 1)] for t in (k, rest, joint.n))
     mass = [

@@ -92,7 +92,7 @@ def random_admissible_model(rng: np.random.Generator) -> CorrelationModel:
         if c[-1] == 0.0:
             c[-1] = 0.1
         model = CorrelationModel(c)
-        if limit_pmf(model, mass_tolerance=1e-12).admissible:
+        if limit_pmf(model).admissible:
             return model
     raise RuntimeError("no admissible model found in 500 tries")
 
@@ -239,7 +239,7 @@ def run_identity_suite(n: int = 6, trials: int = 50, seed: int = 1) -> list[Iden
     worst_cf = 0.0
     for _ in range(min(trials, 20)):
         model = random_admissible_model(rng)
-        pmf = limit_pmf(model, mass_tolerance=1e-12)
+        pmf = limit_pmf(model)
         grid = np.linspace(0.0, 2.0 * math.pi, 32)
         cf = char_fn(model, grid)
         s = np.arange(len(pmf.values))

@@ -1092,6 +1092,15 @@ class TestBadInput:
         assert out == ""
         assert cause in err
 
+    def test_refusal_of_a_long_model_is_one_short_line(self, capsys, tmp_path):
+        # the message shows the head of c, not its 10^6 entries
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"l_max": 10 ** 6 + 1, "c": [0.0] * 10 ** 6 + [None]}))
+        code, out, err = run_cli(capsys, "limit-pmf", "--model", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: 'c' must be an array of numbers, got [0.0, 0.0, ")
+        assert err.count("\n") == 1 and err.endswith("...\n") and len(err.encode()) < 300
+
     @pytest.mark.parametrize(
         "model, field",
         [

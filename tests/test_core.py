@@ -23,6 +23,7 @@ from corrcount import (
 )
 from corrcount.cli import _model_of
 from corrcount.core import (
+    _SHOWN,
     BadShapeError,
     CfGrid,
     CorrcountError,
@@ -35,7 +36,7 @@ from corrcount.core import (
     validate_seed,
 )
 from corrcount.finite import build_exponent
-from corrcount.limit import char_fn
+from corrcount.limit import char_fn, factorial_cumulants
 from corrcount.ursell import correlation_recursive, marginalize
 
 from conftest import m_factor, pattern_value
@@ -75,11 +76,12 @@ class TestValidateModel:
         with pytest.raises(BadShapeError):
             CorrelationModel([1.0, 0.5, 0.2], n=2)
 
-    @pytest.mark.parametrize("l", [0, 2])
+    # True was read as l = 1, and 1.5 raised a raw TypeError.
+    @pytest.mark.parametrize("l", [0, 3, True, np.True_, 1.5, np.float64(2.0), "1", None], ids=repr)
     def test_coefficient_order_outside_the_model_refused(self, l):
         with pytest.raises(OutOfRangeError) as caught:
-            CorrelationModel([1.0]).coefficient(l)
-        assert str(caught.value) == f"order {l} outside 1..1"
+            CorrelationModel([1.0, 2.0]).coefficient(l)
+        assert str(caught.value) == f"order {l} outside 1..2"
 
 
 # JSON-like values, with numpy's bools and ints, integers past the double
@@ -101,7 +103,7 @@ JSON_VALUES = st.recursive(
 )
 EVENT_COUNTS = st.one_of(
     st.none(), st.integers(-2, 8), st.floats(), st.text(max_size=2), st.booleans(),
-    st.just(np.True_),
+    st.just(np.True_), st.integers(-2, 8).map(np.int64), st.integers(0, 8).map(np.uint8),
 )
 
 
@@ -218,6 +220,107 @@ def test_integer_arguments_refuse_bools_and_floats(call, value, error):
     # a bool is an int to Python, and a float slips past range checks
     with pytest.raises(error, match=repr(value)):
         call(value)
+
+
+HISTOGRAM_COUNTS = np.repeat(np.arange(4), [30, 40, 20, 10])
+MIXTURE_300 = build_mixture_joint(MixtureSpec(((0.25, 0.5), (0.75, 0.5))), 300)
+# Each integer argument of the package: a call that takes it, and a valid value.
+INTEGER_ARGUMENTS = {
+    "CorrelationModel-n": (lambda v: CorrelationModel([1.0, 0.5], n=v), 1000),
+    # np.int64(1000) ** 7 wraps to 3875820019684212736
+    "correlation_coefficient-n": (
+        lambda v: correlation_coefficient(SymmetricTable([0.5] + [0.0] * 6 + [2e-9]), v), 1000,
+    ),
+    # np.uint8(255) + 1 wraps to 0
+    "build_mixture_joint-n": (lambda v: build_mixture_joint(MixtureSpec(((0.5, 1.0),)), v), 255),
+    "marginalize-k": (lambda v: marginalize(MIXTURE_300, v), 255),
+    "sample_counts-n_samples": (lambda v: sample_counts(HALF, v, 0), 200),
+    "sample_counts-seed": (lambda v: sample_counts(HALF, 20, v), 200),
+    "estimate_coefficients-l_max": (
+        lambda v: estimate_coefficients(HISTOGRAM_COUNTS, v, n_bootstrap=5), 2,
+    ),
+    "estimate_coefficients-n_bootstrap": (
+        lambda v: estimate_coefficients(HISTOGRAM_COUNTS, 1, n_bootstrap=v), 200,
+    ),
+    "estimate_coefficients-seed": (
+        lambda v: estimate_coefficients(HISTOGRAM_COUNTS, 1, n_bootstrap=5, seed=v), 200,
+    ),
+    "run_identity_suite-n": (lambda v: run_identity_suite(n=v, trials=1), 3),
+    "run_identity_suite-trials": (lambda v: run_identity_suite(n=2, trials=v), 2),
+    "run_identity_suite-seed": (lambda v: run_identity_suite(n=2, trials=1, seed=v), 200),
+    "coefficient-l": (lambda v: CorrelationModel([1.0, 0.5]).coefficient(v), 2),
+    "factorial_cumulants-l_max": (lambda v: factorial_cumulants(HISTOGRAM_COUNTS, v), 255),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_integer_arguments_take_numpy_integers(argument, dtype):
+    # the result of the equal Python int, which the result stores
+    call, value = INTEGER_ARGUMENTS[argument]
+    value = min(value, int(np.iinfo(dtype).max))
+    want = call(value)
+    got = call(dtype(value))
+    assert repr(got) == repr(want)
+
+
+def test_integer_arguments_are_stored_and_computed_as_python_ints():
+    model = CorrelationModel([1.0], n=np.int64(5))
+    assert type(model.n) is int and model == CorrelationModel([1.0], n=5)
+    assert hash(model) == hash(CorrelationModel([1.0], n=5))
+    report = estimate_coefficients(HISTOGRAM_COUNTS, 1, n_bootstrap=np.uint8(5))
+    assert type(report.n_bootstrap) is int
+    # 10 ** np.uint8(4) wraps to 16
+    with pytest.raises(OutOfRangeError, match="order 4 needs at least 10000 samples, got 100"):
+        estimate_coefficients(HISTOGRAM_COUNTS, np.uint8(4))
+
+
+@pytest.mark.parametrize("field", ["tail_bound", "error_estimate"])
+@pytest.mark.parametrize(
+    "value", [None, "0.5", True, np.True_, -1.0, -math.inf, math.nan, 0.5j], ids=repr
+)
+def test_pmf_scalars_are_numbers_in_their_domain(field, value):
+    with pytest.raises(OutOfRangeError) as caught:
+        Pmf([1.0], **{field: value})
+    assert str(caught.value) == f"{field} must lie in [0, inf], got {value!r}"
+
+
+def test_pmf_scalars_take_any_real_number_in_their_domain():
+    pmf = Pmf([1.0], tail_bound=np.float32(0.5), error_estimate=math.inf)
+    assert (pmf.tail_bound, pmf.error_estimate) == (0.5, math.inf)
+    assert Pmf([1.0], tail_bound=np.int64(0), error_estimate=1).error_estimate == 1.0
+    assert type(Pmf([1.0], error_estimate=1).error_estimate) is float
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [0.0] * 10 ** 6 + [None],
+        [[0.0] * 10 ** 6, None],
+        "x" * 10 ** 6,
+        {str(i): i for i in range(10 ** 5)},
+        [10 ** 4000, None],
+    ],
+    ids=["long-list", "nested-list", "long-str", "long-dict", "long-int"],
+)
+def test_a_refusal_shows_a_cut_input(value):
+    with pytest.raises(BadShapeError) as caught:
+        SymmetricTable(value)
+    message = str(caught.value)
+    head = "'values' must be an array of numbers, got "
+    assert message.startswith(head) and message.endswith("...")
+    assert len(message) == len(head) + _SHOWN + 3
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[0] * 50 + [None], {2: 1.0, 1: 0.5}, [[1.0, None]], "x" * (_SHOWN - 3)],
+    ids=["list", "dict", "nested", "str"],
+)
+def test_a_refusal_shows_a_short_input_whole(value):
+    with pytest.raises(BadShapeError) as caught:
+        SymmetricTable(value)
+    assert str(caught.value) == f"'values' must be an array of numbers, got {value!r}"
 
 
 ONE_ATOM = MixtureSpec(((0.5, 1.0),))

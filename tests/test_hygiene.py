@@ -18,7 +18,11 @@ not linger.
 
 Every numeric field is checked by one rule, ``core._numbers``: no
 ``Record`` subclass's ``__init__``, nor ``char_fn``, converts the items of
-an input by ``float`` or ``complex`` itself.
+an input by ``float`` or ``complex`` itself.  Nor does any number check
+stand beside core's rule: no ``operator.index``, no bool test outside
+``core._is_number``, no ``float`` or ``int`` of a record's argument that
+the rule has not checked, and no ``np.asarray`` of a public function's
+argument to a dtype.
 
 The CLI's flag table holds no dead entry: each flag is taken by some
 command, each config key and JSON type is one the config reader knows,
@@ -351,6 +355,124 @@ def test_the_conversion_check_sees_a_per_item_conversion():
         "Deep.__init__: complex(...) (line 11)",
         "char_fn: float(...) (line 16)",
         "char_fn: map(complex, ...) (line 16)",
+    ]
+
+
+# The calls of core's number rule.
+RULE = {"_is_number", "is_int_in", "_numbers", "_array"}
+
+
+def called(node) -> str | None:
+    """The name of the function a call calls, or None for any other node."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None))
+    return None
+
+
+def parameters(fn) -> set[str]:
+    return {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+
+
+def rule_bypasses(trees) -> list[str]:
+    """The number checks that stand beside core's rule, in ``trees`` by module name.
+
+    They are ``operator.index``; a bool test (``isinstance(..., bool)`` or
+    ``np.bool_``) outside ``core._is_number``; ``float(p)`` or ``int(p)``
+    of a parameter ``p`` of a ``Record`` subclass's ``__init__`` that no
+    call of the rule there takes; and ``np.asarray(p, dtype=...)`` of a
+    parameter ``p`` of a public module-level function.
+    """
+    records = subclasses(trees.values(), "Record")
+    found = []
+    for module, tree in trees.items():
+        exempt = {
+            id(node) for fn in tree.body
+            if module == "core.py" and getattr(fn, "name", None) == "_is_number"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            line = getattr(node, "lineno", None)
+            if (
+                isinstance(node, ast.Attribute) and node.attr == "index"
+                and getattr(node.value, "id", None) == "operator"
+            ) or (
+                isinstance(node, ast.ImportFrom) and node.module == "operator"
+                and any(a.name == "index" for a in node.names)
+            ):
+                found.append(f"{module}: operator.index (line {line})")
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == "bool_":
+                found.append(f"{module}: np.bool_ (line {line})")
+            if called(node) == "isinstance" and any(
+                getattr(sub, "id", None) == "bool" for sub in ast.walk(node.args[-1])
+            ):
+                found.append(f"{module}: isinstance(..., bool) (line {line})")
+        inits = [
+            (f"{cls.name}.__init__", fn) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name in records
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+        ]
+        for where, fn in inits:
+            checked = {
+                arg.id for node in ast.walk(fn) if called(node) in RULE
+                for arg in node.args if isinstance(arg, ast.Name)
+            }
+            found += [
+                f"{module}: {where}: {called(node)}({node.args[0].id}) (line {node.lineno})"
+                for node in ast.walk(fn)
+                if called(node) in ("float", "int") and len(node.args) == 1
+                and getattr(node.args[0], "id", None) in parameters(fn) - checked
+            ]
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            found += [
+                f"{module}: {fn.name}: np.asarray({node.args[0].id}, dtype=...) "
+                f"(line {node.lineno})"
+                for node in ast.walk(fn)
+                if called(node) == "asarray" and node.args
+                and getattr(node.args[0], "id", None) in parameters(fn)
+                and any(k.arg == "dtype" for k in node.keywords)
+            ]
+    return found
+
+
+def test_numbers_are_checked_by_the_one_rule_alone():
+    assert rule_bypasses(TREES) == []
+
+
+def test_the_rule_check_sees_a_check_beside_the_rule():
+    trees = {
+        "core.py": ast.parse(
+            "import operator\n"
+            "def _is_number(x):\n    return isinstance(x, (int, bool)) or x is np.bool_\n"
+            "def validate_seed(seed):\n"
+            "    return operator.index(seed) and not isinstance(seed, bool)\n"
+            "class Record:\n    pass\n"
+            "class Pmf(Record):\n    def __init__(self, values, tail_bound, n, scale=2):\n"
+            "        if not is_int_in(n, 1):\n            raise ValueError(n)\n"
+            "        x = float(tail_bound), int(n), float(values[0]), float(scale)\n"
+        ),
+        "limit.py": ast.parse(
+            "from operator import index\n"
+            "def factorial_cumulants(weights, l_max):\n"
+            "    w = np.asarray(weights, dtype=float)\n"
+            "    return np.asarray(l_max), np.asarray(_array(weights), dtype=float)\n"
+            "def _count_histogram(blocks):\n"
+            "    return np.asarray(blocks, dtype=float), [isinstance(x, np.bool_) for x in blocks]\n"
+            "def _is_number(x):\n    return not isinstance(x, bool)\n"
+        ),
+    }
+    assert rule_bypasses(trees) == [  # each module in the breadth-first order of ast.walk
+        "core.py: operator.index (line 5)",
+        "core.py: isinstance(..., bool) (line 5)",
+        "core.py: Pmf.__init__: float(tail_bound) (line 12)",
+        "core.py: Pmf.__init__: float(scale) (line 12)",
+        "limit.py: operator.index (line 1)",
+        "limit.py: isinstance(..., bool) (line 8)",
+        "limit.py: np.bool_ (line 6)",
+        "limit.py: factorial_cumulants: np.asarray(weights, dtype=...) (line 3)",
     ]
 
 

@@ -17,6 +17,7 @@ from corrcount import (
     limit_pmf,
 )
 from corrcount.core import (
+    BadShapeError,
     NonConvergentError,
     NonFiniteError,
     OutOfRangeError,
@@ -401,6 +402,44 @@ class TestFactorialCumulants:
         pmf = Pmf.from_values([0.0, 0.0, 0.0, 1.0])
         cumulants = factorial_cumulants(pmf.values, 3)
         assert cumulants == pytest.approx((3.0, -3.0, 6.0), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [["0.5", "0.5"], [True, False], [np.True_, 0.5], None, "12", b"12", [[0.5], [0.5]],
+         {0: 0.5}, np.array([[0.5, 0.5]]), np.array([True, False])],
+        ids=repr,
+    )
+    def test_weights_that_are_not_an_array_of_numbers_are_refused(self, weights):
+        with pytest.raises(BadShapeError) as caught:
+            factorial_cumulants(weights, 1)
+        assert str(caught.value) == f"'weights' must be an array of numbers, got {weights!r}"
+
+    def test_a_weight_past_the_double_range_is_refused(self):
+        with pytest.raises(NonFiniteError, match="an entry of 'weights' is not a finite double"):
+            factorial_cumulants([10 ** 400, 1], 1)
+
+    @pytest.mark.parametrize("l_max", [2.5, True, np.True_, 0, -1, "2", None], ids=repr)
+    def test_l_max_is_a_positive_integer(self, l_max):
+        with pytest.raises(OutOfRangeError) as caught:
+            factorial_cumulants([0.5, 0.5], l_max)
+        assert str(caught.value) == f"l_max must lie in 1..inf, got {l_max!r}"
+
+    @pytest.mark.parametrize("total", ["2", 0, -1.0, math.nan, math.inf, True, None], ids=repr)
+    def test_total_is_a_positive_finite_number(self, total):
+        with pytest.raises(OutOfRangeError) as caught:
+            factorial_cumulants([0.5, 0.5], 1, total=total)
+        assert str(caught.value) == f"total must lie in (0, inf), got {total!r}"
+
+    @pytest.mark.parametrize(
+        "form",
+        [list, tuple, np.array, lambda w: np.array(w, dtype=np.int64),
+         lambda w: [np.int32(x) for x in w]],
+        ids=["list", "tuple", "float64-array", "int64-array", "int32-scalars"],
+    )
+    def test_every_array_of_numbers_gives_the_same_cumulants(self, form):
+        histogram = [3, 0, 5, 2]
+        want = factorial_cumulants(np.array(histogram, dtype=float), 3, total=10)
+        assert factorial_cumulants(form(histogram), np.int64(3), total=np.int64(10)) == want
 
     def test_moment_to_cumulant_map_symbolically(self):
         # expand log of the exponential moment series and compare with the

@@ -31,6 +31,8 @@ from corrcount.verify import measure_coefficients
 
 from conftest import make_random_mixture, pattern_value
 
+NOT_AN_ARRAY = "'counts' must be an array of numbers"
+
 
 class TestMixtureSpec:
     def test_weights_must_sum_to_one(self):
@@ -352,25 +354,25 @@ class TestEstimateCoefficients:
         assert peak <= 2 ** 20
 
     @pytest.mark.parametrize(
-        "counts, match",
+        "counts, error, match",
         [
-            (["3"] * 200, "got dtype <U1"),
-            ([None] * 200, "got dtype object"),
-            ([True] * 200, "got dtype bool"),
-            (np.ones(200, dtype=bool), "got dtype bool"),
+            (["3"] * 200, BadShapeError, NOT_AN_ARRAY),
+            ([None] * 200, BadShapeError, NOT_AN_ARRAY),
+            ([True] * 200, BadShapeError, NOT_AN_ARRAY),
+            (np.ones(200, dtype=bool), BadShapeError, NOT_AN_ARRAY),
             # numpy promotes these lists to int64, reading the bool as 1
-            ([True] + [3] * 199, "got a bool"),
-            ([np.True_] + [3] * 199, "got a bool"),
-            ([3.0] * 199 + [math.nan], "counts must be integers"),
-            ([math.nan] * 200, "counts must be integers"),
+            ([True] + [3] * 199, BadShapeError, NOT_AN_ARRAY),
+            ([np.True_] + [3] * 199, BadShapeError, NOT_AN_ARRAY),
+            ([3.0] * 199 + [math.nan], OutOfRangeError, "counts must be integers"),
+            ([math.nan] * 200, OutOfRangeError, "counts must be integers"),
         ],
         ids=["str", "none", "bool", "numpy-bool", "bool-among-ints", "numpy-bool-among-ints",
              "one-nan", "nan"],
     )
-    def test_counts_that_are_not_numbers_are_refused(self, counts, match):
+    def test_counts_that_are_not_numbers_are_refused(self, counts, error, match):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OutOfRangeError, match=match):
+            with pytest.raises(error, match=match):
                 estimate_coefficients(counts, l_max=1, n_bootstrap=5)
 
     def test_blocks_give_the_estimate_of_their_concatenation(self):
@@ -389,23 +391,36 @@ class TestEstimateCoefficients:
         assert estimate_coefficients(iter(blocks), l_max=3, n_bootstrap=20, seed=11) == want
 
     @pytest.mark.parametrize(
-        "blocks, match",
+        "blocks, error, match",
         [
-            ([[3] * 100 + [-2], [3] * 100, [-7, 10 ** 7]], "negative count -7 in input"),
-            ([[3] * 100 + [10 ** 7], [3] * 100, [2 * 10 ** 7]], "count 20000000 exceeds"),
-            ([[2.5] * 100, [3.0] * 100, [-1.0]], "negative count -1.0 in input"),
-            ([[3] * 100, [[3]]], "1-d"),
-            ([[], []], "nonempty"),
+            ([[3] * 100 + [-2], [3] * 100, [-7, 10 ** 7]], OutOfRangeError,
+             "negative count -7 in input"),
+            ([[3] * 100 + [10 ** 7], [3] * 100, [2 * 10 ** 7]], OutOfRangeError,
+             "count 20000000 exceeds"),
+            ([[2.5] * 100, [3.0] * 100, [-1.0]], OutOfRangeError, "negative count -1.0 in input"),
+            ([[3] * 100, [[3]]], BadShapeError, NOT_AN_ARRAY + r", got \[\[3\]\]"),
+            ([[], []], OutOfRangeError, "nonempty"),
         ],
         ids=["global-minimum", "global-maximum", "minimum-before-integers", "2-d", "empty"],
     )
-    def test_block_checks_are_those_of_one_array(self, blocks, match):
-        with pytest.raises(OutOfRangeError, match=match):
+    def test_block_checks_are_those_of_one_array(self, blocks, error, match):
+        with pytest.raises(error, match=match):
             estimate_coefficients(iter(blocks), l_max=1, n_bootstrap=5)
-        if match != "1-d":
+        if error is OutOfRangeError:
             # One array of the same counts meets the same refusal.
-            with pytest.raises(OutOfRangeError, match=match):
+            with pytest.raises(error, match=match):
                 estimate_coefficients(np.concatenate(blocks), l_max=1, n_bootstrap=5)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [np.ones((2, 100), dtype=np.int64), [[3] * 100] * 2, 3, None, "3" * 200, {3: 200},
+         np.array(["3"] * 200), np.array([3.0 + 0j] * 200), [3.0 + 0j] * 200],
+        ids=["2-d-array", "2-d-list", "int", "None", "str", "dict", "str-array",
+             "complex-array", "complex-list"],
+    )
+    def test_counts_that_are_not_an_array_are_refused(self, counts):
+        with pytest.raises(BadShapeError, match=NOT_AN_ARRAY):
+            estimate_coefficients(counts, l_max=1, n_bootstrap=5)
 
 
 def int64_gather_estimate(counts, l_max, n_bootstrap, seed):
